@@ -12,20 +12,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import chi2
+from scipy.special import chdtrc, ndtr
 
 from .distributions import DiagNormal, RealVector
 from .estimators import (
     Dataset,
     TestLocations,
     cme_feature_matrix,
-    h_matrix,
     h_squared_hat,
     skce_block,
 )
 from .exceptions import ParameterError
-from .kernels import KernelSpec
+from .kernels import KernelSpec, h_values, tile_size, upper_tiles
 from .rng import substream
 
 
@@ -113,22 +111,41 @@ def test_bootstrap_ustat(
         raise ParameterError("the bootstrap test needs at least 2 pairs")
     if num_bootstrap < 100:
         raise ParameterError("need at least 100 bootstrap resamples for stable tail quantiles")
-    h = h_matrix(spec, data)
-    statistic = (h.sum() - np.trace(h)) / (n - 1)  # n * U-statistic
-    row_means = h.mean(axis=1, keepdims=True)
-    col_means = h.mean(axis=0, keepdims=True)
-    hc = h - row_means - col_means + h.mean()
     rng = substream(seed, "bootstrap-ustat")
-    diag = np.diag(hc)
-    draws = np.empty(num_bootstrap)
-    # multiplicity counts of n draws with replacement, batched to bound memory
+    # multiplicity counts of n draws with replacement, drawn in batches
     batch = max(1, min(num_bootstrap, (1 << 22) // max(n, 1)))
     weights = np.full(n, 1.0 / n)
+    counts = np.empty((num_bootstrap, n))
     for lo in range(0, num_bootstrap, batch):
         hi = min(lo + batch, num_bootstrap)
-        counts = rng.multinomial(n, weights, size=hi - lo).astype(np.float64)
-        quad = np.sum((counts @ hc) * counts, axis=1)
-        draws[lo:hi] = (quad - counts @ diag) / n
+        counts[lo:hi] = rng.multinomial(n, weights, size=hi - lo)
+    # One pass over the upper tiles of the symmetric h collects its row sums,
+    # its diagonal and the quadratic forms c^T h c of every resample c.
+    columns = data.columns
+    row_sums, diag, quad = np.zeros(n), np.zeros(n), np.zeros(num_bootstrap)
+    for rows, cols in upper_tiles(n, tile_size(columns)):
+        i, j = rows[:, None], cols[None, :]
+        h = h_values(spec, columns, i, j, i <= j)
+        if rows[0] == cols[0]:  # diagonal tile: the lower triangle mirrors the upper
+            h = np.triu(h) + np.triu(h, 1).T
+            diag[rows] = np.diagonal(h)
+            weight = 1.0
+        else:
+            row_sums[cols] += h.sum(axis=0)
+            weight = 2.0
+        row_sums[rows] += h.sum(axis=1)
+        quad += weight * np.sum((counts[:, rows] @ h) * counts[:, cols], axis=1)
+    total = float(row_sums.sum())
+    statistic = (total - diag.sum()) / (n - 1)  # n * U-statistic
+    # Each resample's statistic under the doubly centered kernel
+    # h_c = h - rowmean_a - rowmean_b + mean, expanded so h_c is never formed:
+    # c^T h_c c - c . diag(h_c) with sum(c) = n.
+    draws = (
+        quad
+        - counts @ diag
+        - 2.0 * (n - 1) / n * (counts @ row_sums)
+        + total * (n - 1) / n
+    ) / n
     p_value = (1.0 + np.count_nonzero(draws >= statistic)) / (num_bootstrap + 1.0)
     return TestReport(
         method=f"bootstrap-ustat(resamples={num_bootstrap})",
@@ -159,7 +176,7 @@ def test_cme(spec: KernelSpec, data: Dataset, locs: TestLocations) -> TestReport
         diagnostics["ridge_regularized"] = True
         diagnostics["ridge"] = ridge
     statistic = float(n * z_bar @ np.linalg.solve(cov, z_bar))
-    p_value = float(chi2.sf(statistic, df=j_count))
+    p_value = float(chdtrc(j_count, statistic))
     return TestReport(
         method=f"cme(J={j_count})",
         statistic=statistic,

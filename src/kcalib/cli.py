@@ -33,9 +33,9 @@ from .classical import (
     quantile_curve,
 )
 from .dataset_io import parse_dataset, parse_locations, write_dataset
-from .distributions import temperature_scale
-from .estimators import Dataset, skce_block, skce_plug_in, skce_ustat, ucme_squared
-from .exceptions import KcalibError
+from .distributions import RealVector, temperature_scale
+from .estimators import Dataset, TestLocations, skce_block, skce_plug_in, skce_ustat, ucme_squared
+from .exceptions import ConfigurationError, KcalibError
 from .kernels import (
     Analytic,
     GaussianRBF,
@@ -130,6 +130,17 @@ def _test_report_payload(report) -> dict:
     return payload
 
 
+def _cme_locations(args, data: Dataset) -> TestLocations:
+    """The --locations file, or the default locations at the data's dimension."""
+    if args.locations:
+        return parse_locations(args.locations)
+    if not isinstance(data.targets[0], RealVector):
+        raise ConfigurationError(
+            "default CME locations need real-vector predictions; pass --locations"
+        )
+    return default_cme_locations(data.targets[0].dim, args.cme_locations, seed=args.seed)
+
+
 def _cmd_generate(args) -> int:
     if args.scenario == "friedman1":
         train_x, train_y = gen_friedman1(100, args.noise_sd, args.seed, replicate=0)
@@ -179,12 +190,7 @@ def _cmd_test(args) -> int:
     elif args.method == "bootstrap":
         report = test_bootstrap_ustat(spec, data, args.bootstrap, seed=args.seed)
     else:
-        if args.locations:
-            locs = parse_locations(args.locations)
-        else:
-            d = data.predictions[0].dim
-            locs = default_cme_locations(d, args.cme_locations, seed=args.seed)
-        report = test_cme(spec, data, locs)
+        report = test_cme(spec, data, _cme_locations(args, data))
     _emit(_test_report_payload(report), args.format)
     return 0
 
@@ -192,12 +198,7 @@ def _cmd_test(args) -> int:
 def _cmd_ucme(args) -> int:
     spec = _kernel_spec(args)
     data = parse_dataset(args.data)
-    if args.locations:
-        locs = parse_locations(args.locations)
-    else:
-        d = data.predictions[0].dim
-        locs = default_cme_locations(d, args.cme_locations, seed=args.seed)
-    report = ucme_squared(spec, data, locs)
+    report = ucme_squared(spec, data, _cme_locations(args, data))
     _emit(
         {
             "estimator": report.kind,

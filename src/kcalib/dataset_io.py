@@ -27,19 +27,12 @@ from .distributions import (
     RealVector,
     Target,
     TruncatedCountable,
+    _pred_dim,
 )
 from .estimators import Dataset, TestLocations
 from .exceptions import DatasetFormatError, KcalibError
 
 SCHEMA_VERSION = 1
-
-
-def _pred_dimension(p: Prediction) -> int:
-    if isinstance(p, Categorical):
-        return p.n_classes
-    if isinstance(p, TruncatedCountable):
-        return p.support_size
-    return p.dim
 
 
 def prediction_to_dict(p: Prediction) -> dict:
@@ -155,10 +148,10 @@ def _parse_records(path: str):
                 f"record family {p.family!r} does not match header family {family!r}", lineno
             )
         if dimension is None:
-            dimension = _pred_dimension(p)  # no header dimension: the first record fixes it
-        if _pred_dimension(p) != dimension:
+            dimension = _pred_dim(p)  # no header dimension: the first record fixes it
+        if _pred_dim(p) != dimension:
             raise DatasetFormatError(
-                f"record dimension {_pred_dimension(p)} does not match dataset dimension {dimension}",
+                f"record dimension {_pred_dim(p)} does not match dataset dimension {dimension}",
                 lineno,
             )
         predictions.append(p)
@@ -181,29 +174,17 @@ def parse_locations(path: str) -> TestLocations:
     return TestLocations(predictions, targets)
 
 
-def _records_to_lines(predictions, targets) -> list[str]:
-    first = predictions[0]
-    dims = {_pred_dimension(p) for p in predictions}
-    if len(dims) > 1:
-        raise DatasetFormatError(
-            "records with differing dimensions cannot share one dataset file"
-        )
-    header = {"schema": SCHEMA_VERSION, "family": first.family, "dimension": dims.pop()}
+def write_dataset(path: str, data: Dataset) -> None:
+    first = data.predictions[0]
+    header = {"schema": SCHEMA_VERSION, "family": first.family, "dimension": _pred_dim(first)}
     lines = [json.dumps(header)]
-    for p, y in zip(predictions, targets):
+    for p, y in zip(data.predictions, data.targets):
         lines.append(
             json.dumps({"prediction": prediction_to_dict(p), "target": target_to_dict(y)})
         )
-    return lines
-
-
-def write_dataset(path: str, data: Dataset) -> None:
-    lines = _records_to_lines(data.predictions, data.targets)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_locations(path: str, locs: TestLocations) -> None:
-    lines = _records_to_lines(locs.predictions, locs.targets)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+# Test locations are a dataset and are written like one.
+write_locations = write_dataset

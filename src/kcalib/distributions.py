@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.special import logsumexp, ndtr, ndtri
 
 from .exceptions import DimensionError, FamilyError, ParameterError
@@ -333,7 +332,9 @@ class Mixture(Prediction):
         lo, hi = min(los), max(los)
         if lo == hi:
             return lo
-        return float(optimize.brentq(lambda y: self.cdf(y) - tau, lo, hi, xtol=1e-12))
+        from scipy.optimize import brentq  # loaded on use: it is slow to import
+
+        return float(brentq(lambda y: self.cdf(y) - tau, lo, hi, xtol=1e-12))
 
     def log_density(self, target: Target) -> float:
         terms = [math.log(w) + c.log_density(target) for w, c in zip(self.weights, self.components)]
@@ -450,6 +451,8 @@ def wasserstein2(p: Prediction, q: Prediction) -> float:
 
 def _solve_transport(weights_a: np.ndarray, weights_b: np.ndarray, cost: np.ndarray) -> float:
     """Exact minimum cost of the dense transportation problem."""
+    from scipy.optimize import linprog  # loaded on use: it is slow to import
+
     m, n = cost.shape
     # Row and column marginal constraints; the last row is redundant.
     a_eq = np.zeros((m + n - 1, m * n))
@@ -460,7 +463,7 @@ def _solve_transport(weights_a: np.ndarray, weights_b: np.ndarray, cost: np.ndar
     for j in range(n - 1):
         a_eq[m + j, j::n] = 1.0
         b_eq[m + j] = weights_b[j]
-    res = optimize.linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:  # pragma: no cover - marginals are always feasible
         raise ParameterError(f"transportation problem failed: {res.message}")
     return float(res.fun)

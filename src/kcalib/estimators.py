@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -11,22 +11,14 @@ from .distributions import (
     Categorical,
     ClassLabel,
     Count,
-    DiagNormal,
-    Laplace,
-    Mixture,
     Prediction,
     RealVector,
     Target,
     TruncatedCountable,
+    _pred_dim,
 )
 from .exceptions import DimensionError, FamilyError, ParameterError
-from .kernels import (
-    KernelSpec,
-    eval_prediction_kernel,
-    eval_target_kernel,
-    expect_target_kernel,
-    pairwise_h,
-)
+from .kernels import Columns, KernelSpec, cme_values, h_values, tile_size, upper_tiles
 
 
 def _check_pair(p: Prediction, y: Target) -> None:
@@ -56,14 +48,22 @@ class Dataset:
         if len(predictions) == 0:
             raise ParameterError("datasets must contain at least one pair")
         first = predictions[0]
+        dim = _pred_dim(first)
         for p, y in zip(predictions, targets):
             if p.family != first.family:
                 raise FamilyError(
                     f"mixed prediction families: {first.family!r} vs {p.family!r}"
                 )
+            if _pred_dim(p) != dim:
+                raise DimensionError(f"mixed prediction dimensions: {dim} vs {_pred_dim(p)}")
             _check_pair(p, y)
         self.predictions = predictions
         self.targets = targets
+
+    @cached_property
+    def columns(self) -> Columns:
+        """Columnar parameter arrays, built on the first estimator call."""
+        return Columns.of(self.predictions, self.targets)
 
     @classmethod
     def from_pairs(cls, pairs) -> "Dataset":
@@ -86,23 +86,10 @@ class Dataset:
         )
 
 
-@dataclass
-class TestLocations:
+class TestLocations(Dataset):
     """Fixed (prediction, target) locations for the UCME/CME test."""
 
     __test__ = False  # not a pytest class
-
-    predictions: list
-    targets: list
-
-    def __post_init__(self):
-        if len(self.predictions) != len(self.targets) or len(self.predictions) < 1:
-            raise ParameterError("test locations need at least one (prediction, target) pair")
-        for p, y in zip(self.predictions, self.targets):
-            _check_pair(p, y)
-
-    def __len__(self) -> int:
-        return len(self.predictions)
 
 
 @dataclass
@@ -115,30 +102,22 @@ class EstimateReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _pair_sum(values) -> float:
-    # Pairwise (tree) reduction keeps the result independent of threading
-    # and bounds round-off for long sums.
-    arr = np.asarray(values, dtype=np.float64)
-    while arr.size > 1024:
-        half = arr.size // 2
-        head = arr[: 2 * half].reshape(half, 2).sum(axis=1)
-        arr = np.concatenate([head, arr[2 * half :]])
-    return float(arr.sum())
-
-
 def h_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
     """Full n x n matrix of h values, diagonal included (n^2 evaluations)."""
     n = len(data)
-    rows, cols = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    values = pairwise_h(spec, data.predictions, data.targets, rows.ravel(), cols.ravel())
-    return values.reshape(n, n)
+    columns = data.columns
+    idx = np.arange(n)
+    step = max(1, tile_size(columns) ** 2 // n)
+    h = np.empty((n, n))
+    for lo in range(0, n, step):
+        h[lo : lo + step] = h_values(spec, columns, idx[lo : lo + step, None], idx[None, :])
+    return h
 
 
 def skce_plug_in(spec: KernelSpec, data: Dataset) -> EstimateReport:
     """Biased plug-in estimator: n^-2 sum over all ordered pairs of h."""
     n = len(data)
-    h = h_matrix(spec, data)
-    raw = _pair_sum(h.ravel()) / (n * n)
+    raw = float(np.sum(h_matrix(spec, data))) / (n * n)
     return EstimateReport(
         kind="plug-in",
         value=max(raw, 0.0),
@@ -146,15 +125,27 @@ def skce_plug_in(spec: KernelSpec, data: Dataset) -> EstimateReport:
     )
 
 
-def _block_pairs(n: int, block_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Within-block (i < j) index pairs and the block id of each pair."""
-    iu, ju = np.triu_indices(block_size, k=1)
-    num_blocks = n // block_size
-    offsets = np.arange(num_blocks) * block_size
-    rows = (offsets[:, None] + iu[None, :]).ravel()
-    cols = (offsets[:, None] + ju[None, :]).ravel()
-    block_ids = np.repeat(np.arange(num_blocks), iu.size)
-    return rows, cols, block_ids
+def _block_sums(
+    spec: KernelSpec, data: Dataset, block_size: int, num_blocks: int, square: bool = False
+) -> np.ndarray:
+    """Sum of h (or h^2) over the pairs i < j of each of the first ``num_blocks`` blocks.
+
+    Each block is cut into square tiles; blocks smaller than a tile are
+    evaluated several at a time, stacked along a leading axis.
+    """
+    columns = data.columns
+    size = tile_size(columns)
+    side = min(block_size, size)
+    group = max(1, size**2 // side**2)
+    sums = np.zeros(num_blocks)
+    for rows, cols in upper_tiles(block_size, side):
+        for lo in range(0, num_blocks, group):
+            offsets = np.arange(lo, min(lo + group, num_blocks))[:, None, None] * block_size
+            i, j = offsets + rows[:, None], offsets + cols[None, :]
+            upper = i < j
+            h = h_values(spec, columns, i, j, upper)
+            sums[lo : lo + group] += np.sum(h * h if square else h, axis=(1, 2), where=upper)
+    return sums
 
 
 def skce_block(spec: KernelSpec, data: Dataset, block_size: int) -> EstimateReport:
@@ -165,16 +156,9 @@ def skce_block(spec: KernelSpec, data: Dataset, block_size: int) -> EstimateRepo
     n = len(data)
     if not 2 <= block_size <= n:
         raise ParameterError(f"block size must satisfy 2 <= B <= n, got B={block_size}, n={n}")
-    rows, cols, block_ids = _block_pairs(n, block_size)
-    values = pairwise_h(spec, data.predictions, data.targets, rows, cols)
     num_blocks = n // block_size
     pairs_per_block = block_size * (block_size - 1) // 2
-    etas = np.array(
-        [
-            _pair_sum(values[block_ids == b]) / pairs_per_block
-            for b in range(num_blocks)
-        ]
-    )
+    etas = _block_sums(spec, data, block_size, num_blocks) / pairs_per_block
     sigma_hat = float(np.std(etas, ddof=1)) if num_blocks >= 2 else None
     return EstimateReport(
         kind=f"block(B={block_size})",
@@ -182,7 +166,7 @@ def skce_block(spec: KernelSpec, data: Dataset, block_size: int) -> EstimateRepo
         block_estimates=etas,
         sigma_hat_b=sigma_hat,
         diagnostics={
-            "h_evaluations": int(rows.size),
+            "h_evaluations": num_blocks * pairs_per_block,
             "dropped_points": n - num_blocks * block_size,
             "num_blocks": num_blocks,
             "block_size": block_size,
@@ -205,25 +189,12 @@ def h_squared_hat(spec: KernelSpec, data: Dataset) -> float:
     n = len(data)
     if n < 2:
         raise ParameterError("estimating E h^2 needs at least 2 pairs")
-    rows, cols = np.triu_indices(n, k=1)
-    values = pairwise_h(spec, data.predictions, data.targets, rows, cols)
-    return _pair_sum(values**2) / rows.size
+    return float(_block_sums(spec, data, n, 1, square=True)[0]) / (n * (n - 1) // 2)
 
 
 def cme_feature_matrix(spec: KernelSpec, data: Dataset, locs: TestLocations) -> np.ndarray:
     """n x J matrix with entries k(T_j, (p_i, y_i)) - E_{Z~p_i} k(T_j, (p_i, Z))."""
-    n, j_count = len(data), len(locs)
-    z = np.empty((n, j_count))
-    for j in range(j_count):
-        tp, ty = locs.predictions[j], locs.targets[j]
-        for i in range(n):
-            p, y = data.predictions[i], data.targets[i]
-            kp = eval_prediction_kernel(spec.prediction_kernel, tp, p)
-            z[i, j] = kp * (
-                eval_target_kernel(spec.target_kernel, ty, y)
-                - expect_target_kernel(spec, p, ty)
-            )
-    return z
+    return cme_values(spec, data.columns, locs.columns)
 
 
 def ucme_squared(spec: KernelSpec, data: Dataset, locs: TestLocations) -> EstimateReport:

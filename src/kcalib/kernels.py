@@ -36,8 +36,6 @@ from .rng import substream
 # beta^2 * gamma^2 - 1 and beta^2 - beta'^2).
 _LAPLACE_POLE_TOL = 1e-8
 
-_CHUNK = 1 << 18
-
 
 # ---------------------------------------------------------------------------
 # Kernel configuration types
@@ -149,21 +147,240 @@ def default_kernel_spec() -> KernelSpec:
 
 
 # ---------------------------------------------------------------------------
+# Closed forms over broadcastable arrays
+#
+# Each function broadcasts its arguments against each other, with the
+# parameter or target dimension first, so one expression serves a single
+# pair, a list of pairs and a (rows x cols) tile alike, and numpy's inner
+# loops run over the pairs rather than over a short dimension. Distances take
+# direct differences: a Gram expansion inside the square root loses about 8
+# digits.
+
+
+def _distance(a, b):
+    return np.sqrt(np.sum((a - b) ** 2, axis=0))
+
+
+def _prediction_kernel(pk: PredictionKernel, a, b):
+    return np.exp(-pk.lam * _distance(a, b) ** pk.nu)
+
+
+def _target_kernel(tk: TargetKernel, a, b):
+    if isinstance(tk, KroneckerDelta):
+        return np.all(a == b, axis=0).astype(np.float64)
+    if isinstance(tk, GaussianRBF):
+        return np.exp(-tk.gamma * np.sum((a - b) ** 2, axis=0))
+    return np.exp(-tk.gamma * np.sum(np.abs(a - b), axis=0))
+
+
+def _normal_expect(mean, var, y, gamma):
+    """E exp(-gamma ||Z - y||^2) for Z ~ N(mean, diag(var)).
+
+    With var = var1 + var2 and y = mean2 this is the double expectation
+    over two independent normals.
+    """
+    denom = 1.0 + 2.0 * gamma * var
+    quad = np.sum((mean - y) ** 2 / denom, axis=0)
+    return np.exp(-gamma * quad) / np.sqrt(np.prod(denom, axis=0))
+
+
+def _laplace_expect(loc, scale, y, gamma):
+    """E exp(-gamma |Z - y|) for Z ~ Laplace(loc, scale)."""
+    m = np.abs(loc - y)
+    bg = scale * gamma
+    pole = np.abs(bg - 1.0) <= _LAPLACE_POLE_TOL
+    denom = np.where(pole, 1.0, bg * bg - 1.0)
+    exact = (bg * np.exp(-m / scale) - np.exp(-gamma * m)) / denom
+    limit = 0.5 * (1.0 + gamma * m) * np.exp(-gamma * m)
+    return np.where(pole, limit, exact)
+
+
+def _laplace_double(l1, b1, l2, b2, gamma):
+    """E exp(-gamma |Z - Z'|) for independent Z ~ Laplace(l1, b1), Z' ~ Laplace(l2, b2)."""
+    m = np.abs(l1 - l2)
+    g1 = b1 * gamma
+    g2 = b2 * gamma
+    pole1 = np.abs(g1 - 1.0) <= _LAPLACE_POLE_TOL
+    pole2 = np.abs(g2 - 1.0) <= _LAPLACE_POLE_TOL
+    eq = np.abs(b1 - b2) <= _LAPLACE_POLE_TOL * np.maximum(b1, b2)
+    c1 = np.where(pole1, 1.0, g1 * g1 - 1.0)
+    c2 = np.where(pole2, 1.0, g2 * g2 - 1.0)
+    d = b1 * b1 - b2 * b2
+    d_safe = np.where(eq, 1.0, d)
+
+    def one_pole(g, c, b):  # the other scale sits at the pole
+        return g**3 / (c * c) * np.exp(-m / b) - (
+            (1.0 + gamma * m) / (2.0 * c) + g * g / (c * c)
+        ) * np.exp(-gamma * m)
+
+    both = (3.0 + 3.0 * gamma * m + (gamma * m) ** 2) / 8.0 * np.exp(-gamma * m)
+    equal = np.exp(-gamma * m) / (c1 * c1) + (
+        gamma * (b1 + m) / (2.0 * c1) - g1 / (c1 * c1)
+    ) * np.exp(-m / b1)
+    p1only = one_pole(g2, c2, b2)
+    p2only = one_pole(g1, c1, b1)
+    generic = (
+        gamma * b1**3 / (c1 * d_safe) * np.exp(-m / b1)
+        - gamma * b2**3 / (c2 * d_safe) * np.exp(-m / b2)
+        + np.exp(-gamma * m) / (c1 * c2)
+    )
+    out = generic
+    out = np.where(eq & ~pole1, equal, out)
+    out = np.where(pole1 & ~pole2, p1only, out)
+    out = np.where(pole2 & ~pole1, p2only, out)
+    out = np.where(pole1 & pole2, both, out)
+    return out
+
+
+def _support(size: int, ndim: int) -> np.ndarray:
+    """Coordinates of the points 0, ..., size - 1 along axis 1 of ``ndim`` axes."""
+    return np.arange(size, dtype=np.float64).reshape((1, size) + (1,) * (ndim - 2))
+
+
+def _discrete_expect(tk: TargetKernel, probs, y):
+    """E k(Z, y) for Z with masses ``probs`` on the points 0, 1, ..."""
+    kernel = _target_kernel(tk, _support(probs.shape[0], y.ndim + 1), y[:, None])
+    return np.sum(probs * kernel, axis=0)
+
+
+def _discrete_double(tk: TargetKernel, p, q):
+    grid = _target_kernel(tk, _support(p.shape[0], 3), _support(q.shape[0], 3).swapaxes(1, 2))
+    return np.sum(p * np.tensordot(grid, q, axes=(1, 0)), axis=0)
+
+
+# ---------------------------------------------------------------------------
+# Columnar parameter arrays
+
+
+_DISCRETE = ("categorical", "truncated_countable")
+
+
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """Parameter arrays of predictions of one family, one column per prediction.
+
+    ``emb`` is the canonical parameter embedding (for normals and Laplace
+    also the W2 embedding), ``params`` holds what the expectations read
+    (mean and var, loc and scale, or the masses of a discrete law) and ``y``
+    the target coordinates; the last axis runs over the predictions.
+    Mixtures keep only the lists, which the per-pair fallback reads.
+    """
+
+    family: str
+    emb: np.ndarray | None = None
+    params: tuple = ()
+    y: np.ndarray | None = None
+    predictions: list = field(default_factory=list)
+    targets: list | None = None
+
+    @classmethod
+    def of(cls, predictions, targets=None) -> "Columns":
+        p0 = predictions[0]
+        emb, params, y = None, (), None
+        try:
+            if isinstance(p0, DiagNormal):
+                params = (_stack([p.mean for p in predictions]), _stack([p.var for p in predictions]))
+                emb = np.concatenate([params[0], np.sqrt(params[1])])
+            elif isinstance(p0, Laplace):
+                params = (np.array([p.loc for p in predictions]), np.array([p.scale for p in predictions]))
+                emb = np.stack([params[0], math.sqrt(2.0) * params[1]])
+            elif isinstance(p0, Categorical):
+                emb = _stack([p.probs for p in predictions])
+                params = (emb,)
+            elif isinstance(p0, TruncatedCountable):
+                probs = _stack([p.probs for p in predictions])
+                emb = np.concatenate([probs, [[p.tail_mass for p in predictions]]])
+                # Expectations renormalize over the truncated support; the
+                # induced absolute error is bounded by 2 * tail_mass.
+                params = (probs / probs.sum(axis=0),)
+            if emb is not None and targets is not None:
+                y = _stack([_target_coords(t) for t in targets])
+        except ValueError as exc:  # ragged rows
+            raise DimensionError("predictions and targets of one batch must share one dimension") from exc
+        if y is not None and y.shape[0] != _target_dim(p0.family, params):
+            raise DimensionError("target dimension does not match the prediction dimension")
+        return cls(p0.family, emb, params, y, predictions, targets)
+
+    def take(self, index) -> "Columns":
+        """The predictions at ``index``, an integer array of any shape."""
+        return Columns(
+            self.family,
+            self.emb.take(index, axis=-1),
+            tuple(a.take(index, axis=-1) for a in self.params),
+            None if self.y is None else self.y.take(index, axis=-1),
+        )
+
+
+def _stack(rows) -> np.ndarray:
+    """(dimension, n) array of n equal-length rows."""
+    return np.array(rows, dtype=np.float64).T
+
+
+def _target_dim(family: str, params: tuple) -> int:
+    return params[0].shape[0] if family == "diag_normal" else 1
+
+
+def _expectations_closed(family: str, tk: TargetKernel) -> bool:
+    if family == "diag_normal":
+        return isinstance(tk, GaussianRBF)
+    if family == "laplace":
+        return isinstance(tk, LaplacianExp)
+    return family in _DISCRETE
+
+
+def _closed_form(spec: KernelSpec, family: str) -> bool:
+    """Whether h between two predictions of ``family`` has a closed form."""
+    metric = spec.prediction_kernel.metric
+    if isinstance(metric, W2):
+        metric_closed = family in ("diag_normal", "laplace")
+    else:
+        metric_closed = isinstance(metric, ParamEuclidean)
+    return (
+        isinstance(spec.expectation, Analytic)
+        and metric_closed
+        and _expectations_closed(family, spec.target_kernel)
+    )
+
+
+def _expect(tk: TargetKernel, x: Columns, y):
+    """E k_Y(Z, y) for Z ~ the predictions of ``x``, at target coordinates ``y``."""
+    if x.family == "diag_normal":
+        return _normal_expect(*x.params, y, tk.gamma)
+    if x.family == "laplace":
+        return _laplace_expect(*x.params, y[0], tk.gamma)
+    return _discrete_expect(tk, x.params[0], y)
+
+
+def _double_expect(tk: TargetKernel, x: Columns, z: Columns):
+    """E k_Y(Z, Z') for Z ~ the predictions of ``x`` and Z' ~ those of ``z``."""
+    if x.family == "diag_normal":
+        (m1, v1), (m2, v2) = x.params, z.params
+        return _normal_expect(m1, v1 + v2, m2, tk.gamma)
+    if x.family == "laplace":
+        return _laplace_double(*x.params, *z.params, tk.gamma)
+    return _discrete_double(tk, x.params[0], z.params[0])
+
+
+def _h(spec: KernelSpec, x: Columns, z: Columns):
+    tk = spec.target_kernel
+    kp = _prediction_kernel(spec.prediction_kernel, x.emb, z.emb)
+    return kp * (
+        _target_kernel(tk, x.y, z.y)
+        - _expect(tk, x, z.y)
+        - _expect(tk, z, x.y)
+        + _double_expect(tk, x, z)
+    )
+
+
+# ---------------------------------------------------------------------------
 # Prediction-space metric and kernel
 
 
 def _param_embedding(p: Prediction) -> np.ndarray:
-    if isinstance(p, Categorical):
-        return p.probs
-    if isinstance(p, DiagNormal):
-        return np.concatenate([p.mean, np.sqrt(p.var)])
-    if isinstance(p, Laplace):
-        return np.array([p.loc, math.sqrt(2.0) * p.scale])
-    if isinstance(p, TruncatedCountable):
-        return np.append(p.probs, p.tail_mass)
-    raise ConfigurationError(
-        f"no canonical parameter embedding for family {p.family!r}"
-    )
+    emb = Columns.of([p]).emb
+    if emb is None:
+        raise ConfigurationError(f"no canonical parameter embedding for family {p.family!r}")
+    return emb[:, 0]
 
 
 def prediction_distance(metric: PredictionMetric, p: Prediction, q: Prediction) -> float:
@@ -178,7 +395,7 @@ def prediction_distance(metric: PredictionMetric, p: Prediction, q: Prediction) 
     a, b = _param_embedding(p), _param_embedding(q)
     if a.shape != b.shape:
         raise DimensionError("parameter embeddings have mismatched dimensions")
-    return float(np.linalg.norm(a - b))
+    return float(_distance(a, b))
 
 
 def eval_prediction_kernel(pk: PredictionKernel, p: Prediction, q: Prediction) -> float:
@@ -201,139 +418,54 @@ def _target_coords(y: Target) -> np.ndarray:
 
 
 def eval_target_kernel(tk: TargetKernel, y: Target, z: Target) -> float:
-    if isinstance(tk, KroneckerDelta):
-        if isinstance(y, ClassLabel) and isinstance(z, ClassLabel):
-            return 1.0 if y.index == z.index else 0.0
-        if isinstance(y, Count) and isinstance(z, Count):
-            return 1.0 if y.value == z.value else 0.0
-        return 1.0 if np.array_equal(_target_coords(y), _target_coords(z)) else 0.0
     a, b = _target_coords(y), _target_coords(z)
     if a.shape != b.shape:
+        if isinstance(tk, KroneckerDelta):
+            return 0.0
         raise DimensionError("target dimensions do not match")
-    if isinstance(tk, GaussianRBF):
-        return math.exp(-tk.gamma * float(np.sum((a - b) ** 2)))
-    return math.exp(-tk.gamma * float(np.sum(np.abs(a - b))))
+    return float(_target_kernel(tk, a, b))
 
 
 # ---------------------------------------------------------------------------
 # Analytic expectations
 
 
-def _discrete_support(p: Prediction) -> tuple[np.ndarray, list[Target]]:
-    if isinstance(p, Categorical):
-        return p.probs, [ClassLabel(i) for i in range(p.n_classes)]
-    # Truncated expectations renormalize over the truncated support; the
-    # induced absolute error is bounded by 2 * tail_mass.
-    probs = p.probs / p.probs.sum()
-    return probs, [Count(i) for i in range(p.support_size)]
-
-
-def _normal_gauss_expect(mean, var, y, gamma) -> float:
-    denom = 1.0 + 2.0 * gamma * var
-    return float(np.prod(denom**-0.5 * np.exp(-gamma * (mean - y) ** 2 / denom)))
-
-
-def _normal_gauss_double(mean1, var1, mean2, var2, gamma) -> float:
-    denom = 1.0 + 2.0 * gamma * (var1 + var2)
-    return float(np.prod(denom**-0.5 * np.exp(-gamma * (mean1 - mean2) ** 2 / denom)))
-
-
-def _laplace_exp_expect(loc: float, scale: float, y: float, gamma: float) -> float:
-    m = abs(loc - y)
-    bg = scale * gamma
-    if abs(bg - 1.0) <= _LAPLACE_POLE_TOL:
-        return 0.5 * (1.0 + gamma * m) * math.exp(-gamma * m)
-    return (bg * math.exp(-m / scale) - math.exp(-gamma * m)) / (bg * bg - 1.0)
-
-
-def _laplace_exp_double(l1: float, b1: float, l2: float, b2: float, gamma: float) -> float:
-    m = abs(l1 - l2)
-    g1 = b1 * gamma
-    g2 = b2 * gamma
-    pole1 = abs(g1 - 1.0) <= _LAPLACE_POLE_TOL
-    pole2 = abs(g2 - 1.0) <= _LAPLACE_POLE_TOL
-    equal_scales = abs(b1 - b2) <= _LAPLACE_POLE_TOL * max(b1, b2)
-    if pole1 and pole2:
-        return (3.0 + 3.0 * gamma * m + (gamma * m) ** 2) / 8.0 * math.exp(-gamma * m)
-    if equal_scales and not pole1:
-        c = g1 * g1 - 1.0
-        return (
-            math.exp(-gamma * m) / (c * c)
-            + (gamma * (b1 + m) / (2.0 * c) - g1 / (c * c)) * math.exp(-m / b1)
+def _component_columns(tk: TargetKernel, p: Prediction) -> tuple[np.ndarray, Columns]:
+    """Mixture weights and columns of p's components; p itself if no mixture."""
+    if isinstance(p, Mixture):
+        weights, x = p.weights, Columns.of(p.components)
+    else:
+        weights, x = np.ones(1), Columns.of([p])
+    if not _expectations_closed(x.family, tk):
+        raise ConfigurationError(
+            f"no closed-form expectation for family {p.family!r} with "
+            f"{type(tk).__name__}; use MonteCarlo expectation mode"
         )
-    if pole1:
-        c = g2 * g2 - 1.0
-        return (
-            g2**3 / (c * c) * math.exp(-m / b2)
-            - ((1.0 + gamma * m) / (2.0 * c) + g2 * g2 / (c * c)) * math.exp(-gamma * m)
-        )
-    if pole2:
-        c = g1 * g1 - 1.0
-        return (
-            g1**3 / (c * c) * math.exp(-m / b1)
-            - ((1.0 + gamma * m) / (2.0 * c) + g1 * g1 / (c * c)) * math.exp(-gamma * m)
-        )
-    c1 = g1 * g1 - 1.0
-    c2 = g2 * g2 - 1.0
-    d = b1 * b1 - b2 * b2
-    return (
-        gamma * b1**3 / (c1 * d) * math.exp(-m / b1)
-        + gamma * b2**3 / (c2 * -d) * math.exp(-m / b2)
-        + math.exp(-gamma * m) / (c1 * c2)
-    )
+    return weights, x
 
 
 def _analytic_expect(tk: TargetKernel, p: Prediction, y: Target) -> float:
-    if isinstance(p, (Categorical, TruncatedCountable)):
-        probs, support = _discrete_support(p)
-        return float(sum(w * eval_target_kernel(tk, s, y) for w, s in zip(probs, support)))
-    if isinstance(p, Mixture):
-        return float(
-            sum(w * _analytic_expect(tk, c, y) for w, c in zip(p.weights, p.components))
-        )
-    if isinstance(p, DiagNormal) and isinstance(tk, GaussianRBF):
-        if not isinstance(y, RealVector) or y.dim != p.dim:
-            raise DimensionError("target must be a real vector matching the prediction dimension")
-        return _normal_gauss_expect(p.mean, p.var, y.values, tk.gamma)
-    if isinstance(p, Laplace) and isinstance(tk, LaplacianExp):
-        if not isinstance(y, RealVector) or y.dim != 1:
-            raise DimensionError("target must be a univariate real vector")
-        return _laplace_exp_expect(p.loc, p.scale, float(y.values[0]), tk.gamma)
-    raise ConfigurationError(
-        f"no closed-form expectation for family {p.family!r} with "
-        f"{type(tk).__name__}; use MonteCarlo expectation mode"
-    )
+    weights, x = _component_columns(tk, p)
+    coords = _target_coords(y)
+    if coords.shape != (_target_dim(x.family, x.params),) or (
+        x.family not in _DISCRETE and not isinstance(y, RealVector)
+    ):
+        raise DimensionError("target must be a real vector matching the prediction dimension")
+    return float(weights @ _expect(tk, x, coords[:, None]))
 
 
 def _analytic_double_expect(tk: TargetKernel, p: Prediction, q: Prediction) -> float:
-    if isinstance(p, Mixture):
-        return float(
-            sum(w * _analytic_double_expect(tk, c, q) for w, c in zip(p.weights, p.components))
+    (wp, x), (wq, z) = _component_columns(tk, p), _component_columns(tk, q)
+    if x.family != z.family and not (x.family in _DISCRETE and z.family in _DISCRETE):
+        raise ConfigurationError(
+            f"no closed-form double expectation for families {p.family!r}, {q.family!r} with "
+            f"{type(tk).__name__}; use MonteCarlo expectation mode"
         )
-    if isinstance(q, Mixture):
-        return float(
-            sum(w * _analytic_double_expect(tk, p, c) for w, c in zip(q.weights, q.components))
-        )
-    if isinstance(p, (Categorical, TruncatedCountable)):
-        probs, support = _discrete_support(p)
-        return float(
-            sum(w * _analytic_expect(tk, q, s) for w, s in zip(probs, support))
-        )
-    if isinstance(q, (Categorical, TruncatedCountable)):
-        probs, support = _discrete_support(q)
-        return float(
-            sum(w * _analytic_expect(tk, p, s) for w, s in zip(probs, support))
-        )
-    if isinstance(p, DiagNormal) and isinstance(q, DiagNormal) and isinstance(tk, GaussianRBF):
-        if p.dim != q.dim:
-            raise DimensionError("prediction dimensions do not match")
-        return _normal_gauss_double(p.mean, p.var, q.mean, q.var, tk.gamma)
-    if isinstance(p, Laplace) and isinstance(q, Laplace) and isinstance(tk, LaplacianExp):
-        return _laplace_exp_double(p.loc, p.scale, q.loc, q.scale, tk.gamma)
-    raise ConfigurationError(
-        f"no closed-form double expectation for families {p.family!r}, {q.family!r} with "
-        f"{type(tk).__name__}; use MonteCarlo expectation mode"
-    )
+    if x.family == "diag_normal" and x.emb.shape[0] != z.emb.shape[0]:
+        raise DimensionError("prediction dimensions do not match")
+    # One broadcast over the (components of p) x (components of q) grid.
+    grid = _double_expect(tk, x.take(np.arange(wp.size)[:, None]), z.take(np.arange(wq.size)[None, :]))
+    return float(wp @ grid @ wq)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +492,8 @@ def _pred_key(p: Prediction) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def _sample_coords(p: Prediction, rng: np.random.Generator, n: int) -> np.ndarray | None:
-    """Draw n samples as an (n, dim) coordinate array, or None if unsupported."""
+def _sample_coords(p: Prediction, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw n samples as an (n, dim) coordinate array."""
     if isinstance(p, DiagNormal):
         return rng.normal(p.mean, np.sqrt(p.var), size=(n, p.dim))
     if isinstance(p, Laplace):
@@ -372,53 +504,29 @@ def _sample_coords(p: Prediction, rng: np.random.Generator, n: int) -> np.ndarra
         return rng.choice(p.support_size, size=n, p=p.probs).astype(float).reshape(n, 1)
     if isinstance(p, Mixture):
         counts = rng.multinomial(n, p.weights)
-        parts = []
-        for c, m in zip(p.components, counts):
-            if m == 0:
-                continue
-            drawn = _sample_coords(c, rng, int(m))
-            if drawn is None:
-                return None
-            parts.append(drawn)
+        parts = [_sample_coords(c, rng, int(m)) for c, m in zip(p.components, counts) if m > 0]
         coords = np.concatenate(parts, axis=0)
         return coords[rng.permutation(n)]
-    return None
-
-
-def _kernel_rows(tk: TargetKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise kernel values between two (n, dim) coordinate arrays."""
-    if isinstance(tk, KroneckerDelta):
-        return np.all(a == b, axis=1).astype(float)
-    if isinstance(tk, GaussianRBF):
-        return np.exp(-tk.gamma * np.sum((a - b) ** 2, axis=1))
-    return np.exp(-tk.gamma * np.sum(np.abs(a - b), axis=1))
-
-
-def _mc_samples(p: Prediction, mode: MonteCarlo, role: str) -> list[Target]:
-    rng = substream(mode.seed, _pred_key(p), role)
-    return [p.sample(rng) for _ in range(mode.samples)]
+    raise FamilyError(f"cannot sample family {p.family!r} with undeclared tail support")
 
 
 def _mc_expect(tk: TargetKernel, p: Prediction, y: Target, mode: MonteCarlo) -> float:
     rng = substream(mode.seed, _pred_key(p), "single")
     coords = _sample_coords(p, rng, mode.samples)
-    if coords is not None:
-        target = np.broadcast_to(_target_coords(y), coords.shape)
-        return float(np.mean(_kernel_rows(tk, coords, target)))
-    draws = _mc_samples(p, mode, "single")
-    return float(np.mean([eval_target_kernel(tk, z, y) for z in draws]))
+    return float(np.mean(_target_kernel(tk, coords.T, _target_coords(y)[:, None])))
 
 
 def _mc_double_expect(tk: TargetKernel, p: Prediction, q: Prediction, mode: MonteCarlo) -> float:
-    rng_l = substream(mode.seed, _pred_key(p), "pair-left")
-    rng_r = substream(mode.seed, _pred_key(q), "pair-right")
+    # The prediction with the smaller key draws from "pair-left" (p on a tie),
+    # so the estimate, and with it h, is symmetric in p and q.
+    key_p, key_q = _pred_key(p), _pred_key(q)
+    if key_q < key_p:
+        p, q, key_p, key_q = q, p, key_q, key_p
+    rng_l = substream(mode.seed, key_p, "pair-left")
+    rng_r = substream(mode.seed, key_q, "pair-right")
     left = _sample_coords(p, rng_l, mode.samples)
     right = _sample_coords(q, rng_r, mode.samples)
-    if left is not None and right is not None:
-        return float(np.mean(_kernel_rows(tk, left, right)))
-    draws_l = _mc_samples(p, mode, "pair-left")
-    draws_r = _mc_samples(q, mode, "pair-right")
-    return float(np.mean([eval_target_kernel(tk, a, b) for a, b in zip(draws_l, draws_r)]))
+    return float(np.mean(_target_kernel(tk, left.T, right.T)))
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +560,9 @@ def eval_h(spec: KernelSpec, p: Prediction, y: Target, q: Prediction, z: Target)
     For tensor kernels this factors as k_P(p, q) times the centered
     target-kernel bracket.
     """
+    if p.family == q.family and _closed_form(spec, p.family):
+        pair = Columns.of([p, q], [y, z])
+        return float(_h(spec, pair.take(0), pair.take(1)))
     kp = eval_prediction_kernel(spec.prediction_kernel, p, q)
     bracket = (
         eval_target_kernel(spec.target_kernel, y, z)
@@ -463,120 +574,44 @@ def eval_h(spec: KernelSpec, p: Prediction, y: Target, q: Prediction, z: Target)
 
 
 # ---------------------------------------------------------------------------
-# Vectorized pairwise h evaluation
+# Tiled evaluation
 
-def _is_w2_like(metric: PredictionMetric, family: str) -> bool:
-    # ParamEuclidean coincides with W2 for diagonal normals and Laplace
-    # because their canonical embeddings are the W2 embeddings.
-    if isinstance(metric, W2):
-        return family in ("diag_normal", "laplace")
-    if isinstance(metric, ParamEuclidean):
-        return family in ("diag_normal", "laplace")
-    return False
+# Bytes of the largest (rows x cols x parameter dimension) float64 temporary
+# of one tile; the tile side follows from the parameter dimension.
+TILE_BYTES = 1 << 20
 
 
-def _h_normal_gauss(pk, gamma, mu, var, ys, rows, cols, out):
-    lam, nu = pk.lam, pk.nu
-    sd = np.sqrt(var)
-    for start in range(0, rows.size, _CHUNK):
-        r = rows[start : start + _CHUNK]
-        c = cols[start : start + _CHUNK]
-        dmu = mu[r] - mu[c]
-        w2 = np.sqrt(np.sum(dmu**2 + (sd[r] - sd[c]) ** 2, axis=1))
-        kp = np.exp(-lam * w2**nu)
-        ky = np.exp(-gamma * np.sum((ys[r] - ys[c]) ** 2, axis=1))
-        d1 = 1.0 + 2.0 * gamma * var[r]
-        e1 = np.prod(d1**-0.5 * np.exp(-gamma * (mu[r] - ys[c]) ** 2 / d1), axis=1)
-        d2 = 1.0 + 2.0 * gamma * var[c]
-        e2 = np.prod(d2**-0.5 * np.exp(-gamma * (mu[c] - ys[r]) ** 2 / d2), axis=1)
-        dd = 1.0 + 2.0 * gamma * (var[r] + var[c])
-        ee = np.prod(dd**-0.5 * np.exp(-gamma * dmu**2 / dd), axis=1)
-        out[start : start + r.size] = kp * (ky - e1 - e2 + ee)
-    return out
+def tile_size(columns: Columns) -> int:
+    """Side of the square tiles over which h of ``columns`` is evaluated."""
+    width = 1 if columns.emb is None else columns.emb.shape[0]
+    return max(1, math.isqrt(TILE_BYTES // (8 * width)))
 
 
-def _laplace_expect_vec(loc, scale, y, gamma):
-    m = np.abs(loc - y)
-    bg = scale * gamma
-    pole = np.abs(bg - 1.0) <= _LAPLACE_POLE_TOL
-    denom = np.where(pole, 1.0, bg * bg - 1.0)
-    exact = (bg * np.exp(-m / scale) - np.exp(-gamma * m)) / denom
-    limit = 0.5 * (1.0 + gamma * m) * np.exp(-gamma * m)
-    return np.where(pole, limit, exact)
+def upper_tiles(n: int, size: int):
+    """Row and column index vectors of the tiles on and above the diagonal of n x n."""
+    for lo in range(0, n, size):
+        rows = np.arange(lo, min(lo + size, n))
+        for hi in range(lo, n, size):
+            yield rows, np.arange(hi, min(hi + size, n))
 
 
-def _laplace_double_vec(l1, b1, l2, b2, gamma):
-    m = np.abs(l1 - l2)
-    g1 = b1 * gamma
-    g2 = b2 * gamma
-    pole1 = np.abs(g1 - 1.0) <= _LAPLACE_POLE_TOL
-    pole2 = np.abs(g2 - 1.0) <= _LAPLACE_POLE_TOL
-    eq = np.abs(b1 - b2) <= _LAPLACE_POLE_TOL * np.maximum(b1, b2)
-    c1 = np.where(pole1, 1.0, g1 * g1 - 1.0)
-    c2 = np.where(pole2, 1.0, g2 * g2 - 1.0)
-    d = b1 * b1 - b2 * b2
-    d_safe = np.where(eq, 1.0, d)
+def h_values(spec: KernelSpec, columns: Columns, i, j, need=None) -> np.ndarray:
+    """h between rows ``i`` and ``j`` of ``columns``, index arrays broadcast together.
 
-    both = (3.0 + 3.0 * gamma * m + (gamma * m) ** 2) / 8.0 * np.exp(-gamma * m)
-    equal = np.exp(-gamma * m) / (c1 * c1) + (
-        gamma * (b1 + m) / (2.0 * c1) - g1 / (c1 * c1)
-    ) * np.exp(-m / b1)
-    p1only = g2**3 / (c2 * c2) * np.exp(-m / b2) - (
-        (1.0 + gamma * m) / (2.0 * c2) + g2 * g2 / (c2 * c2)
-    ) * np.exp(-gamma * m)
-    p2only = g1**3 / (c1 * c1) * np.exp(-m / b1) - (
-        (1.0 + gamma * m) / (2.0 * c1) + g1 * g1 / (c1 * c1)
-    ) * np.exp(-gamma * m)
-    generic = (
-        gamma * b1**3 / (c1 * d_safe) * np.exp(-m / b1)
-        - gamma * b2**3 / (c2 * d_safe) * np.exp(-m / b2)
-        + np.exp(-gamma * m) / (c1 * c2)
-    )
-    out = generic
-    out = np.where(eq & ~pole1, equal, out)
-    out = np.where(pole1 & ~pole2, p1only, out)
-    out = np.where(pole2 & ~pole1, p2only, out)
-    out = np.where(pole1 & pole2, both, out)
-    return out
-
-
-def _h_laplace(pk, gamma, loc, scale, ys, rows, cols, out):
-    lam, nu = pk.lam, pk.nu
-    for start in range(0, rows.size, _CHUNK):
-        r = rows[start : start + _CHUNK]
-        c = cols[start : start + _CHUNK]
-        w2 = np.sqrt((loc[r] - loc[c]) ** 2 + 2.0 * (scale[r] - scale[c]) ** 2)
-        kp = np.exp(-lam * w2**nu)
-        ky = np.exp(-gamma * np.abs(ys[r] - ys[c]))
-        e1 = _laplace_expect_vec(loc[r], scale[r], ys[c], gamma)
-        e2 = _laplace_expect_vec(loc[c], scale[c], ys[r], gamma)
-        ee = _laplace_double_vec(loc[r], scale[r], loc[c], scale[c], gamma)
-        out[start : start + r.size] = kp * (ky - e1 - e2 + ee)
-    return out
-
-
-def _h_categorical(spec, probs, labels, rows, cols, out):
-    pk = spec.prediction_kernel
-    tk = spec.target_kernel
-    n_classes = probs.shape[1]
-    idx = np.arange(n_classes, dtype=np.float64)
-    if isinstance(tk, KroneckerDelta):
-        kcc = np.eye(n_classes)
-    elif isinstance(tk, GaussianRBF):
-        kcc = np.exp(-tk.gamma * (idx[:, None] - idx[None, :]) ** 2)
-    else:
-        kcc = np.exp(-tk.gamma * np.abs(idx[:, None] - idx[None, :]))
-    a = probs @ kcc  # a[i, c] = E_{Z~p_i} k(Z, c)
-    for start in range(0, rows.size, _CHUNK):
-        r = rows[start : start + _CHUNK]
-        c = cols[start : start + _CHUNK]
-        dist = np.sqrt(np.sum((probs[r] - probs[c]) ** 2, axis=1))
-        kp = np.exp(-pk.lam * dist**pk.nu)
-        ky = kcc[labels[r], labels[c]]
-        e1 = a[r, labels[c]]
-        e2 = a[c, labels[r]]
-        ee = np.sum(a[r] * probs[c], axis=1)
-        out[start : start + r.size] = kp * (ky - e1 - e2 + ee)
+    Closed forms evaluate every pair. Other families call ``eval_h`` once per
+    pair where the boolean ``need`` is true (every pair when it is None) and
+    leave 0 elsewhere, so a reduction over the symmetric h asks for one
+    triangle only.
+    """
+    if _closed_form(spec, columns.family):
+        return _h(spec, columns.take(i), columns.take(j))
+    i, j = np.broadcast_arrays(i, j)
+    out = np.zeros(i.shape)
+    need = np.ones(i.shape, dtype=bool) if need is None else np.broadcast_to(need, i.shape)
+    preds, tgts = columns.predictions, columns.targets
+    for pos in zip(*np.nonzero(need)):
+        a, b = i[pos], j[pos]
+        out[pos] = eval_h(spec, preds[a], tgts[a], preds[b], tgts[b])
     return out
 
 
@@ -587,44 +622,27 @@ def pairwise_h(
     rows: np.ndarray,
     cols: np.ndarray,
 ) -> np.ndarray:
-    """h values for the index pairs (rows[k], cols[k]).
+    """h values for the index pairs (rows[k], cols[k])."""
+    return h_values(spec, Columns.of(predictions, targets), np.asarray(rows), np.asarray(cols))
 
-    Uses a vectorized closed-form path for homogeneous diagonal-normal,
-    Laplace, and categorical datasets; falls back to per-pair evaluation
-    otherwise.
+
+def cme_values(spec: KernelSpec, columns: Columns, sites: Columns) -> np.ndarray:
+    """n x J matrix k(T_j, (p_i, y_i)) - E_{Z~p_i} k(T_j, (p_i, Z)).
+
+    Rows are the pairs (p_i, y_i) of ``columns``, columns the test locations
+    T_j of ``sites``.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    out = np.empty(rows.size, dtype=np.float64)
-    if rows.size == 0:
-        return out
-    p0 = predictions[0]
-    analytic = isinstance(spec.expectation, Analytic)
-    if analytic and isinstance(p0, DiagNormal) and isinstance(spec.target_kernel, GaussianRBF):
-        if _is_w2_like(spec.prediction_kernel.metric, "diag_normal"):
-            mu = np.array([p.mean for p in predictions])
-            var = np.array([p.var for p in predictions])
-            ys = np.array([t.values for t in targets])
-            return _h_normal_gauss(
-                spec.prediction_kernel, spec.target_kernel.gamma, mu, var, ys, rows, cols, out
+    n, j_count = len(columns.predictions), len(sites.predictions)
+    pk, tk = spec.prediction_kernel, spec.target_kernel
+    if sites.family == columns.family and _closed_form(spec, columns.family):
+        if sites.emb.shape[0] != columns.emb.shape[0]:
+            raise DimensionError("test locations and data differ in dimension")
+        x, t = columns.take(np.arange(n)[:, None]), sites.take(np.arange(j_count)[None, :])
+        return _prediction_kernel(pk, t.emb, x.emb) * (_target_kernel(tk, t.y, x.y) - _expect(tk, x, t.y))
+    z = np.empty((n, j_count))
+    for j, (tp, ty) in enumerate(zip(sites.predictions, sites.targets)):
+        for i, (p, y) in enumerate(zip(columns.predictions, columns.targets)):
+            z[i, j] = eval_prediction_kernel(pk, tp, p) * (
+                eval_target_kernel(tk, ty, y) - expect_target_kernel(spec, p, ty)
             )
-    if analytic and isinstance(p0, Laplace) and isinstance(spec.target_kernel, LaplacianExp):
-        if _is_w2_like(spec.prediction_kernel.metric, "laplace"):
-            loc = np.array([p.loc for p in predictions])
-            scale = np.array([p.scale for p in predictions])
-            ys = np.array([t.values[0] for t in targets])
-            return _h_laplace(
-                spec.prediction_kernel, spec.target_kernel.gamma, loc, scale, ys, rows, cols, out
-            )
-    if (
-        analytic
-        and isinstance(p0, Categorical)
-        and isinstance(spec.prediction_kernel.metric, ParamEuclidean)
-    ):
-        probs = np.array([p.probs for p in predictions])
-        labels = np.array([t.index for t in targets], dtype=np.intp)
-        return _h_categorical(spec, probs, labels, rows, cols, out)
-    for k in range(rows.size):
-        i, j = rows[k], cols[k]
-        out[k] = eval_h(spec, predictions[i], targets[i], predictions[j], targets[j])
-    return out
+    return z

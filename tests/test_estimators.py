@@ -22,7 +22,7 @@ from kcalib import (
     ucme_squared,
 )
 from kcalib.estimators import cme_feature_matrix
-from kcalib.exceptions import FamilyError, ParameterError
+from kcalib.exceptions import DimensionError, FamilyError, ParameterError
 from kcalib.kernels import (
     KernelSpec,
     KroneckerDelta,
@@ -93,6 +93,13 @@ def test_dataset_validation():
         Dataset([DiagNormal(0, 1), Laplace(0, 1)], [RealVector(0.0), RealVector(0.0)])
     with pytest.raises(FamilyError):
         Dataset([Categorical([0.5, 0.5])], [RealVector(0.0)])
+
+
+def test_dataset_rejects_mixed_dimensions():
+    with pytest.raises(DimensionError):
+        Dataset([DiagNormal(0, 1), DiagNormal([0, 0], [1, 1])], [RealVector(0.0), RealVector([0, 0])])
+    with pytest.raises(DimensionError):
+        Dataset([Categorical([0.5, 0.5]), Categorical([0.2, 0.3, 0.5])], [ClassLabel(0), ClassLabel(2)])
 
 
 def test_dataset_subset_and_indexing():

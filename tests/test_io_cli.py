@@ -369,6 +369,33 @@ def test_cli_error_exit_codes(tmp_path):
     assert "line 3" in res.stderr
     assert "Traceback" not in res.stderr
 
+    # default CME locations are real vectors: a categorical file needs --locations
+    categorical = tmp_path / "categorical.jsonl"
+    write_dataset(
+        str(categorical),
+        Dataset(
+            [Categorical(np.roll([0.6, 0.3, 0.1], k)) for k in range(12)],
+            [ClassLabel(k % 3) for k in range(12)],
+        ),
+    )
+    kernel = ["--metric", "param-euclidean", "--target-kernel", "kronecker"]
+    for command in (["test", "--method", "cme"], ["ucme"]):
+        res = _run([*command, "--data", str(categorical), *kernel], cwd=str(tmp_path))
+        assert res.returncode == 2, res.stderr
+        assert "--locations" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
+def test_cli_import_leaves_scipy_stats_and_optimize_unloaded(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    code = "import sys, kcalib.cli; print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=str(tmp_path), env=env
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
 
 def test_cli_version(tmp_path):
     res = _run(["--version"], cwd=str(tmp_path))
