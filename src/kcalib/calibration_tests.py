@@ -112,13 +112,8 @@ def test_bootstrap_ustat(
     if num_bootstrap < 100:
         raise ParameterError("need at least 100 bootstrap resamples for stable tail quantiles")
     rng = substream(seed, "bootstrap-ustat")
-    # multiplicity counts of n draws with replacement, drawn in batches
-    batch = max(1, min(num_bootstrap, (1 << 22) // max(n, 1)))
-    weights = np.full(n, 1.0 / n)
-    counts = np.empty((num_bootstrap, n))
-    for lo in range(0, num_bootstrap, batch):
-        hi = min(lo + batch, num_bootstrap)
-        counts[lo:hi] = rng.multinomial(n, weights, size=hi - lo)
+    # multiplicity counts of n draws with replacement, one resample per row
+    counts = rng.multinomial(n, np.full(n, 1.0 / n), size=num_bootstrap).astype(np.float64)
     # One pass over the upper tiles of the symmetric h collects its row sums,
     # its diagonal and the quadratic forms c^T h c of every resample c.
     columns = data.columns

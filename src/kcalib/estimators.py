@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from operator import is_
 
 import numpy as np
 
@@ -37,6 +37,10 @@ def _check_pair(p: Prediction, y: Target) -> None:
             raise DimensionError(f"target dimension {y.dim} != prediction dimension {p.dim}")
 
 
+def _same_items(a, b) -> bool:
+    return len(a) == len(b) and all(map(is_, a, b))
+
+
 class Dataset:
     """Homogeneous sequence of (prediction, target) pairs."""
 
@@ -59,11 +63,21 @@ class Dataset:
             _check_pair(p, y)
         self.predictions = predictions
         self.targets = targets
+        self._columns = None
 
-    @cached_property
+    @property
     def columns(self) -> Columns:
-        """Columnar parameter arrays, built on the first estimator call."""
-        return Columns.of(self.predictions, self.targets)
+        """Columnar parameter arrays, built on the first estimator call.
+
+        They are built again when an item of ``predictions`` or ``targets``
+        has been replaced since, so edits of those lists are never stale.
+        """
+        cols = self._columns
+        if cols is None or not (
+            _same_items(cols.predictions, self.predictions) and _same_items(cols.targets, self.targets)
+        ):
+            cols = self._columns = Columns.of(list(self.predictions), list(self.targets))
+        return cols
 
     @classmethod
     def from_pairs(cls, pairs) -> "Dataset":

@@ -560,9 +560,6 @@ def eval_h(spec: KernelSpec, p: Prediction, y: Target, q: Prediction, z: Target)
     For tensor kernels this factors as k_P(p, q) times the centered
     target-kernel bracket.
     """
-    if p.family == q.family and _closed_form(spec, p.family):
-        pair = Columns.of([p, q], [y, z])
-        return float(_h(spec, pair.take(0), pair.take(1)))
     kp = eval_prediction_kernel(spec.prediction_kernel, p, q)
     bracket = (
         eval_target_kernel(spec.target_kernel, y, z)

@@ -204,3 +204,15 @@ def test_monte_carlo_h_is_symmetric():
     ustat = skce_ustat(spec, data).value
     boot = test_bootstrap_ustat(spec, data, 100, seed=0).diagnostics["skce_ustat"]
     assert math.isclose(boot, ustat, rel_tol=1e-12)
+
+
+def test_columns_follow_edits_of_the_pair_lists():
+    spec = default_kernel_spec()
+    data = make_scenario_dataset("uncalibrated", 1, 16, seed=3)
+    before = skce_ustat(spec, data).value
+    other = make_scenario_dataset("calibrated", 1, 16, seed=4)
+    data.predictions[3], data.targets[3] = other[3]
+    data.targets[9] = other.targets[9]
+    after = skce_ustat(spec, data).value
+    assert after != before
+    assert after == skce_ustat(spec, Dataset(list(data.predictions), list(data.targets))).value
