@@ -23,7 +23,7 @@ from .estimators import (
     skce_block,
 )
 from .exceptions import ParameterError
-from .kernels import KernelSpec, h_values, tile_size, upper_tiles
+from .kernels import KernelSpec, h_values, prepare, tile_size, upper_tiles
 from .rng import substream
 
 
@@ -116,7 +116,7 @@ def test_bootstrap_ustat(
     counts = rng.multinomial(n, np.full(n, 1.0 / n), size=num_bootstrap).astype(np.float64)
     # One pass over the upper tiles of the symmetric h collects its row sums,
     # its diagonal and the quadratic forms c^T h c of every resample c.
-    columns = data.columns
+    columns = prepare(spec, data.columns)
     row_sums, diag, quad = np.zeros(n), np.zeros(n), np.zeros(num_bootstrap)
     for rows, cols in upper_tiles(n, tile_size(columns)):
         i, j = rows[:, None], cols[None, :]

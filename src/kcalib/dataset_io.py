@@ -29,7 +29,7 @@ from .distributions import (
     TruncatedCountable,
     _pred_dim,
 )
-from .estimators import Dataset, TestLocations
+from .estimators import Dataset, TestLocations, _check_pair
 from .exceptions import DatasetFormatError, KcalibError
 
 SCHEMA_VERSION = 1
@@ -154,6 +154,10 @@ def _parse_records(path: str):
                 f"record dimension {_pred_dim(p)} does not match dataset dimension {dimension}",
                 lineno,
             )
+        try:
+            _check_pair(p, y)
+        except KcalibError as exc:
+            raise DatasetFormatError(str(exc), lineno) from exc
         predictions.append(p)
         targets.append(y)
     if not predictions:

@@ -308,10 +308,6 @@ class Mixture(Prediction):
         self.components = components
 
     @property
-    def component_family(self) -> str:
-        return self.components[0].family
-
-    @property
     def dim(self) -> int:
         return _pred_dim(self.components[0])
 

@@ -18,7 +18,7 @@ from .distributions import (
     _pred_dim,
 )
 from .exceptions import DimensionError, FamilyError, ParameterError
-from .kernels import Columns, KernelSpec, cme_values, h_values, tile_size, upper_tiles
+from .kernels import Columns, KernelSpec, cme_values, h_values, prepare, tile_size, upper_tiles
 
 
 def _check_pair(p: Prediction, y: Target) -> None:
@@ -79,11 +79,6 @@ class Dataset:
             cols = self._columns = Columns.of(list(self.predictions), list(self.targets))
         return cols
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "Dataset":
-        preds, tgts = zip(*pairs)
-        return cls(preds, tgts)
-
     @property
     def family(self) -> str:
         return self.predictions[0].family
@@ -119,7 +114,7 @@ class EstimateReport:
 def h_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
     """Full n x n matrix of h values, diagonal included (n^2 evaluations)."""
     n = len(data)
-    columns = data.columns
+    columns = prepare(spec, data.columns)
     idx = np.arange(n)
     step = max(1, tile_size(columns) ** 2 // n)
     h = np.empty((n, n))
@@ -147,7 +142,7 @@ def _block_sums(
     Each block is cut into square tiles; blocks smaller than a tile are
     evaluated several at a time, stacked along a leading axis.
     """
-    columns = data.columns
+    columns = prepare(spec, data.columns)
     size = tile_size(columns)
     side = min(block_size, size)
     group = max(1, size**2 // side**2)

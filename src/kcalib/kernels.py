@@ -3,16 +3,17 @@
 A kernel spec combines an exponential-metric kernel on the prediction space
 with a target-space kernel, evaluated either with closed-form expectations
 over predicted distributions or with seeded Monte-Carlo averaging. The
-centered kernel ``eval_h`` is the building block of all SKCE estimators.
+centered kernel ``h_values`` is the building block of all SKCE estimators.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import exprel
 
 from .distributions import (
     Categorical,
@@ -31,9 +32,8 @@ from .distributions import (
 from .exceptions import ConfigurationError, DimensionError, FamilyError, ParameterError
 from .rng import substream
 
-# Relative half-width of the band around the Laplacian kernel poles inside
-# which the limit formulas replace the exact ones (which divide by
-# beta^2 * gamma^2 - 1 and beta^2 - beta'^2).
+# Relative half-width of the bands around the poles of ``_laplace_double``
+# (beta^2 gamma^2 = 1 and beta = beta') inside which its limit formulas apply.
 _LAPLACE_POLE_TOL = 1e-8
 
 
@@ -161,10 +161,6 @@ def _distance(a, b):
     return np.sqrt(np.sum((a - b) ** 2, axis=0))
 
 
-def _prediction_kernel(pk: PredictionKernel, a, b):
-    return np.exp(-pk.lam * _distance(a, b) ** pk.nu)
-
-
 def _target_kernel(tk: TargetKernel, a, b):
     if isinstance(tk, KroneckerDelta):
         return np.all(a == b, axis=0).astype(np.float64)
@@ -185,14 +181,16 @@ def _normal_expect(mean, var, y, gamma):
 
 
 def _laplace_expect(loc, scale, y, gamma):
-    """E exp(-gamma |Z - y|) for Z ~ Laplace(loc, scale)."""
-    m = np.abs(loc - y)
-    bg = scale * gamma
-    pole = np.abs(bg - 1.0) <= _LAPLACE_POLE_TOL
-    denom = np.where(pole, 1.0, bg * bg - 1.0)
-    exact = (bg * np.exp(-m / scale) - np.exp(-gamma * m)) / denom
-    limit = 0.5 * (1.0 + gamma * m) * np.exp(-gamma * m)
-    return np.where(pole, limit, exact)
+    """E exp(-gamma |Z - y|) for Z ~ Laplace(loc, scale).
+
+    With g = gamma |loc - y|, t = scale * gamma and u = g (t - 1) / t this is
+    exp(-g) (1 + g expm1(u) / u) / (t + 1), with no pole at t = 1. The factor
+    exp(-g) expm1(u) / u is taken as exp(max(u, 0) - g) exprel(-|u|): no overflow.
+    """
+    g = gamma * np.abs(loc - y)
+    t = scale * gamma
+    u = g * (t - 1.0) / t
+    return (np.exp(-g) + g * np.exp(np.maximum(u, 0.0) - g) * exprel(-np.abs(u))) / (t + 1.0)
 
 
 def _laplace_double(l1, b1, l2, b2, gamma):
@@ -262,28 +260,35 @@ class Columns:
     ``emb`` is the canonical parameter embedding (for normals and Laplace
     also the W2 embedding), ``params`` holds what the expectations read
     (mean and var, loc and scale, or the masses of a discrete law) and ``y``
-    the target coordinates; the last axis runs over the predictions.
-    Mixtures keep only the lists, which the per-pair fallback reads.
+    the target coordinates; the first axis runs over parameters, the last
+    over the predictions. A mixture has no ``emb``; its ``params`` hold the
+    components (of ``family``) on an axis before the predictions, ``weights``
+    (K, n) their weights. ``draws`` holds each prediction's Monte-Carlo key and
+    "single", "pair-left" and "pair-right" samples, (d, S, n) each. Views from
+    ``take`` keep their rows in ``at``.
     """
 
     family: str
     emb: np.ndarray | None = None
     params: tuple = ()
     y: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    draws: tuple = ()
     predictions: list = field(default_factory=list)
     targets: list | None = None
+    at: np.ndarray | None = None
 
     @classmethod
     def of(cls, predictions, targets=None) -> "Columns":
         p0 = predictions[0]
-        emb, params, y = None, (), None
+        family, emb, params, y, weights = p0.family, None, (), None, None
         try:
             if isinstance(p0, DiagNormal):
                 params = (_stack([p.mean for p in predictions]), _stack([p.var for p in predictions]))
                 emb = np.concatenate([params[0], np.sqrt(params[1])])
             elif isinstance(p0, Laplace):
-                params = (np.array([p.loc for p in predictions]), np.array([p.scale for p in predictions]))
-                emb = np.stack([params[0], math.sqrt(2.0) * params[1]])
+                params = (np.array([[p.loc for p in predictions], [p.scale for p in predictions]]),)
+                emb = params[0] * np.array([[1.0], [math.sqrt(2.0)]])
             elif isinstance(p0, Categorical):
                 emb = _stack([p.probs for p in predictions])
                 params = (emb,)
@@ -293,22 +298,32 @@ class Columns:
                 # Expectations renormalize over the truncated support; the
                 # induced absolute error is bounded by 2 * tail_mass.
                 params = (probs / probs.sum(axis=0),)
-            if emb is not None and targets is not None:
+            elif isinstance(p0, Mixture):
+                # A shorter mixture repeats its first component at weight 0,
+                # so that every closed form stays finite.
+                k, n = max(len(p.components) for p in predictions), len(predictions)
+                parts = [(p.components + p.components[:1] * k)[c] for c in range(k) for p in predictions]
+                if any(type(c) is not type(parts[0]) for c in parts):  # no metric is defined
+                    return cls(family, predictions=predictions, targets=targets)
+                parts = cls.of(parts)
+                family, params = parts.family, tuple(a.reshape(a.shape[:-1] + (k, n)) for a in parts.params)
+                weights = np.array([np.pad(p.weights, (0, k - p.weights.size)) for p in predictions]).T
+            if params and targets is not None:
                 y = _stack([_target_coords(t) for t in targets])
         except ValueError as exc:  # ragged rows
             raise DimensionError("predictions and targets of one batch must share one dimension") from exc
-        if y is not None and y.shape[0] != _target_dim(p0.family, params):
+        if emb is not None and y is not None and y.shape[0] != _target_dim(family, params):
             raise DimensionError("target dimension does not match the prediction dimension")
-        return cls(p0.family, emb, params, y, predictions, targets)
+        return cls(family, emb, params, y, weights, (), predictions, targets)
 
     def take(self, index) -> "Columns":
-        """The predictions at ``index``, an integer array of any shape."""
-        return Columns(
-            self.family,
-            self.emb.take(index, axis=-1),
-            tuple(a.take(index, axis=-1) for a in self.params),
-            None if self.y is None else self.y.take(index, axis=-1),
-        )
+        """A view of the predictions at ``index``, an integer array of any shape."""
+
+        def pick(arrays):
+            return tuple(None if a is None else a.take(index, axis=-1) for a in arrays)
+
+        (emb, y, weights), params = pick((self.emb, self.y, self.weights)), pick(self.params)
+        return Columns(self.family, emb, params, y, weights, pick(self.draws), self.predictions, at=index)
 
 
 def _stack(rows) -> np.ndarray:
@@ -320,56 +335,96 @@ def _target_dim(family: str, params: tuple) -> int:
     return params[0].shape[0] if family == "diag_normal" else 1
 
 
-def _expectations_closed(family: str, tk: TargetKernel) -> bool:
-    if family == "diag_normal":
-        return isinstance(tk, GaussianRBF)
-    if family == "laplace":
-        return isinstance(tk, LaplacianExp)
-    return family in _DISCRETE
-
-
-def _closed_form(spec: KernelSpec, family: str) -> bool:
-    """Whether h between two predictions of ``family`` has a closed form."""
-    metric = spec.prediction_kernel.metric
-    if isinstance(metric, W2):
-        metric_closed = family in ("diag_normal", "laplace")
-    else:
-        metric_closed = isinstance(metric, ParamEuclidean)
-    return (
-        isinstance(spec.expectation, Analytic)
-        and metric_closed
-        and _expectations_closed(family, spec.target_kernel)
-    )
-
-
 def _expect(tk: TargetKernel, x: Columns, y):
     """E k_Y(Z, y) for Z ~ the predictions of ``x``, at target coordinates ``y``."""
+    if x.draws:
+        return np.mean(_target_kernel(tk, x.draws[1], y[:, None]), axis=0)
+    if x.weights is not None:  # a weighted sum over the components
+        return np.sum(x.weights * _expect(tk, replace(x, weights=None), y[:, None]), axis=0)
     if x.family == "diag_normal":
         return _normal_expect(*x.params, y, tk.gamma)
     if x.family == "laplace":
-        return _laplace_expect(*x.params, y[0], tk.gamma)
+        return _laplace_expect(*x.params[0], y[0], tk.gamma)
     return _discrete_expect(tk, x.params[0], y)
 
 
 def _double_expect(tk: TargetKernel, x: Columns, z: Columns):
-    """E k_Y(Z, Z') for Z ~ the predictions of ``x`` and Z' ~ those of ``z``."""
+    """E k_Y(Z, Z') for Z ~ the predictions of ``x`` and Z' ~ those of ``z``.
+
+    Over Monte-Carlo draws the prediction with the smaller key takes its
+    "pair-left" samples and the other its "pair-right" ones (``x`` left on a
+    tie), so the estimate, and with it h, is symmetric in x and z.
+    """
+    if x.draws:
+        swap = z.draws[0] < x.draws[0]
+        left = np.where(swap, z.draws[2], x.draws[2])
+        right = np.where(swap, x.draws[3], z.draws[3])
+        return np.mean(_target_kernel(tk, left, right), axis=0)
+    if x.weights is not None:  # two mixtures: a weighted sum over the K x K component pairs
+        x_k = replace(x, weights=None, params=[a[:, :, None] for a in x.params])
+        grid = _double_expect(tk, x_k, replace(z, weights=None, params=[a[:, None] for a in z.params]))
+        return np.sum(x.weights[:, None] * z.weights[None] * grid, axis=(0, 1))
     if x.family == "diag_normal":
         (m1, v1), (m2, v2) = x.params, z.params
         return _normal_expect(m1, v1 + v2, m2, tk.gamma)
     if x.family == "laplace":
-        return _laplace_double(*x.params, *z.params, tk.gamma)
+        return _laplace_double(*x.params[0], *z.params[0], tk.gamma)
     return _discrete_double(tk, x.params[0], z.params[0])
 
 
-def _h(spec: KernelSpec, x: Columns, z: Columns):
-    tk = spec.target_kernel
-    kp = _prediction_kernel(spec.prediction_kernel, x.emb, z.emb)
-    return kp * (
-        _target_kernel(tk, x.y, z.y)
-        - _expect(tk, x, z.y)
-        - _expect(tk, z, x.y)
-        + _double_expect(tk, x, z)
-    )
+def _prediction_kernel(pk: PredictionKernel, x: Columns, z: Columns, need=None):
+    """k_P between the predictions of the views ``x`` and ``z``, broadcast together.
+
+    MW solves one transport problem per pair where the boolean ``need`` is
+    true (everywhere when it is None) and gives 0 elsewhere.
+    """
+    if not isinstance(pk.metric, MW):
+        return np.exp(-pk.lam * _distance(x.emb, z.emb) ** pk.nu)
+    i, j = np.broadcast_arrays(x.at, z.at)
+    need = np.broadcast_to(True if need is None else need, i.shape)
+    dist = np.full(i.shape, np.inf)
+    dist[need] = [
+        prediction_distance(pk.metric, x.predictions[a], z.predictions[b]) for a, b in zip(i[need], j[need])
+    ]
+    return np.exp(-pk.lam * dist**pk.nu)
+
+
+def _with_expectations(spec: KernelSpec, columns: Columns) -> Columns:
+    """``columns`` with their Monte-Carlo draws, or checked for closed-form expectations."""
+    tk, mode = spec.target_kernel, spec.expectation
+    if isinstance(mode, MonteCarlo):
+        return replace(columns, draws=_draws(mode, columns.predictions))
+    closed = {"diag_normal": GaussianRBF, "laplace": LaplacianExp}.get(columns.family, TargetKernel)
+    if not isinstance(tk, closed):  # discrete laws take every target kernel
+        raise ConfigurationError(
+            f"no closed-form expectation for family {columns.family!r} with "
+            f"{type(tk).__name__}; use MonteCarlo expectation mode"
+        )
+    return columns
+
+
+def prepare(spec: KernelSpec, columns: Columns, sites: Columns | None = None) -> Columns:
+    """``columns`` checked against ``spec`` and given their Monte-Carlo draws.
+
+    Raises, before any tile, what ``eval_h`` raises on a pair of ``columns``
+    (given test locations ``sites``, what a CME feature of one raises).
+    """
+    metric, other = spec.prediction_kernel.metric, columns if sites is None else sites
+    if isinstance(metric, ParamEuclidean):
+        if columns.emb is None or other.emb is None:
+            raise ConfigurationError("no canonical parameter embedding for family 'mixture'")
+        if columns.emb.shape[0] != other.emb.shape[0]:
+            raise DimensionError("parameter embeddings have mismatched dimensions")
+    elif columns.family != other.family or columns.family not in ("diag_normal", "laplace") or (
+        isinstance(metric, W2) and (columns.weights is not None or other.weights is not None)
+    ):
+        raise FamilyError(f"no {type(metric).__name__} between {other.family!r} and {columns.family!r}")
+    if columns.y.shape[0] != other.y.shape[0]:
+        # the target kernel fails before the expectations, but delta is 0 across dimensions
+        if isinstance(metric, ParamEuclidean) and isinstance(spec.target_kernel, KroneckerDelta):
+            _with_expectations(spec, columns)
+        raise DimensionError("test locations and data differ in dimension")
+    return _with_expectations(spec, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -427,48 +482,6 @@ def eval_target_kernel(tk: TargetKernel, y: Target, z: Target) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Analytic expectations
-
-
-def _component_columns(tk: TargetKernel, p: Prediction) -> tuple[np.ndarray, Columns]:
-    """Mixture weights and columns of p's components; p itself if no mixture."""
-    if isinstance(p, Mixture):
-        weights, x = p.weights, Columns.of(p.components)
-    else:
-        weights, x = np.ones(1), Columns.of([p])
-    if not _expectations_closed(x.family, tk):
-        raise ConfigurationError(
-            f"no closed-form expectation for family {p.family!r} with "
-            f"{type(tk).__name__}; use MonteCarlo expectation mode"
-        )
-    return weights, x
-
-
-def _analytic_expect(tk: TargetKernel, p: Prediction, y: Target) -> float:
-    weights, x = _component_columns(tk, p)
-    coords = _target_coords(y)
-    if coords.shape != (_target_dim(x.family, x.params),) or (
-        x.family not in _DISCRETE and not isinstance(y, RealVector)
-    ):
-        raise DimensionError("target must be a real vector matching the prediction dimension")
-    return float(weights @ _expect(tk, x, coords[:, None]))
-
-
-def _analytic_double_expect(tk: TargetKernel, p: Prediction, q: Prediction) -> float:
-    (wp, x), (wq, z) = _component_columns(tk, p), _component_columns(tk, q)
-    if x.family != z.family and not (x.family in _DISCRETE and z.family in _DISCRETE):
-        raise ConfigurationError(
-            f"no closed-form double expectation for families {p.family!r}, {q.family!r} with "
-            f"{type(tk).__name__}; use MonteCarlo expectation mode"
-        )
-    if x.family == "diag_normal" and x.emb.shape[0] != z.emb.shape[0]:
-        raise DimensionError("prediction dimensions do not match")
-    # One broadcast over the (components of p) x (components of q) grid.
-    grid = _double_expect(tk, x.take(np.arange(wp.size)[:, None]), z.take(np.arange(wq.size)[None, :]))
-    return float(wp @ grid @ wq)
-
-
-# ---------------------------------------------------------------------------
 # Monte-Carlo expectations
 
 
@@ -510,23 +523,14 @@ def _sample_coords(p: Prediction, rng: np.random.Generator, n: int) -> np.ndarra
     raise FamilyError(f"cannot sample family {p.family!r} with undeclared tail support")
 
 
-def _mc_expect(tk: TargetKernel, p: Prediction, y: Target, mode: MonteCarlo) -> float:
-    rng = substream(mode.seed, _pred_key(p), "single")
-    coords = _sample_coords(p, rng, mode.samples)
-    return float(np.mean(_target_kernel(tk, coords.T, _target_coords(y)[:, None])))
-
-
-def _mc_double_expect(tk: TargetKernel, p: Prediction, q: Prediction, mode: MonteCarlo) -> float:
-    # The prediction with the smaller key draws from "pair-left" (p on a tie),
-    # so the estimate, and with it h, is symmetric in p and q.
-    key_p, key_q = _pred_key(p), _pred_key(q)
-    if key_q < key_p:
-        p, q, key_p, key_q = q, p, key_q, key_p
-    rng_l = substream(mode.seed, key_p, "pair-left")
-    rng_r = substream(mode.seed, key_q, "pair-right")
-    left = _sample_coords(p, rng_l, mode.samples)
-    right = _sample_coords(q, rng_r, mode.samples)
-    return float(np.mean(_target_kernel(tk, left.T, right.T)))
+def _draws(mode: MonteCarlo, predictions) -> tuple:
+    """Keys of ``predictions`` and their "single", "pair-left" and "pair-right" samples."""
+    keys = [_pred_key(p) for p in predictions]
+    pairs = list(zip(predictions, keys))
+    return (np.array(keys, dtype=np.uint64),) + tuple(
+        np.stack([_sample_coords(p, substream(mode.seed, k, label), mode.samples).T for p, k in pairs], -1)
+        for label in ("single", "pair-left", "pair-right")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -535,16 +539,23 @@ def _mc_double_expect(tk: TargetKernel, p: Prediction, q: Prediction, mode: Mont
 
 def expect_target_kernel(spec: KernelSpec, p: Prediction, y: Target) -> float:
     """E_{Z ~ p} k_Y(Z, y)."""
-    if isinstance(spec.expectation, MonteCarlo):
-        return _mc_expect(spec.target_kernel, p, y, spec.expectation)
-    return _analytic_expect(spec.target_kernel, p, y)
+    x, coords = _with_expectations(spec, Columns.of([p])), _target_coords(y)
+    real = isinstance(y, RealVector) or x.family in _DISCRETE
+    if not real or coords.shape != (_target_dim(x.family, x.params),):
+        raise DimensionError("target must be a real vector matching the prediction dimension")
+    return float(_expect(spec.target_kernel, x, coords[:, None])[0])
 
 
 def double_expect_target_kernel(spec: KernelSpec, p: Prediction, q: Prediction) -> float:
     """E_{Z ~ p, Z' ~ q} k_Y(Z, Z')."""
-    if isinstance(spec.expectation, MonteCarlo):
-        return _mc_double_expect(spec.target_kernel, p, q, spec.expectation)
-    return _analytic_double_expect(spec.target_kernel, p, q)
+    if isinstance(spec.expectation, Analytic) and isinstance(p, Mixture) != isinstance(q, Mixture):
+        p, q = (r if isinstance(r, Mixture) else Mixture([1.0], [r]) for r in (p, q))
+    x, z = (_with_expectations(spec, Columns.of([r])) for r in (p, q))
+    if not (x.draws or x.family == z.family or {x.family, z.family} <= set(_DISCRETE)):
+        raise ConfigurationError(f"no closed form across {p.family!r}, {q.family!r}; use MonteCarlo mode")
+    if _target_dim(x.family, x.params) != _target_dim(z.family, z.params):
+        raise DimensionError("prediction dimensions do not match")
+    return float(_double_expect(spec.target_kernel, x, z)[0])
 
 
 def eval_kernel(spec: KernelSpec, p: Prediction, y: Target, q: Prediction, z: Target) -> float:
@@ -573,14 +584,24 @@ def eval_h(spec: KernelSpec, p: Prediction, y: Target, q: Prediction, z: Target)
 # ---------------------------------------------------------------------------
 # Tiled evaluation
 
-# Bytes of the largest (rows x cols x parameter dimension) float64 temporary
-# of one tile; the tile side follows from the parameter dimension.
+# Bytes of the float64 temporaries of one tile, from which ``tile_size``
+# sets the tile side.
 TILE_BYTES = 1 << 20
 
 
 def tile_size(columns: Columns) -> int:
-    """Side of the square tiles over which h of ``columns`` is evaluated."""
-    width = 1 if columns.emb is None else columns.emb.shape[0]
+    """Side of the square tiles over which h of ``columns`` from ``prepare`` is evaluated.
+
+    A pair's temporaries hold a float per embedding row on closed forms, p K^2
+    on mixtures of K components with p parameter rows, and four times d S over
+    S Monte-Carlo draws in d dimensions.
+    """
+    if columns.draws:
+        width = 4 * math.prod(columns.draws[1].shape[:2])
+    elif columns.weights is not None:
+        width = columns.params[0].shape[0] * columns.weights.shape[0] ** 2
+    else:
+        width = columns.emb.shape[0]
     return max(1, math.isqrt(TILE_BYTES // (8 * width)))
 
 
@@ -593,53 +614,37 @@ def upper_tiles(n: int, size: int):
 
 
 def h_values(spec: KernelSpec, columns: Columns, i, j, need=None) -> np.ndarray:
-    """h between rows ``i`` and ``j`` of ``columns``, index arrays broadcast together.
+    """h between rows ``i`` and ``j`` of ``columns`` from ``prepare``, index arrays broadcast together.
 
-    Closed forms evaluate every pair. Other families call ``eval_h`` once per
-    pair where the boolean ``need`` is true (every pair when it is None) and
-    leave 0 elsewhere, so a reduction over the symmetric h asks for one
-    triangle only.
+    Under MW, h is evaluated only where the boolean ``need`` is true (all
+    pairs when it is None) and is 0 elsewhere: a reduction over the symmetric
+    h asks for one triangle only.
     """
-    if _closed_form(spec, columns.family):
-        return _h(spec, columns.take(i), columns.take(j))
-    i, j = np.broadcast_arrays(i, j)
-    out = np.zeros(i.shape)
-    need = np.ones(i.shape, dtype=bool) if need is None else np.broadcast_to(need, i.shape)
-    preds, tgts = columns.predictions, columns.targets
-    for pos in zip(*np.nonzero(need)):
-        a, b = i[pos], j[pos]
-        out[pos] = eval_h(spec, preds[a], tgts[a], preds[b], tgts[b])
-    return out
+    tk, x, z = spec.target_kernel, columns.take(i), columns.take(j)
+    return _prediction_kernel(spec.prediction_kernel, x, z, need) * (
+        _target_kernel(tk, x.y, z.y) - _expect(tk, x, z.y) - _expect(tk, z, x.y) + _double_expect(tk, x, z)
+    )
 
 
-def pairwise_h(
-    spec: KernelSpec,
-    predictions,
-    targets,
-    rows: np.ndarray,
-    cols: np.ndarray,
-) -> np.ndarray:
+def pairwise_h(spec: KernelSpec, predictions, targets, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """h values for the index pairs (rows[k], cols[k])."""
-    return h_values(spec, Columns.of(predictions, targets), np.asarray(rows), np.asarray(cols))
+    columns = prepare(spec, Columns.of(predictions, targets))
+    return h_values(spec, columns, np.asarray(rows), np.asarray(cols))
 
 
 def cme_values(spec: KernelSpec, columns: Columns, sites: Columns) -> np.ndarray:
     """n x J matrix k(T_j, (p_i, y_i)) - E_{Z~p_i} k(T_j, (p_i, Z)).
 
     Rows are the pairs (p_i, y_i) of ``columns``, columns the test locations
-    T_j of ``sites``.
+    T_j of ``sites``; blocks of rows are evaluated as one tile each.
     """
+    columns, tk = prepare(spec, columns, sites), spec.target_kernel
     n, j_count = len(columns.predictions), len(sites.predictions)
-    pk, tk = spec.prediction_kernel, spec.target_kernel
-    if sites.family == columns.family and _closed_form(spec, columns.family):
-        if sites.emb.shape[0] != columns.emb.shape[0]:
-            raise DimensionError("test locations and data differ in dimension")
-        x, t = columns.take(np.arange(n)[:, None]), sites.take(np.arange(j_count)[None, :])
-        return _prediction_kernel(pk, t.emb, x.emb) * (_target_kernel(tk, t.y, x.y) - _expect(tk, x, t.y))
+    t, step = sites.take(np.arange(j_count)[None, :]), max(1, tile_size(columns) ** 2 // j_count)
     z = np.empty((n, j_count))
-    for j, (tp, ty) in enumerate(zip(sites.predictions, sites.targets)):
-        for i, (p, y) in enumerate(zip(columns.predictions, columns.targets)):
-            z[i, j] = eval_prediction_kernel(pk, tp, p) * (
-                eval_target_kernel(tk, ty, y) - expect_target_kernel(spec, p, ty)
-            )
+    for lo in range(0, n, step):
+        x = columns.take(np.arange(lo, min(lo + step, n))[:, None])
+        z[lo : lo + step] = _prediction_kernel(spec.prediction_kernel, t, x) * (
+            _target_kernel(tk, t.y, x.y) - _expect(tk, x, t.y)
+        )
     return z

@@ -39,6 +39,7 @@ from kcalib import (
     test_bootstrap_ustat,
 )
 from kcalib import kernels
+from kcalib.calibration_tests import default_cme_locations
 from kcalib.estimators import cme_feature_matrix
 from kcalib.kernels import eval_prediction_kernel, eval_target_kernel, expect_target_kernel
 from kcalib.rng import substream
@@ -95,12 +96,23 @@ CASES = {
     "categorical-kronecker": (_spec(ParamEuclidean(), KroneckerDelta(), nu=2.0), _categoricals),
     "categorical-gaussian": (_spec(ParamEuclidean(), GaussianRBF(0.5)), _categoricals),
     "mixture-mw": (_spec(MW(2.0), GaussianRBF(0.5)), _mixtures),
+    "laplace-gaussian-mc": (
+        KernelSpec(PredictionKernel(ParamEuclidean(), 0.8), GaussianRBF(0.5), MonteCarlo(40, seed=3)),
+        _laplaces,
+    ),
 }
 
 
-def _tile_bytes(data):
-    emb = data.columns.emb
-    return 8 * (1 if emb is None else emb.shape[0]) * TILE * TILE
+def _tile_bytes(spec, data):
+    """TILE_BYTES at which the tiles of ``data`` have side TILE."""
+    columns = data.columns
+    if isinstance(spec.expectation, MonteCarlo):  # four (d, S) arrays per pair
+        width = 4 * columns.y.shape[0] * spec.expectation.samples
+    elif columns.weights is not None:  # p parameter rows times K^2 components
+        width = columns.params[0].shape[0] * columns.weights.shape[0] ** 2
+    else:
+        width = columns.emb.shape[0]
+    return 8 * width * TILE * TILE
 
 
 def _brute_h(spec, data):
@@ -120,8 +132,8 @@ def test_reductions_match_brute_force(case, n, monkeypatch):
     rng = substream(n, "engine", case)
     preds, tgts, loc_preds, loc_tgts = make(rng, n)
     data = Dataset(preds, tgts)
-    monkeypatch.setattr(kernels, "TILE_BYTES", _tile_bytes(data))
-    assert kernels.tile_size(data.columns) == TILE
+    monkeypatch.setattr(kernels, "TILE_BYTES", _tile_bytes(spec, data))
+    assert kernels.tile_size(kernels.prepare(spec, data.columns)) == TILE
     h = _brute_h(spec, data)
     iu = np.triu_indices(n, k=1)
 
@@ -159,20 +171,45 @@ def test_reductions_match_brute_force(case, n, monkeypatch):
     np.testing.assert_allclose(cme_feature_matrix(spec, data, locs), z, rtol=1e-12, atol=1e-12)
 
 
-def test_per_pair_fallback_evaluates_one_triangle(monkeypatch):
+def test_mixture_cme_at_normal_locations_matches_brute_force(monkeypatch):
+    # what `kcalib test --method cme --metric mw` runs on a mixture file:
+    # mixtures of 1 to 3 components against the default normal locations
+    rng = substream(2, "engine-cme-mixed")
+    preds = [
+        Mixture(rng.dirichlet(np.ones(k)), [DiagNormal(rng.normal(), rng.uniform(0.2, 1.0)) for _ in range(k)])
+        for k in (1, 3, 2, 3, 1, 2, 3, 2, 1, 3, 2)
+    ]
+    tgts = [RealVector(rng.normal()) for _ in preds]
+    data, locs = Dataset(preds, tgts), default_cme_locations(1, 3, seed=0)
+    spec = _spec(MW(2.0), GaussianRBF(0.5))
+    monkeypatch.setattr(kernels, "TILE_BYTES", _tile_bytes(spec, data))  # row blocks of 8
+    z = np.array(
+        [
+            [
+                eval_prediction_kernel(spec.prediction_kernel, tp, p)
+                * (eval_target_kernel(spec.target_kernel, ty, y) - expect_target_kernel(spec, p, ty))
+                for tp, ty in zip(locs.predictions, locs.targets)
+            ]
+            for p, y in data
+        ]
+    )
+    np.testing.assert_allclose(cme_feature_matrix(spec, data, locs), z, rtol=1e-12, atol=1e-12)
+
+
+def test_transport_metric_solves_one_triangle(monkeypatch):
     spec, make = CASES["mixture-mw"]
     n = 2 * TILE + 3
     preds, tgts, _, _ = make(substream(1, "engine-count"), n)
     data = Dataset(preds, tgts)
-    monkeypatch.setattr(kernels, "TILE_BYTES", _tile_bytes(data))
+    monkeypatch.setattr(kernels, "TILE_BYTES", _tile_bytes(spec, data))
     calls = []
-    original = kernels.eval_h
+    original = kernels.prediction_distance
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(kernels, "eval_h", counting)
+    monkeypatch.setattr(kernels, "prediction_distance", counting)
     skce_ustat(spec, data)
     assert len(calls) == n * (n - 1) // 2
     calls.clear()
@@ -182,8 +219,15 @@ def test_per_pair_fallback_evaluates_one_triangle(monkeypatch):
 
 def test_tiled_reductions_stay_small():
     data = make_scenario_dataset("uncalibrated", 1, 4096, seed=2)
-    spec = default_kernel_spec()
-    for run in (lambda: skce_ustat(spec, data), lambda: test_bootstrap_ustat(spec, data, 500)):
+    mc_data = make_scenario_dataset("uncalibrated", 1, 256, seed=2)
+    spec, mc = default_kernel_spec(), KernelSpec(expectation=MonteCarlo(1000))
+    # an untiled (S, n, n) array of the Monte-Carlo runs alone would take 524 MB
+    for run in (
+        lambda: skce_ustat(spec, data),
+        lambda: test_bootstrap_ustat(spec, data, 500),
+        lambda: skce_ustat(mc, mc_data),
+        lambda: test_bootstrap_ustat(mc, mc_data, 500),
+    ):
         tracemalloc.start()
         try:
             run()

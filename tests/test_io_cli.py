@@ -170,6 +170,27 @@ def test_parse_rejects_mixed_dimensions_without_header_dimension(tmp_path):
         parse_dataset(path)
 
 
+CAT_HEADER = '{"schema": 1, "family": "categorical", "dimension": 3}'
+CAT_RECORD = '{"prediction": {"family": "categorical", "probs": [0.2, 0.3, 0.5]}, "target": {"type": "class", "index": 1}}'
+
+
+@pytest.mark.parametrize(
+    "header,good,bad",
+    [
+        (CAT_HEADER, CAT_RECORD, CAT_RECORD.replace('"index": 1', '"index": 7')),
+        (CAT_HEADER, CAT_RECORD, CAT_RECORD.replace('{"type": "class", "index": 1}', '{"type": "reals", "values": [1.0]}')),
+        (HEADER, RECORD, RECORD.replace("[0.5]", "[0.5, 0.5]")),
+    ],
+    ids=["class-out-of-range", "reals-on-categorical", "2d-target-on-d1-normal"],
+)
+def test_parse_rejects_mismatched_pair_with_line_number(tmp_path, header, good, bad):
+    path = _write(tmp_path, [header, good, bad])
+    with pytest.raises(DatasetFormatError, match="line 3"):
+        parse_dataset(path)
+    with pytest.raises(DatasetFormatError, match="line 3"):
+        parse_locations(path)
+
+
 def test_parse_rejects_nested_mixture(tmp_path):
     inner = '{"family": "mixture", "weights": [1.0], "components": [{"family": "laplace", "loc": 0.0, "scale": 1.0}]}'
     rec = (

@@ -259,6 +259,25 @@ def test_laplace_expectation_continuous_across_pole():
     assert math.isclose(inside, outside, rel_tol=1e-6)
 
 
+@given(
+    log_offset=st.floats(-10, -4), side=st.sampled_from([-1.0, 1.0]),
+    gamma=st.floats(0.2, 3.0), loc=st.floats(-3, 3), y=st.floats(-3, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_laplace_expectation_near_pole_matches_mpmath(log_offset, side, gamma, loc, y):
+    # scale * gamma = t with t - 1 = +-[1e-10, 1e-4], where the exact formula
+    # divides by t^2 - 1; the oracle evaluates that formula at 50 digits
+    import mpmath
+
+    scale = (1.0 + side * 10.0**log_offset) / gamma
+    spec = _spec(tk=LaplacianExp(gamma=gamma))
+    got = expect_target_kernel(spec, Laplace(loc, scale), RealVector(y))
+    with mpmath.workdps(50):
+        b, g, m = mpmath.mpf(scale), mpmath.mpf(gamma), abs(mpmath.mpf(loc) - mpmath.mpf(y))
+        oracle = (b * g * mpmath.exp(-m / b) - mpmath.exp(-g * m)) / ((b * g) ** 2 - 1)
+        assert abs(got - oracle) <= 1e-12 * oracle
+
+
 def test_categorical_expectations_enumerate_support():
     spec = _spec(tk=KroneckerDelta())
     p = Categorical([0.2, 0.5, 0.3])
