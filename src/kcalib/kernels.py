@@ -264,8 +264,8 @@ class Columns:
     over the predictions. A mixture has no ``emb``; its ``params`` hold the
     components (of ``family``) on an axis before the predictions, ``weights``
     (K, n) their weights. ``draws`` holds each prediction's Monte-Carlo key and
-    "single", "pair-left" and "pair-right" samples, (d, S, n) each. Views from
-    ``take`` keep their rows in ``at``.
+    its "single", "pair-left" and "pair-right" samples (or a prefix of these),
+    (d, S, n) each. Views from ``take`` keep their rows in ``at``.
     """
 
     family: str
@@ -307,7 +307,7 @@ class Columns:
                     return cls(family, predictions=predictions, targets=targets)
                 parts = cls.of(parts)
                 family, params = parts.family, tuple(a.reshape(a.shape[:-1] + (k, n)) for a in parts.params)
-                weights = np.array([np.pad(p.weights, (0, k - p.weights.size)) for p in predictions]).T
+                weights = np.array([[*p.weights] + [0.0] * (k - p.weights.size) for p in predictions]).T
             if params and targets is not None:
                 y = _stack([_target_coords(t) for t in targets])
         except ValueError as exc:  # ragged rows
@@ -389,11 +389,11 @@ def _prediction_kernel(pk: PredictionKernel, x: Columns, z: Columns, need=None):
     return np.exp(-pk.lam * dist**pk.nu)
 
 
-def _with_expectations(spec: KernelSpec, columns: Columns) -> Columns:
-    """``columns`` with their Monte-Carlo draws, or checked for closed-form expectations."""
+def _with_expectations(spec: KernelSpec, columns: Columns, labels=("single", "pair-left", "pair-right")):
+    """``columns`` with the Monte-Carlo draws of ``labels``, or checked for closed-form expectations."""
     tk, mode = spec.target_kernel, spec.expectation
     if isinstance(mode, MonteCarlo):
-        return replace(columns, draws=_draws(mode, columns.predictions))
+        return replace(columns, draws=_draws(mode, columns.predictions, labels))
     closed = {"diag_normal": GaussianRBF, "laplace": LaplacianExp}.get(columns.family, TargetKernel)
     if not isinstance(tk, closed):  # discrete laws take every target kernel
         raise ConfigurationError(
@@ -523,13 +523,13 @@ def _sample_coords(p: Prediction, rng: np.random.Generator, n: int) -> np.ndarra
     raise FamilyError(f"cannot sample family {p.family!r} with undeclared tail support")
 
 
-def _draws(mode: MonteCarlo, predictions) -> tuple:
-    """Keys of ``predictions`` and their "single", "pair-left" and "pair-right" samples."""
+def _draws(mode: MonteCarlo, predictions, labels) -> tuple:
+    """Keys of ``predictions`` and their samples of each of ``labels``, ordered as in ``Columns.draws``."""
     keys = [_pred_key(p) for p in predictions]
     pairs = list(zip(predictions, keys))
     return (np.array(keys, dtype=np.uint64),) + tuple(
         np.stack([_sample_coords(p, substream(mode.seed, k, label), mode.samples).T for p, k in pairs], -1)
-        for label in ("single", "pair-left", "pair-right")
+        for label in labels
     )
 
 
@@ -539,7 +539,7 @@ def _draws(mode: MonteCarlo, predictions) -> tuple:
 
 def expect_target_kernel(spec: KernelSpec, p: Prediction, y: Target) -> float:
     """E_{Z ~ p} k_Y(Z, y)."""
-    x, coords = _with_expectations(spec, Columns.of([p])), _target_coords(y)
+    x, coords = _with_expectations(spec, Columns.of([p]), ("single",)), _target_coords(y)
     real = isinstance(y, RealVector) or x.family in _DISCRETE
     if not real or coords.shape != (_target_dim(x.family, x.params),):
         raise DimensionError("target must be a real vector matching the prediction dimension")
