@@ -113,13 +113,12 @@ class EstimateReport:
 
 def h_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
     """Full n x n matrix of h values, diagonal included (n^2 evaluations)."""
-    n = len(data)
-    columns = prepare(spec, data.columns)
-    idx = np.arange(n)
-    step = max(1, tile_size(columns) ** 2 // n)
-    h = np.empty((n, n))
-    for lo in range(0, n, step):
-        h[lo : lo + step] = h_values(spec, columns, idx[lo : lo + step, None], idx[None, :])
+    n, columns = len(data), prepare(spec, data.columns)
+    size, idx, h = tile_size(columns), np.arange(n), np.empty((n, n))
+    for lo in range(0, n, size):
+        for hi in range(0, n, size):
+            i, j = idx[lo : lo + size, None], idx[None, hi : hi + size]
+            h[lo : lo + size, hi : hi + size] = h_values(spec, columns, i, j)
     return h
 
 
