@@ -210,6 +210,7 @@ def test_transport_metric_solves_one_triangle(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(kernels, "prediction_distance", counting)
+    monkeypatch.setattr(kernels, "eval_h", None)  # no reduction takes the scalar path
     skce_ustat(spec, data)
     assert len(calls) == n * (n - 1) // 2
     calls.clear()
