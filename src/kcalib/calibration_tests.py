@@ -147,7 +147,9 @@ def test_bootstrap_ustat(
         statistic=float(statistic),
         p_value=float(p_value),
         seed=seed,
-        diagnostics={"skce_ustat": float(statistic) / n, "null_draws": draws},
+        diagnostics={
+            "skce_ustat": float(statistic) / n, "null_draws": draws, "h_evaluations": n * (n + 1) // 2
+        },
     )
 
 

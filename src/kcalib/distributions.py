@@ -19,6 +19,7 @@ from .exceptions import DimensionError, FamilyError, ParameterError
 
 SIMPLEX_TOL = 1e-9
 MAX_MIXTURE_COMPONENTS = 64
+TRANSPORT_LP_VARIABLES = 1024  # of one LP: HiGHS needs much more memory for one over thousands of pairs
 
 
 # ---------------------------------------------------------------------------
@@ -445,24 +446,32 @@ def wasserstein2(p: Prediction, q: Prediction) -> float:
     )
 
 
-def _solve_transport(weights_a: np.ndarray, weights_b: np.ndarray, cost: np.ndarray) -> float:
-    """Exact minimum cost of the dense transportation problem."""
-    from scipy.optimize import linprog  # loaded on use: it is slow to import
+def _solve_transport(weights_a: np.ndarray, weights_b: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Exact minimum costs of P transportation problems, from ``weights_a`` (P, Ka) to ``weights_b`` (P, Kb).
 
-    m, n = cost.shape
-    # Row and column marginal constraints; the last row is redundant.
-    a_eq = np.zeros((m + n - 1, m * n))
-    b_eq = np.zeros(m + n - 1)
-    for i in range(m):
-        a_eq[i, i * n : (i + 1) * n] = 1.0
-        b_eq[i] = weights_a[i]
-    for j in range(n - 1):
-        a_eq[m + j, j::n] = 1.0
-        b_eq[m + j] = weights_b[j]
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:  # pragma: no cover - marginals are always feasible
-        raise ParameterError(f"transportation problem failed: {res.message}")
-    return float(res.fun)
+    ``cost`` is (P, Ka, Kb). Chunks of about ``TRANSPORT_LP_VARIABLES`` variables are
+    solved as one block-diagonal LP each.
+    """
+    from scipy.optimize import linprog  # loaded on use: they are slow to import
+    from scipy.sparse import csr_array
+
+    count, ka, kb = cost.shape
+    step = max(1, TRANSPORT_LP_VARIABLES // (ka * kb))
+    # a block's constraints: a row sum per source, a column sum per target but the redundant last
+    lengths = np.tile(np.r_[np.full(ka, kb), np.full(kb - 1, ka)], step)
+    values = np.empty(count)
+    for lo in range(0, count, step):
+        c, size = cost[lo : lo + step], min(step, count - lo)
+        var = np.arange(c.size).reshape(c.shape)
+        cols = np.concatenate([var.reshape(size, -1), var[:, :, :-1].swapaxes(1, 2).reshape(size, -1)], 1)
+        indptr = np.r_[0, np.cumsum(lengths[: size * (ka + kb - 1)])]
+        a_eq = csr_array((np.ones(cols.size), cols.ravel(), indptr), shape=(indptr.size - 1, c.size))
+        b_eq = np.concatenate([weights_a[lo : lo + step], weights_b[lo : lo + step, :-1]], 1).ravel()
+        res = linprog(c.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        if not res.success:  # pragma: no cover - marginals are always feasible
+            raise ParameterError(f"transportation problem failed: {res.message}")
+        values[lo : lo + size] = np.sum(res.x.reshape(size, -1) * c.reshape(size, -1), axis=1)
+    return values
 
 
 def mixture_wasserstein(p: Mixture, q: Mixture, s: float = 2.0) -> float:
@@ -476,11 +485,8 @@ def mixture_wasserstein(p: Mixture, q: Mixture, s: float = 2.0) -> float:
     s = float(s)
     if s < 1.0:
         raise ParameterError(f"transport order must satisfy s >= 1, got {s!r}")
-    cost = np.empty((len(p.components), len(q.components)))
-    for i, ci in enumerate(p.components):
-        for j, cj in enumerate(q.components):
-            cost[i, j] = wasserstein2(ci, cj) ** s
-    value = _solve_transport(p.weights, q.weights, cost)
+    cost = np.array([[[wasserstein2(ci, cj) ** s for cj in q.components] for ci in p.components]])
+    value = _solve_transport(p.weights[None], q.weights[None], cost)[0]
     return max(value, 0.0) ** (1.0 / s)
 
 

@@ -11,6 +11,7 @@ from .distributions import (
     Categorical,
     ClassLabel,
     Count,
+    Mixture,
     Prediction,
     RealVector,
     Target,
@@ -21,7 +22,14 @@ from .exceptions import DimensionError, FamilyError, ParameterError
 from .kernels import Columns, KernelSpec, cme_values, h_values, prepare, tile_size, upper_tiles
 
 
+def _family(p: Prediction) -> str:
+    """The family of ``p``, naming a mixture's component family too."""
+    return f"mixture of {p.components[0].family}" if isinstance(p, Mixture) else p.family
+
+
 def _check_pair(p: Prediction, y: Target) -> None:
+    if isinstance(p, Mixture):  # its target is one of its components'
+        p = p.components[0]
     if isinstance(p, Categorical):
         if not isinstance(y, ClassLabel):
             raise FamilyError("categorical predictions require class-label targets")
@@ -51,13 +59,10 @@ class Dataset:
             raise ParameterError("predictions and targets must have equal length")
         if len(predictions) == 0:
             raise ParameterError("datasets must contain at least one pair")
-        first = predictions[0]
-        dim = _pred_dim(first)
+        family, dim = _family(predictions[0]), _pred_dim(predictions[0])
         for p, y in zip(predictions, targets):
-            if p.family != first.family:
-                raise FamilyError(
-                    f"mixed prediction families: {first.family!r} vs {p.family!r}"
-                )
+            if _family(p) != family:
+                raise FamilyError(f"mixed prediction families: {family!r} vs {_family(p)!r}")
             if _pred_dim(p) != dim:
                 raise DimensionError(f"mixed prediction dimensions: {dim} vs {_pred_dim(p)}")
             _check_pair(p, y)

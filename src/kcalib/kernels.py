@@ -26,16 +26,12 @@ from .distributions import (
     RealVector,
     Target,
     TruncatedCountable,
+    _solve_transport,
     mixture_wasserstein,
     wasserstein2,
 )
 from .exceptions import ConfigurationError, DimensionError, FamilyError, ParameterError
 from .rng import substream
-
-# Relative half-width of the bands around the poles of ``_laplace_double``
-# (beta^2 gamma^2 = 1 and beta = beta') inside which its limit formulas apply.
-_LAPLACE_POLE_TOL = 1e-8
-
 
 # ---------------------------------------------------------------------------
 # Kernel configuration types
@@ -193,41 +189,37 @@ def _laplace_expect(loc, scale, y, gamma):
     return (np.exp(-g) + g * np.exp(np.maximum(u, 0.0) - g) * exprel(-np.abs(u))) / (t + 1.0)
 
 
-def _laplace_double(l1, b1, l2, b2, gamma):
-    """E exp(-gamma |Z - Z'|) for independent Z ~ Laplace(l1, b1), Z' ~ Laplace(l2, b2)."""
-    m = np.abs(l1 - l2)
-    g1 = b1 * gamma
-    g2 = b2 * gamma
-    pole1 = np.abs(g1 - 1.0) <= _LAPLACE_POLE_TOL
-    pole2 = np.abs(g2 - 1.0) <= _LAPLACE_POLE_TOL
-    eq = np.abs(b1 - b2) <= _LAPLACE_POLE_TOL * np.maximum(b1, b2)
-    c1 = np.where(pole1, 1.0, g1 * g1 - 1.0)
-    c2 = np.where(pole2, 1.0, g2 * g2 - 1.0)
-    d = b1 * b1 - b2 * b2
-    d_safe = np.where(eq, 1.0, d)
-
-    def one_pole(g, c, b):  # the other scale sits at the pole
-        return g**3 / (c * c) * np.exp(-m / b) - (
-            (1.0 + gamma * m) / (2.0 * c) + g * g / (c * c)
-        ) * np.exp(-gamma * m)
-
-    both = (3.0 + 3.0 * gamma * m + (gamma * m) ** 2) / 8.0 * np.exp(-gamma * m)
-    equal = np.exp(-gamma * m) / (c1 * c1) + (
-        gamma * (b1 + m) / (2.0 * c1) - g1 / (c1 * c1)
-    ) * np.exp(-m / b1)
-    p1only = one_pole(g2, c2, b2)
-    p2only = one_pole(g1, c1, b1)
-    generic = (
-        gamma * b1**3 / (c1 * d_safe) * np.exp(-m / b1)
-        - gamma * b2**3 / (c2 * d_safe) * np.exp(-m / b2)
-        + np.exp(-gamma * m) / (c1 * c2)
-    )
-    out = generic
-    out = np.where(eq & ~pole1, equal, out)
-    out = np.where(pole1 & ~pole2, p1only, out)
-    out = np.where(pole2 & ~pole1, p2only, out)
-    out = np.where(pole1 & pole2, both, out)
+def _exp_dd(y1, y2):
+    """The divided difference exp[0, y1, y2] for 0 >= y1 >= y2, with no cancellation."""
+    far = y2 < -0.5
+    out = (np.exp(y1) * exprel(y2 - y1) - exprel(y1)) / np.where(far, y2, -1.0)
+    # near 0, the sum over k of h_k(y1, y2) / (k + 2)!, h_k the complete symmetric polynomials
+    y1, y2 = y1[~far], y2[~far]
+    series, h, power, fact = 0.5, 1.0, 1.0, 2.0
+    for k in range(3, 18):
+        power, fact = power * y2, fact * k
+        h = y1 * h + power
+        series = series + h / fact
+    out[~far] = series
     return out
+
+
+def _laplace_double(l1, b1, l2, b2, gamma):
+    """E exp(-gamma |Z - Z'|) for independent Z ~ Laplace(l1, b1), Z' ~ Laplace(l2, b2).
+
+    That is 2 / gamma times the density at m = |l1 - l2| of a sum of Laplace variables of
+    rates 1/b1, 1/b2, gamma, sorted as x0 <= x1 <= x2: 2 (x0 x1 x2)^2 / gamma f[x0, x1, x2],
+    f(r) = exp(-m r) q(r), q(r) = 1 / prod_k (r + x_k). By Leibniz's rule f[...] is a sum of
+    positive terms, products of divided differences of exp(-m r) and q: no pole, no cancellation.
+    """
+    m, (a, b) = np.abs(l1 - l2), np.broadcast_arrays(1.0 / b1, 1.0 / b2)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    x0, x1, x2 = np.minimum(lo, gamma), np.maximum(lo, np.minimum(hi, gamma)), np.maximum(hi, gamma)
+    y1, y2 = m * (x0 - x1), m * (x0 - x2)
+    # with q[x0, x1, x2] = -q[x1, x2] / x0 and the common factor of q[x1, x2] and q[x2] taken out
+    q12 = (1.0 / (x0 + x2) + 1.0 / x1) / (x0 + x1)
+    dd = q12 * (1.0 / x0 + m * exprel(y1)) + m * m * _exp_dd(y1, y2) / (x0 + x2)
+    return (x0 * x1) ** 2 * x2 / (gamma * (x1 + x2)) * np.exp(-m * x0) * dd
 
 
 def _support(size: int, ndim: int) -> np.ndarray:
@@ -261,11 +253,11 @@ class Columns:
     also the W2 embedding), ``params`` holds what the expectations read
     (mean and var, loc and scale, or the masses of a discrete law) and ``y``
     the target coordinates; the first axis runs over parameters, the last
-    over the predictions. A mixture has no ``emb``; its ``params`` hold the
+    over the predictions. A mixture's ``emb`` and ``params`` hold its
     components (of ``family``) on an axis before the predictions, ``weights``
     (K, n) their weights. ``draws`` holds each prediction's Monte-Carlo key and
-    its "single", "pair-left" and "pair-right" samples (or a prefix of these),
-    (d, S, n) each. Views from ``take`` keep their rows in ``at``.
+    its "single", "pair-left" and "pair-right" samples (or some of these, in
+    this order), (d, S, n) each. Views from ``take`` keep their rows in ``at``.
     """
 
     family: str
@@ -303,16 +295,17 @@ class Columns:
                 # so that every closed form stays finite.
                 k, n = max(len(p.components) for p in predictions), len(predictions)
                 parts = [(p.components + p.components[:1] * k)[c] for c in range(k) for p in predictions]
-                if any(type(c) is not type(parts[0]) for c in parts):  # no metric is defined
-                    return cls(family, predictions=predictions, targets=targets)
+                if any(type(c) is not type(parts[0]) for c in parts):
+                    raise FamilyError("the mixtures of one batch must share one component family")
                 parts = cls.of(parts)
-                family, params = parts.family, tuple(a.reshape(a.shape[:-1] + (k, n)) for a in parts.params)
+                family, emb = parts.family, parts.emb.reshape(-1, k, n)
+                params = tuple(a.reshape(a.shape[:-1] + (k, n)) for a in parts.params)
                 weights = np.array([[*p.weights] + [0.0] * (k - p.weights.size) for p in predictions]).T
             if params and targets is not None:
                 y = _stack([_target_coords(t) for t in targets])
         except ValueError as exc:  # ragged rows
             raise DimensionError("predictions and targets of one batch must share one dimension") from exc
-        if emb is not None and y is not None and y.shape[0] != _target_dim(family, params):
+        if y is not None and y.shape[0] != _target_dim(family, params):
             raise DimensionError("target dimension does not match the prediction dimension")
         return cls(family, emb, params, y, weights, (), predictions, targets)
 
@@ -357,8 +350,8 @@ def _double_expect(tk: TargetKernel, x: Columns, z: Columns):
     """
     if x.draws:
         swap = z.draws[0] < x.draws[0]
-        left = np.where(swap, z.draws[2], x.draws[2])
-        right = np.where(swap, x.draws[3], z.draws[3])
+        left = np.where(swap, z.draws[-2], x.draws[-2])
+        right = np.where(swap, x.draws[-1], z.draws[-1])
         return np.mean(_target_kernel(tk, left, right), axis=0)
     if x.weights is not None:  # two mixtures: a weighted sum over the K x K component pairs
         x_k = replace(x, weights=None, params=[a[:, :, None] for a in x.params])
@@ -375,17 +368,28 @@ def _double_expect(tk: TargetKernel, x: Columns, z: Columns):
 def _prediction_kernel(pk: PredictionKernel, x: Columns, z: Columns, need=None):
     """k_P between the predictions of the views ``x`` and ``z``, broadcast together.
 
-    MW solves one transport problem per pair where the boolean ``need`` is
-    true (everywhere when it is None) and gives 0 elsewhere.
+    MW is evaluated where the boolean ``need`` is true (everywhere when it is
+    None) and is 0 elsewhere. The transport problems of those pairs go to one
+    batched solve, except where a side has a single component: its coupling
+    is then the product of the weights.
     """
     if not isinstance(pk.metric, MW):
         return np.exp(-pk.lam * _distance(x.emb, z.emb) ** pk.nu)
-    i, j = np.broadcast_arrays(x.at, z.at)
-    need = np.broadcast_to(True if need is None else need, i.shape)
-    dist = np.full(i.shape, np.inf)
-    dist[need] = [
-        prediction_distance(pk.metric, x.predictions[a], z.predictions[b]) for a, b in zip(i[need], j[need])
-    ]
+    shape = np.broadcast_shapes(x.at.shape, z.at.shape)
+    need = np.broadcast_to(True if need is None else need, shape)
+
+    def needed(c):  # W2 embeddings (e, K, P) and weights (K, P) of the components at the needed pairs
+        emb, w = (c.emb[:, None], np.ones_like(c.emb[:1])) if c.weights is None else (c.emb, c.weights)
+        return [np.broadcast_to(a, a.shape[: a.ndim - len(shape)] + shape)[..., need] for a in (emb, w)]
+
+    (ea, wa), (eb, wb) = needed(x), needed(z)
+    cost = _distance(ea[:, :, None], eb[:, None]) ** pk.metric.s
+    value = np.einsum("ap,abp,bp->p", wa, cost, wb)
+    solve = (np.count_nonzero(wa, axis=0) > 1) & (np.count_nonzero(wb, axis=0) > 1)
+    if solve.any():
+        value[solve] = _solve_transport(wa[:, solve].T, wb[:, solve].T, np.moveaxis(cost[..., solve], -1, 0))
+    dist = np.full(shape, np.inf)
+    dist[need] = np.maximum(value, 0.0) ** (1.0 / pk.metric.s)
     return np.exp(-pk.lam * dist**pk.nu)
 
 
@@ -411,7 +415,7 @@ def prepare(spec: KernelSpec, columns: Columns, sites: Columns | None = None) ->
     """
     metric, other = spec.prediction_kernel.metric, columns if sites is None else sites
     if isinstance(metric, ParamEuclidean):
-        if columns.emb is None or other.emb is None:
+        if columns.weights is not None or other.weights is not None:
             raise ConfigurationError("no canonical parameter embedding for family 'mixture'")
         if columns.emb.shape[0] != other.emb.shape[0]:
             raise DimensionError("parameter embeddings have mismatched dimensions")
@@ -431,23 +435,15 @@ def prepare(spec: KernelSpec, columns: Columns, sites: Columns | None = None) ->
 # Prediction-space metric and kernel
 
 
-def _param_embedding(p: Prediction) -> np.ndarray:
-    emb = Columns.of([p]).emb
-    if emb is None:
-        raise ConfigurationError(f"no canonical parameter embedding for family {p.family!r}")
-    return emb[:, 0]
-
-
 def prediction_distance(metric: PredictionMetric, p: Prediction, q: Prediction) -> float:
     if isinstance(metric, W2):
         return wasserstein2(p, q)
     if isinstance(metric, MW):
-        if not isinstance(p, Mixture):
-            p = Mixture([1.0], [p])
-        if not isinstance(q, Mixture):
-            q = Mixture([1.0], [q])
+        p, q = (r if isinstance(r, Mixture) else Mixture([1.0], [r]) for r in (p, q))
         return mixture_wasserstein(p, q, metric.s)
-    a, b = _param_embedding(p), _param_embedding(q)
+    if isinstance(p, Mixture) or isinstance(q, Mixture):
+        raise ConfigurationError("no canonical parameter embedding for family 'mixture'")
+    a, b = (Columns.of([r]).emb[:, 0] for r in (p, q))
     if a.shape != b.shape:
         raise DimensionError("parameter embeddings have mismatched dimensions")
     return float(_distance(a, b))
@@ -550,7 +546,7 @@ def double_expect_target_kernel(spec: KernelSpec, p: Prediction, q: Prediction) 
     """E_{Z ~ p, Z' ~ q} k_Y(Z, Z')."""
     if isinstance(spec.expectation, Analytic) and isinstance(p, Mixture) != isinstance(q, Mixture):
         p, q = (r if isinstance(r, Mixture) else Mixture([1.0], [r]) for r in (p, q))
-    x, z = (_with_expectations(spec, Columns.of([r])) for r in (p, q))
+    x, z = (_with_expectations(spec, Columns.of([r]), ("pair-left", "pair-right")) for r in (p, q))
     if not (x.draws or x.family == z.family or {x.family, z.family} <= set(_DISCRETE)):
         raise ConfigurationError(f"no closed form across {p.family!r}, {q.family!r}; use MonteCarlo mode")
     if _target_dim(x.family, x.params) != _target_dim(z.family, z.params):

@@ -97,6 +97,8 @@ def test_bootstrap_statistic_is_scaled_ustat():
     n = len(data)
     expected = n * skce_ustat(spec, data).value
     assert math.isclose(report.statistic, expected, rel_tol=1e-10)
+    # one triangle of h, diagonal included
+    assert report.diagnostics["h_evaluations"] == n * (n + 1) // 2
 
 
 def test_bootstrap_null_draws_match_manual_resampling():

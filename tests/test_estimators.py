@@ -11,6 +11,7 @@ from kcalib import (
     Dataset,
     DiagNormal,
     Laplace,
+    Mixture,
     RealVector,
     TestLocations,
     default_kernel_spec,
@@ -93,6 +94,16 @@ def test_dataset_validation():
         Dataset([DiagNormal(0, 1), Laplace(0, 1)], [RealVector(0.0), RealVector(0.0)])
     with pytest.raises(FamilyError):
         Dataset([Categorical([0.5, 0.5])], [RealVector(0.0)])
+
+
+def test_dataset_rejects_mixtures_no_metric_can_evaluate():
+    normals = Mixture([0.5, 0.5], [DiagNormal(0, 1), DiagNormal(1, 2)])
+    laplaces = Mixture([0.5, 0.5], [Laplace(0, 1), Laplace(1, 2)])
+    with pytest.raises(FamilyError, match="mixed prediction families"):
+        Dataset([normals, laplaces], [RealVector(0.0), RealVector(0.0)])
+    categoricals = Mixture([0.5, 0.5], [Categorical([0.5, 0.5]), Categorical([0.9, 0.1])])
+    with pytest.raises(FamilyError):
+        Dataset([categoricals], [RealVector([0.0, 1.0])])
 
 
 def test_dataset_rejects_mixed_dimensions():

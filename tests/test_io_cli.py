@@ -371,6 +371,36 @@ def test_cli_benchmark_csv(tmp_path):
     assert len(lines) > 1
 
 
+def _mixture_record(components, target):
+    weights = [1.0 / len(components)] * len(components)
+    prediction = {"family": "mixture", "weights": weights, "components": components}
+    return json.dumps({"prediction": prediction, "target": target})
+
+
+NORMAL_PARTS = [{"family": "diag_normal", "mean": [0.0], "var": [1.0]}, {"family": "diag_normal", "mean": [1.0], "var": [0.5]}]
+LAPLACE_PARTS = [{"family": "laplace", "loc": 0.0, "scale": 1.0}, {"family": "laplace", "loc": 1.0, "scale": 0.5}]
+CAT_PARTS = [{"family": "categorical", "probs": [0.2, 0.3, 0.5]}, {"family": "categorical", "probs": [0.6, 0.2, 0.2]}]
+REALS = {"type": "reals", "values": [0.5]}
+
+
+@pytest.mark.parametrize(
+    "good,bad",
+    [
+        (_mixture_record(NORMAL_PARTS, REALS), _mixture_record(LAPLACE_PARTS, REALS)),
+        (_mixture_record(CAT_PARTS, {"type": "class", "index": 1}), _mixture_record(CAT_PARTS, REALS)),
+    ],
+    ids=["normal-and-laplace-mixtures", "reals-on-categorical-mixture"],
+)
+def test_mixtures_no_metric_can_evaluate_are_rejected_with_line_number(tmp_path, good, bad):
+    path = _write(tmp_path, ['{"schema": 1, "family": "mixture"}', good, bad])
+    with pytest.raises(DatasetFormatError, match="line 3"):
+        parse_dataset(path)
+    res = _run(["estimate", "--data", path, "--metric", "mw"], cwd=str(tmp_path))
+    assert res.returncode == 2
+    assert "line 3" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_cli_error_exit_codes(tmp_path):
     # unreadable dataset -> domain error -> exit code 2
     bad = tmp_path / "bad.jsonl"
@@ -416,6 +446,16 @@ def test_cli_import_leaves_scipy_stats_and_optimize_unloaded(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path):
+    # the batched transport solver loads scipy.sparse on its first use only
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    code = "import sys, kcalib.cli; print('scipy.sparse' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=str(tmp_path), env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_cli_version(tmp_path):

@@ -278,6 +278,37 @@ def test_laplace_expectation_near_pole_matches_mpmath(log_offset, side, gamma, l
         assert abs(got - oracle) <= 1e-12 * oracle
 
 
+@given(
+    log_offset=st.floats(-10, -4), side=st.sampled_from([-1.0, 1.0]),
+    near=st.sampled_from(["equal", "pole-first", "pole-second", "pole-both"]),
+    far=st.floats(1.5, 4.0), gamma=st.floats(0.2, 3.0), m=st.floats(0, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_laplace_double_expectation_near_poles_matches_mpmath(log_offset, side, near, far, gamma, m):
+    # scales with b1 = b2 (1 + delta) or b gamma = 1 + delta, delta = +-[1e-10, 1e-4], where the
+    # exact formula divides by b1^2 - b2^2 and b^2 gamma^2 - 1; the oracle evaluates it at 60 digits
+    import mpmath
+
+    delta = side * 10.0**log_offset
+    b1, b2 = {
+        "equal": (far / gamma, far / gamma * (1.0 + delta)),
+        "pole-first": ((1.0 + delta) / gamma, far / gamma),
+        "pole-second": (far / gamma, (1.0 + delta) / gamma),
+        "pole-both": ((1.0 + delta) / gamma, (1.0 - delta) / gamma),
+    }[near]
+    spec = _spec(tk=LaplacianExp(gamma=gamma))
+    got = double_expect_target_kernel(spec, Laplace(0.5, b1), Laplace(0.5 + m, b2))
+    with mpmath.workdps(60):
+        p, q, g, m = mpmath.mpf(b1), mpmath.mpf(b2), mpmath.mpf(gamma), mpmath.mpf(0.5 + m) - mpmath.mpf(0.5)
+        c1, c2, d = (p * g) ** 2 - 1, (q * g) ** 2 - 1, p * p - q * q
+        oracle = (
+            g * p**3 / (c1 * d) * mpmath.exp(-m / p)
+            - g * q**3 / (c2 * d) * mpmath.exp(-m / q)
+            + mpmath.exp(-g * m) / (c1 * c2)
+        )
+        assert abs(got - oracle) <= 1e-12 * oracle
+
+
 def test_categorical_expectations_enumerate_support():
     spec = _spec(tk=KroneckerDelta())
     p = Categorical([0.2, 0.5, 0.3])
