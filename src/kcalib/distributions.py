@@ -19,7 +19,7 @@ from .exceptions import DimensionError, FamilyError, ParameterError
 
 SIMPLEX_TOL = 1e-9
 MAX_MIXTURE_COMPONENTS = 64
-TRANSPORT_LP_VARIABLES = 1024  # of one LP: HiGHS needs much more memory for one over thousands of pairs
+TRANSPORT_LP_VARIABLES = 1024  # per transport LP: one LP over thousands of pairs costs HiGHS far more memory
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +447,10 @@ def wasserstein2(p: Prediction, q: Prediction) -> float:
 
 
 def _solve_transport(weights_a: np.ndarray, weights_b: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Exact minimum costs of P transportation problems, from ``weights_a`` (P, Ka) to ``weights_b`` (P, Kb).
+    """Exact minimum costs of P transportation problems, chunked into block-diagonal LPs.
 
-    ``cost`` is (P, Ka, Kb). Chunks of about ``TRANSPORT_LP_VARIABLES`` variables are
-    solved as one block-diagonal LP each.
+    Masses ``weights_a`` (P, Ka) move to ``weights_b`` (P, Kb) at ``cost`` (P, Ka, Kb); a
+    chunk holds about ``TRANSPORT_LP_VARIABLES`` variables.
     """
     from scipy.optimize import linprog  # loaded on use: they are slow to import
     from scipy.sparse import csr_array

@@ -292,6 +292,14 @@ def test_monte_carlo_h_is_symmetric():
     assert math.isclose(boot, ustat, rel_tol=1e-12)
 
 
+def test_monte_carlo_double_expectation_draws_only_the_pair_samples(monkeypatch):
+    data = make_scenario_dataset("uncalibrated", 1, 2, seed=1)
+    labels, original = [], kernels.substream
+    monkeypatch.setattr(kernels, "substream", lambda seed, key, label: labels.append(label) or original(seed, key, label))
+    double_expect_target_kernel(KernelSpec(expectation=MonteCarlo(50)), data[0][0], data[1][0])
+    assert sorted(labels) == ["pair-left", "pair-left", "pair-right", "pair-right"]
+
+
 def test_columns_follow_edits_of_the_pair_lists():
     spec = default_kernel_spec()
     data = make_scenario_dataset("uncalibrated", 1, 16, seed=3)

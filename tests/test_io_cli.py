@@ -377,9 +377,9 @@ def _mixture_record(components, target):
     return json.dumps({"prediction": prediction, "target": target})
 
 
-NORMAL_PARTS = [{"family": "diag_normal", "mean": [0.0], "var": [1.0]}, {"family": "diag_normal", "mean": [1.0], "var": [0.5]}]
-LAPLACE_PARTS = [{"family": "laplace", "loc": 0.0, "scale": 1.0}, {"family": "laplace", "loc": 1.0, "scale": 0.5}]
-CAT_PARTS = [{"family": "categorical", "probs": [0.2, 0.3, 0.5]}, {"family": "categorical", "probs": [0.6, 0.2, 0.2]}]
+NORMAL_PARTS = [{"family": "diag_normal", "mean": [m], "var": [1.0]} for m in (0.0, 1.0)]
+LAPLACE_PARTS = [{"family": "laplace", "loc": m, "scale": 1.0} for m in (0.0, 1.0)]
+CAT_PARTS = [{"family": "categorical", "probs": p} for p in ([0.2, 0.3, 0.5], [0.6, 0.2, 0.2])]
 REALS = {"type": "reals", "values": [0.5]}
 
 
