@@ -273,6 +273,8 @@ class Columns:
     @classmethod
     def of(cls, predictions, targets=None) -> "Columns":
         p0 = predictions[0]
+        if any(type(p) is not type(p0) for p in predictions):  # also the components of mixtures
+            raise FamilyError("the predictions of one batch must share one family")
         family, emb, params, y, weights = p0.family, None, (), None, None
         try:
             if isinstance(p0, DiagNormal):
@@ -295,8 +297,6 @@ class Columns:
                 # so that every closed form stays finite.
                 k, n = max(len(p.components) for p in predictions), len(predictions)
                 parts = [(p.components + p.components[:1] * k)[c] for c in range(k) for p in predictions]
-                if any(type(c) is not type(parts[0]) for c in parts):
-                    raise FamilyError("the mixtures of one batch must share one component family")
                 parts = cls.of(parts)
                 family, emb = parts.family, parts.emb.reshape(-1, k, n)
                 params = tuple(a.reshape(a.shape[:-1] + (k, n)) for a in parts.params)

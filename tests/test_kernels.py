@@ -501,6 +501,16 @@ def test_pairwise_h_fallback_mixtures():
     _pairwise_matches_scalar(spec, preds, tgts)
 
 
+def test_pairwise_h_rejects_mixed_families():
+    pairs = np.array([0]), np.array([1])
+    tgts = [RealVector(0.0), RealVector(1.0)]
+    with pytest.raises(FamilyError):
+        pairwise_h(default_kernel_spec(), [DiagNormal(0.0, 1.0), Laplace(0.0, 1.0)], tgts, *pairs)
+    mixtures = [Mixture([1.0], [DiagNormal(0.0, 1.0)]), Mixture([1.0], [Laplace(0.0, 1.0)])]
+    with pytest.raises(FamilyError):
+        pairwise_h(_spec(metric=MW(), tk=GaussianRBF(gamma=0.5)), mixtures, tgts, *pairs)
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
