@@ -77,11 +77,19 @@ def _add_kernel_args(parser: argparse.ArgumentParser) -> None:
 
 def _kernel_spec(args: argparse.Namespace) -> KernelSpec:
     metric = {"w2": W2(), "mw": MW(args.mw_order), "param-euclidean": ParamEuclidean()}[args.metric]
-    tk = {"gaussian": GaussianRBF, "laplacian": LaplacianExp}.get(args.target_kernel)
-    mode = Analytic() if args.expectation == "analytic" else MonteCarlo(args.mc_samples, args.mc_seed)
+    if args.target_kernel == "gaussian":
+        tk = GaussianRBF(args.gamma)
+    elif args.target_kernel == "laplacian":
+        tk = LaplacianExp(args.gamma)
+    else:
+        tk = KroneckerDelta()
+    if args.expectation == "analytic":
+        mode = Analytic()
+    else:
+        mode = MonteCarlo(samples=args.mc_samples, seed=args.mc_seed)
     return KernelSpec(
         prediction_kernel=PredictionKernel(metric=metric, lam=args.lam, nu=args.nu),
-        target_kernel=tk(args.gamma) if tk else KroneckerDelta(),
+        target_kernel=tk,
         expectation=mode,
     )
 

@@ -128,7 +128,9 @@ def _parse_records(path: str):
         raise DatasetFormatError(f"invalid header JSON: {exc}", 1) from exc
     if not isinstance(header, dict) or header.get("schema") != SCHEMA_VERSION:
         raise DatasetFormatError(f"unsupported schema {header!r}", 1)
-    family, dimension, kind = header.get("family"), header.get("dimension"), None
+    family = header.get("family")
+    dimension = header.get("dimension")
+    components = None
     predictions, targets = [], []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -142,10 +144,14 @@ def _parse_records(path: str):
         _require_finite(record, lineno)
         p = prediction_from_dict(record["prediction"], lineno)
         y = target_from_dict(record["target"], lineno)
-        # the header fixes the family, the first record a mixture's component family
-        kind = kind or (_family(p) if p.family == family == "mixture" else family)
-        if _family(p) != kind:
-            raise DatasetFormatError(f"record family {_family(p)!r} does not match {kind!r}", lineno)
+        if p.family != family:
+            raise DatasetFormatError(
+                f"record family {p.family!r} does not match header family {family!r}", lineno
+            )
+        if components is None:
+            components = _family(p)  # the first record fixes a mixture's component family
+        if _family(p) != components:
+            raise DatasetFormatError(f"record family {_family(p)!r} does not match {components!r}", lineno)
         if dimension is None:
             dimension = _pred_dim(p)  # no header dimension: the first record fixes it
         if _pred_dim(p) != dimension:

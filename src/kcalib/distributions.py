@@ -485,8 +485,11 @@ def mixture_wasserstein(p: Mixture, q: Mixture, s: float = 2.0) -> float:
     s = float(s)
     if s < 1.0:
         raise ParameterError(f"transport order must satisfy s >= 1, got {s!r}")
-    cost = np.array([[[wasserstein2(ci, cj) ** s for cj in q.components] for ci in p.components]])
-    value = _solve_transport(p.weights[None], q.weights[None], cost)[0]
+    cost = np.empty((len(p.components), len(q.components)))
+    for i, ci in enumerate(p.components):
+        for j, cj in enumerate(q.components):
+            cost[i, j] = wasserstein2(ci, cj) ** s
+    value = _solve_transport(p.weights[None], q.weights[None], cost[None])[0]
     return max(value, 0.0) ** (1.0 / s)
 
 

@@ -59,10 +59,13 @@ class Dataset:
             raise ParameterError("predictions and targets must have equal length")
         if len(predictions) == 0:
             raise ParameterError("datasets must contain at least one pair")
-        family, dim = _family(predictions[0]), _pred_dim(predictions[0])
+        first = predictions[0]
+        dim = _pred_dim(first)
         for p, y in zip(predictions, targets):
-            if _family(p) != family:
-                raise FamilyError(f"mixed prediction families: {family!r} vs {_family(p)!r}")
+            if _family(p) != _family(first):
+                raise FamilyError(
+                    f"mixed prediction families: {_family(first)!r} vs {_family(p)!r}"
+                )
             if _pred_dim(p) != dim:
                 raise DimensionError(f"mixed prediction dimensions: {dim} vs {_pred_dim(p)}")
             _check_pair(p, y)

@@ -369,9 +369,8 @@ def _prediction_kernel(pk: PredictionKernel, x: Columns, z: Columns, need=None):
     """k_P between the predictions of the views ``x`` and ``z``, broadcast together.
 
     MW is evaluated where the boolean ``need`` is true (everywhere when it is
-    None) and is 0 elsewhere. The transport problems of those pairs go to one
-    batched solve, except where a side has a single component: its coupling
-    is then the product of the weights.
+    None) and is 0 elsewhere; the transport problems of those pairs go to one
+    batched solve, a plain prediction being a mixture of one component.
     """
     if not isinstance(pk.metric, MW):
         return np.exp(-pk.lam * _distance(x.emb, z.emb) ** pk.nu)
@@ -384,10 +383,7 @@ def _prediction_kernel(pk: PredictionKernel, x: Columns, z: Columns, need=None):
 
     (ea, wa), (eb, wb) = needed(x), needed(z)
     cost = _distance(ea[:, :, None], eb[:, None]) ** pk.metric.s
-    value = np.einsum("ap,abp,bp->p", wa, cost, wb)
-    solve = (np.count_nonzero(wa, axis=0) > 1) & (np.count_nonzero(wb, axis=0) > 1)
-    if solve.any():
-        value[solve] = _solve_transport(wa[:, solve].T, wb[:, solve].T, np.moveaxis(cost[..., solve], -1, 0))
+    value = _solve_transport(wa.T, wb.T, np.moveaxis(cost, -1, 0))
     dist = np.full(shape, np.inf)
     dist[need] = np.maximum(value, 0.0) ** (1.0 / pk.metric.s)
     return np.exp(-pk.lam * dist**pk.nu)
@@ -435,15 +431,23 @@ def prepare(spec: KernelSpec, columns: Columns, sites: Columns | None = None) ->
 # Prediction-space metric and kernel
 
 
+def _param_embedding(p: Prediction) -> np.ndarray:
+    columns = Columns.of([p])
+    if columns.weights is not None:
+        raise ConfigurationError(f"no canonical parameter embedding for family {p.family!r}")
+    return columns.emb[:, 0]
+
+
 def prediction_distance(metric: PredictionMetric, p: Prediction, q: Prediction) -> float:
     if isinstance(metric, W2):
         return wasserstein2(p, q)
     if isinstance(metric, MW):
-        p, q = (r if isinstance(r, Mixture) else Mixture([1.0], [r]) for r in (p, q))
+        if not isinstance(p, Mixture):
+            p = Mixture([1.0], [p])
+        if not isinstance(q, Mixture):
+            q = Mixture([1.0], [q])
         return mixture_wasserstein(p, q, metric.s)
-    if isinstance(p, Mixture) or isinstance(q, Mixture):
-        raise ConfigurationError("no canonical parameter embedding for family 'mixture'")
-    a, b = (Columns.of([r]).emb[:, 0] for r in (p, q))
+    a, b = _param_embedding(p), _param_embedding(q)
     if a.shape != b.shape:
         raise DimensionError("parameter embeddings have mismatched dimensions")
     return float(_distance(a, b))

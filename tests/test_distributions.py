@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import optimize, stats
 
 from kcalib import (
     Categorical,
@@ -21,6 +21,8 @@ from kcalib import (
     temperature_scale,
     wasserstein2,
 )
+from kcalib import distributions
+from kcalib.distributions import _solve_transport
 from kcalib.exceptions import DimensionError, FamilyError, ParameterError
 from kcalib.rng import substream
 
@@ -342,6 +344,27 @@ def test_mixture_wasserstein_order_one():
     assert math.isclose(d2, math.sqrt(0.5 * w**2), rel_tol=1e-9)
     with pytest.raises(ParameterError):
         mixture_wasserstein(a, b, s=0.5)
+
+
+def test_transport_chunks_match_single_problem_solves(monkeypatch):
+    # 20 variables a chunk: 2 problems of 3 x 3, 3 of 2 x 3, 6 of 3 x 1, so every
+    # stack crosses many chunk boundaries and ends on a partial chunk
+    rng = substream(11, "transport-chunks")
+    monkeypatch.setattr(distributions, "TRANSPORT_LP_VARIABLES", 20)
+    calls, linprog = [], optimize.linprog
+    monkeypatch.setattr(optimize, "linprog", lambda *args, **kw: calls.append(1) or linprog(*args, **kw))
+
+    def masses(count, k):  # 1 to k components, the rest zero-weight padding
+        sizes = rng.integers(1, k + 1, count)
+        return np.array([np.r_[rng.dirichlet(np.ones(s)), np.zeros(k - s)] for s in sizes])
+
+    for ka, kb, count, chunks in [(3, 3, 251, 126), (2, 3, 250, 84), (3, 1, 7, 2)]:
+        wa, wb, cost = masses(count, ka), masses(count, kb), rng.uniform(0.0, 4.0, (count, ka, kb))
+        calls.clear()
+        values = _solve_transport(wa, wb, cost)
+        assert len(calls) == chunks
+        single = [_solve_transport(wa[i : i + 1], wb[i : i + 1], cost[i : i + 1])[0] for i in range(count)]
+        np.testing.assert_allclose(values, single, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from kcalib import (
 )
 from kcalib import kernels
 from kcalib.calibration_tests import default_cme_locations
-from kcalib.distributions import mixture_wasserstein
 from kcalib.estimators import cme_feature_matrix
 from kcalib.kernels import eval_prediction_kernel, eval_target_kernel, expect_target_kernel
 from kcalib.rng import substream
@@ -210,25 +209,19 @@ def test_mixture_cme_at_normal_locations_matches_brute_force(monkeypatch):
     np.testing.assert_allclose(cme_feature_matrix(spec, data, locs), z, rtol=1e-12, atol=1e-12)
 
 
-def _count_transport_problems(monkeypatch):
-    """Record the number of transport problems of each call of the batched solver."""
-    solved, original = [], kernels._solve_transport
-
-    def counting(weights_a, weights_b, cost):
-        solved.append(len(cost))
-        return original(weights_a, weights_b, cost)
-
-    monkeypatch.setattr(kernels, "_solve_transport", counting)
-    return solved
-
-
 def test_transport_metric_solves_one_triangle(monkeypatch):
     spec, make = CASES["mixture-mw"]
     n = 2 * TILE + 3
     preds, tgts, _, _ = make(substream(1, "engine-count"), n)
     data = Dataset(preds, tgts)
     monkeypatch.setattr(kernels, "TILE_BYTES", _tile_bytes(spec, data))
-    solved = _count_transport_problems(monkeypatch)
+    solved, original = [], kernels._solve_transport
+
+    def counting(weights_a, weights_b, cost):  # the number of problems of each batched solve
+        solved.append(len(cost))
+        return original(weights_a, weights_b, cost)
+
+    monkeypatch.setattr(kernels, "_solve_transport", counting)
     # no reduction takes a per-pair path
     monkeypatch.setattr(kernels, "eval_h", None)
     monkeypatch.setattr(kernels, "prediction_distance", None)
@@ -239,24 +232,6 @@ def test_transport_metric_solves_one_triangle(monkeypatch):
     test_bootstrap_ustat(spec, data, 100, seed=0)
     assert sum(solved) == n * (n + 1) // 2
     assert len(solved) == 6
-
-
-def test_single_component_sides_skip_the_transport_solve(monkeypatch):
-    rng = substream(3, "engine-forced")
-    sizes = np.array([1, 3, 1, 2, 3, 1])
-    preds = [
-        Mixture(rng.dirichlet(np.ones(k)), [Laplace(rng.normal(), rng.uniform(0.2, 1.0)) for _ in range(k)])
-        for k in sizes
-    ]
-    solved = _count_transport_problems(monkeypatch)
-    columns, idx = kernels.Columns.of(preds), np.arange(len(preds))
-    pk = PredictionKernel(MW(1.5), lam=1.0, nu=1.0)
-    dist = -np.log(kernels._prediction_kernel(pk, columns.take(idx[:, None]), columns.take(idx[None, :])))
-    assert solved == [np.count_nonzero((sizes[:, None] > 1) & (sizes[None, :] > 1))]
-    for a, p in enumerate(preds):
-        for b, q in enumerate(preds):
-            if a != b:  # the solver's rounding on a zero cost is amplified by the 1/s power
-                assert dist[a, b] == pytest.approx(mixture_wasserstein(p, q, 1.5), rel=1e-12)
 
 
 def test_tiled_reductions_stay_small():
