@@ -33,7 +33,7 @@ from .classical import (
     quantile_curve,
 )
 from .dataset_io import parse_dataset, parse_locations, write_dataset
-from .distributions import RealVector, temperature_scale
+from .distributions import temperature_scale
 from .estimators import Dataset, TestLocations, skce_block, skce_plug_in, skce_ustat, ucme_squared
 from .exceptions import ConfigurationError, KcalibError
 from .kernels import (
@@ -134,11 +134,12 @@ def _cme_locations(args, data: Dataset) -> TestLocations:
     """The --locations file, or the default locations at the data's dimension."""
     if args.locations:
         return parse_locations(args.locations)
-    if not isinstance(data.targets[0], RealVector):
+    columns = data.columns
+    if columns.family not in ("diag_normal", "laplace"):
         raise ConfigurationError(
             "default CME locations need real-vector predictions; pass --locations"
         )
-    return default_cme_locations(data.targets[0].dim, args.cme_locations, seed=args.seed)
+    return default_cme_locations(columns.y.shape[0], args.cme_locations, seed=args.seed)
 
 
 def _cmd_generate(args) -> int:

@@ -7,117 +7,309 @@ All records must match the header's family and dimension (when the header
 omits ``dimension``, every record must match the first record's), and
 mismatches and non-finite parameters are rejected at parse time with the
 offending line number.
+
+The parser checks each record's structure as it decodes it, gathers each
+field of all records into one array and checks those with the families'
+own rules (``distributions``) at once, so it builds no per-record objects.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 
 from .distributions import (
-    Categorical,
-    ClassLabel,
-    Count,
-    DiagNormal,
-    Laplace,
-    Mixture,
-    Prediction,
-    RealVector,
-    Target,
-    TruncatedCountable,
-    _pred_dim,
+    _categorical_rules,
+    _index_rules,
+    _kept_weights,
+    _laplace_rules,
+    _mixture_rules,
+    _normal_rules,
+    _reals_rules,
+    _truncated_rules,
+    check_rows,
 )
-from .estimators import Dataset, TestLocations, _check_pair, _family
-from .exceptions import DatasetFormatError, KcalibError
+from .estimators import Dataset, TestLocations
+from .exceptions import DatasetFormatError, DimensionError, KcalibError, ParameterError
+from .kernels import Columns
 
 SCHEMA_VERSION = 1
 
-
-def prediction_to_dict(p: Prediction) -> dict:
-    if isinstance(p, Categorical):
-        return {"family": "categorical", "probs": p.probs.tolist()}
-    if isinstance(p, DiagNormal):
-        return {"family": "diag_normal", "mean": p.mean.tolist(), "var": p.var.tolist()}
-    if isinstance(p, Laplace):
-        return {"family": "laplace", "loc": p.loc, "scale": p.scale}
-    if isinstance(p, TruncatedCountable):
-        return {
-            "family": "truncated_countable",
-            "probs": p.probs.tolist(),
-            "tail_mass": p.tail_mass,
-        }
-    if isinstance(p, Mixture):
-        return {
-            "family": "mixture",
-            "weights": p.weights.tolist(),
-            "components": [prediction_to_dict(c) for c in p.components],
-        }
-    raise DatasetFormatError(f"cannot serialize prediction family {p.family!r}")
+# Each family's fields, of kind "number" (converted as float() does), "vector"
+# (as np.atleast_1d does) or "array" (as np.asarray does), and its rules.
+_FAMILIES = {
+    "diag_normal": ((("mean", "vector"), ("var", "vector")), _normal_rules),
+    "laplace": ((("loc", "number"), ("scale", "number")), _laplace_rules),
+    "categorical": ((("probs", "array"),), _categorical_rules),
+    "truncated_countable": ((("probs", "array"), ("tail_mass", "number")), _truncated_rules),
+}
+# The target type of each family's pairs, and its one field.
+_TARGET_TYPES = {"categorical": "class", "truncated_countable": "count", "diag_normal": "reals", "laplace": "reals"}
+_TARGET_FIELDS = {"class": "index", "count": "value", "reals": "values"}
+_PAIR_ERRORS = {
+    "categorical": "categorical predictions require class-label targets",
+    "truncated_countable": "truncated countable predictions require count targets",
+}
+_PREDICTION, _TARGET = "invalid prediction: ", "invalid target: "
 
 
-def target_to_dict(y: Target) -> dict:
-    if isinstance(y, ClassLabel):
-        return {"type": "class", "index": y.index}
-    if isinstance(y, RealVector):
-        return {"type": "reals", "values": y.values.tolist()}
-    if isinstance(y, Count):
-        return {"type": "count", "value": y.value}
-    raise DatasetFormatError(f"cannot serialize target type {type(y).__name__}")
+class _Ragged(Exception):
+    """The records' fields do not stack into arrays: they are checked one record at a time."""
 
 
-def _require_finite(obj, line: int) -> None:
-    if isinstance(obj, dict):
-        for v in obj.values():
-            _require_finite(v, line)
-    elif isinstance(obj, list):
-        for v in obj:
-            _require_finite(v, line)
-    elif isinstance(obj, float) and not math.isfinite(obj):
+# ---------------------------------------------------------------------------
+# Records, checked for what needs no numbers
+
+
+def _decoder(constants: list):
+    """A JSON decoder that appends every non-finite number it reads (NaN, Infinity, or a number
+    too large for a float) to ``constants``."""
+
+    def number(text):
+        value = float(text)
+        if math.isinf(value):
+            constants.append(text)
+        return value
+
+    return json.JSONDecoder(parse_constant=constants.append, parse_float=number).decode
+
+
+def _component_family(prediction, line: int, nested: bool = False):
+    """The family of a prediction object whose fields are present; for a mixture, that of its
+    components (None if it has none)."""
+    if not isinstance(prediction, dict):
+        raise DatasetFormatError(f"{_PREDICTION}not an object", line)
+    family = prediction.get("family")
+    if family == "mixture":
+        if nested:
+            raise DatasetFormatError("mixtures of mixtures are not supported", line)
+        if "components" not in prediction:
+            raise DatasetFormatError(f"{_PREDICTION}'components'", line)
+        components = prediction["components"]
+        if not isinstance(components, list):
+            raise DatasetFormatError(f"{_PREDICTION}components must be a list", line)
+        families = {_component_family(c, line, nested=True) for c in components}
+        if "weights" not in prediction:
+            raise DatasetFormatError(f"{_PREDICTION}'weights'", line)
+        if len(families) > 1:
+            raise DatasetFormatError(f"{_PREDICTION}mixture components must share one family", line)
+        return families.pop() if families else None
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise DatasetFormatError(f"unknown prediction family {family!r}", line)
+    for key, _ in _FAMILIES[family][0]:
+        if key not in prediction and key != "tail_mass":  # the only optional field, 0 by default
+            raise DatasetFormatError(f"{_PREDICTION}{key!r}", line)
+    return family
+
+
+def _record(raw: str, line: int, family, first: list, decode, constants: list):
+    """The prediction and target objects of one record line.
+
+    ``decode`` appends the non-finite numbers it reads to ``constants``;
+    ``first`` holds the component family of the first mixture record, which
+    every mixture record must share. An error found after the prediction's
+    fields carries the prediction in ``prediction``: the prediction's numbers
+    are checked before it.
+    """
+    try:
+        record = decode(raw)
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"invalid record JSON: {exc}", line) from exc
+    if not isinstance(record, dict) or "prediction" not in record or "target" not in record:
+        raise DatasetFormatError("record must have 'prediction' and 'target'", line)
+    if constants:
         raise DatasetFormatError("non-finite parameter", line)
-
-
-def prediction_from_dict(obj: dict, line: int, depth: int = 0) -> Prediction:
-    family = obj.get("family")
+    prediction, target = record["prediction"], record["target"]
+    components = _component_family(prediction, line)
     try:
-        if family == "categorical":
-            return Categorical(obj["probs"])
-        if family == "diag_normal":
-            return DiagNormal(obj["mean"], obj["var"])
-        if family == "laplace":
-            return Laplace(obj["loc"], obj["scale"])
-        if family == "truncated_countable":
-            return TruncatedCountable(obj["probs"], obj.get("tail_mass", 0.0))
-        if family == "mixture":
-            if depth >= 1:
-                raise DatasetFormatError("mixtures of mixtures are not supported", line)
-            components = [
-                prediction_from_dict(c, line, depth + 1) for c in obj["components"]
-            ]
-            return Mixture(obj["weights"], components)
-    except DatasetFormatError:
+        kind = target.get("type") if isinstance(target, dict) else None
+        if not isinstance(kind, str) or kind not in _TARGET_FIELDS:
+            raise DatasetFormatError(f"unknown target type {kind!r}", line)
+        if _TARGET_FIELDS[kind] not in target:
+            raise DatasetFormatError(f"{_TARGET}{_TARGET_FIELDS[kind]!r}", line)
+        if prediction["family"] != family:
+            raise DatasetFormatError(
+                f"record family {prediction['family']!r} does not match header family {family!r}", line
+            )
+        if components is not None:  # a mixture without components fails its own rules
+            if not first:
+                first.append(components)
+            if components != first[0]:
+                raise DatasetFormatError(
+                    f"record family 'mixture of {components}' does not match 'mixture of {first[0]}'", line
+                )
+            if kind != _TARGET_TYPES[components]:
+                message = _PAIR_ERRORS.get(components, f"{components} predictions require real-vector targets")
+                raise DatasetFormatError(message, line)
+    except DatasetFormatError as exc:
+        exc.prediction = prediction
         raise
-    except (KcalibError, KeyError, TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"invalid prediction: {exc}", line) from exc
-    raise DatasetFormatError(f"unknown prediction family {family!r}", line)
+    return prediction, target
 
 
-def target_from_dict(obj: dict, line: int) -> Target:
-    kind = obj.get("type")
+# ---------------------------------------------------------------------------
+# Fields of many records, checked at once
+
+
+def _floats(values: list, kind: str, label: str, single: bool) -> np.ndarray:
+    """One field of each item as floats: (n,) numbers, or (n, d) vectors or arrays.
+
+    Several records' fields go to one array, or raise ``_Ragged``; a single
+    record's values are converted one by one, as its constructor would.
+    """
+    convert = {"number": float, "vector": np.atleast_1d, "array": np.asarray}[kind]
     try:
-        if kind == "class":
-            return ClassLabel(obj["index"])
-        if kind == "reals":
-            return RealVector(obj["values"])
-        if kind == "count":
-            return Count(obj["value"])
-    except (KcalibError, KeyError, TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"invalid target: {exc}", line) from exc
-    raise DatasetFormatError(f"unknown target type {kind!r}", line)
+        if single:
+            if kind == "number":
+                return np.array([float(v) for v in values])
+            return np.array([convert(np.asarray(v, dtype=np.float64)) for v in values])
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        if not single:
+            raise _Ragged from exc
+        error = ParameterError(label + str(exc))
+        error.row = 0
+        raise error from exc
+    if kind == "vector" and arr.ndim == 1:  # numbers stand for vectors of one coordinate
+        arr = arr[:, None]
+    # (float() rejects what np.array turns into NaN, such as null)
+    if arr.ndim != (1 if kind == "number" else 2) or (kind == "number" and np.isnan(arr).any()):
+        raise _Ragged
+    return arr
 
 
-def _parse_records(path: str):
+def _labelled(label: str, checks: list) -> list:
+    return [
+        (bad, kind, label + message if isinstance(message, str) else lambda r, m=message: label + m(r))
+        for bad, kind, message in checks
+    ]
+
+
+def _per_record(checks: list, k: int) -> list:
+    """Checks of the ``k`` components of each mixture, as checks of the mixtures: a mixture
+    fails with its first failing component."""
+
+    def grouped(bad):
+        return np.asarray(bad() if callable(bad) else bad, dtype=bool).reshape(-1, k)
+
+    def per_record(bad, kind, message):
+        if not (callable(bad) or np.ndim(bad)):  # a bool: all rows or none
+            return bad, kind, message
+        if not isinstance(message, str):
+            message = partial(lambda m, r: m(r * k + int(np.argmax(grouped(bad)[r]))), message)
+        return lambda: grouped(bad).any(axis=1), kind, message
+
+    return [per_record(*check) for check in checks]
+
+
+def _columnwise(a: np.ndarray, n: int, k) -> np.ndarray:
+    """Rows of one canonical array, one per record (or per component, record-major), as columns."""
+    if k is None:
+        return np.moveaxis(a, 0, -1)
+    return np.moveaxis(a.reshape((n, k) + a.shape[1:]), (0, 1), (-1, -2))
+
+
+def _columns(family: str, records: list, dimension, single: bool) -> Columns | None:
+    """The checked columns of ``records``; raises the first bad record's error, its index in ``row``.
+
+    Raises ``_Ragged`` when the fields of several records do not stack. A
+    record without target has only its prediction checked, and gives None.
+    """
+    n, predictions, k, weights = len(records), [p for p, _ in records], None, None
+    if family == "mixture":
+        k = len(predictions[0]["components"])
+        if any(len(p["components"]) != k for p in predictions):
+            raise _Ragged
+        weights = _floats([p["weights"] for p in predictions], "array", _PREDICTION, single)
+        if not single and (k == 0 or not np.all(weights > 0)):  # zero weights drop components
+            raise _Ragged
+        if k == 0:  # no components to check: the weights fail their rules
+            check_rows(_labelled(_PREDICTION, _mixture_rules(weights, 0)[0]))
+        predictions = [c for p in predictions for c in p["components"]]
+        family = predictions[0]["family"]
+    fields, rules = _FAMILIES[family]
+    arrays = [
+        _floats([p.get(key, 0.0) for p in predictions], kind, _PREDICTION, single)
+        for key, kind in fields
+    ]
+    checks, canonical = rules(*arrays)
+    checks = _labelled(_PREDICTION, checks)
+    if k is not None:
+        weight_checks, normalized = _mixture_rules(weights, k)
+        checks = _per_record(checks, k) + _labelled(_PREDICTION, weight_checks)
+    if records[0][1] is None:
+        check_rows(checks)
+        return None
+    dim = 1 if family == "laplace" else arrays[0].shape[-1]
+    kind = _TARGET_TYPES[family]
+    values = [t[_TARGET_FIELDS[kind]] for _, t in records]
+    if kind == "reals":
+        y = _floats(values, "vector", _TARGET, single)
+        target_checks = _reals_rules(y)
+        pair = (y.shape[-1] != dim, DimensionError, f"target dimension {y.shape[-1]} != prediction dimension {dim}")
+    else:
+        target_checks = _index_rules(values, "class index" if kind == "class" else "count")
+        out_of_range = [kind == "class" and isinstance(v, (int, np.integer)) and v >= dim for v in values]
+        pair = (out_of_range, DimensionError, lambda r: f"class index {values[r]} out of range for {dim} classes")
+    check_rows(
+        checks
+        + _labelled(_TARGET, target_checks)
+        + [(dimension is not None and dim != dimension, DimensionError,
+            f"record dimension {dim} does not match dataset dimension {dimension}"), pair]
+    )
+    y = y.T if kind == "reals" else _floats(values, "number", _TARGET, single)[None]
+    canonical = canonical()
+    if k is not None:
+        weights = normalized()
+        if single:
+            kept, keep = _kept_weights(weights[0])
+            weights, canonical, k = kept[None], [a[keep] for a in canonical], int(keep.sum())
+        weights = weights.T
+    canonical = tuple(_columnwise(a, n, k) for a in canonical)
+    if family == "laplace":
+        canonical = (np.stack(canonical),)
+    return Columns.build(family, canonical, y, weights)
+
+
+def _checked_columns(family, records: list, dimension) -> Columns | None:
+    """The columns of all ``records``, checked; the first bad record's error carries its index in ``row``."""
+    try:
+        return _columns(family, records, dimension, single=len(records) == 1)
+    except _Ragged:  # one record at a time
+        pass
+    parts = []
+    for row, record in enumerate(records):
+        try:
+            parts.append(_columns(family, [record], dimension, single=True))
+        except KcalibError as exc:
+            exc.row = row
+            raise
+        if dimension is None:  # the first record fixes it
+            dimension = parts[0].dim
+    return _concat(parts)
+
+
+def _concat(parts: list) -> Columns:
+    """One ``Columns`` of the single-record ``parts``; mixtures are padded to the most
+    components by repeating their first at weight 0."""
+    canonical, weights = [c.canonical() for c in parts], None
+    if parts[0].weights is not None:
+        k = max(len(c.weights) for c in parts)
+        pads = [np.r_[np.arange(len(c.weights)), np.zeros(k - len(c.weights), dtype=int)] for c in parts]
+        canonical = [[a.take(pad, axis=-2) for a in arrays] for arrays, pad in zip(canonical, pads)]
+        weights = np.concatenate([np.pad(c.weights, ((0, k - len(c.weights)), (0, 0))) for c in parts], axis=1)
+    canonical = tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*canonical))
+    return Columns.build(parts[0].family, canonical, np.concatenate([c.y for c in parts], axis=-1), weights)
+
+
+# ---------------------------------------------------------------------------
+# Files
+
+
+def _parse_records(path: str) -> Columns:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -130,67 +322,67 @@ def _parse_records(path: str):
         raise DatasetFormatError(f"unsupported schema {header!r}", 1)
     family = header.get("family")
     dimension = header.get("dimension")
-    components = None
-    predictions, targets = [], []
+    records, line_of, first, failure, constants = [], [], [], None, []
+    decode = _decoder(constants)
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"invalid record JSON: {exc}", lineno) from exc
-        if not isinstance(record, dict) or "prediction" not in record or "target" not in record:
-            raise DatasetFormatError("record must have 'prediction' and 'target'", lineno)
-        _require_finite(record, lineno)
-        p = prediction_from_dict(record["prediction"], lineno)
-        y = target_from_dict(record["target"], lineno)
-        if p.family != family:
-            raise DatasetFormatError(
-                f"record family {p.family!r} does not match header family {family!r}", lineno
-            )
-        if components is None:
-            components = _family(p)  # the first record fixes a mixture's component family
-        if _family(p) != components:
-            raise DatasetFormatError(f"record family {_family(p)!r} does not match {components!r}", lineno)
-        if dimension is None:
-            dimension = _pred_dim(p)  # no header dimension: the first record fixes it
-        if _pred_dim(p) != dimension:
-            raise DatasetFormatError(
-                f"record dimension {_pred_dim(p)} does not match dataset dimension {dimension}",
-                lineno,
-            )
-        try:
-            _check_pair(p, y)
-        except KcalibError as exc:
-            raise DatasetFormatError(str(exc), lineno) from exc
-        predictions.append(p)
-        targets.append(y)
-    if not predictions:
+            records.append(_record(raw, lineno, family, first, decode, constants))
+        except DatasetFormatError as exc:  # reported unless an earlier record fails its numbers
+            failure = exc
+            break
+        line_of.append(lineno)
+    if not records and failure is None:
         raise DatasetFormatError("empty dataset", 2)
-    return predictions, targets
+    with np.errstate(all="ignore"):
+        columns = _at_lines(lambda: _checked_columns(family, records, dimension), line_of) if records else None
+        prediction = getattr(failure, "prediction", None)
+        if prediction is not None:  # the numbers of its prediction are checked first
+            _at_lines(lambda: _checked_columns(prediction["family"], [(prediction, None)], None), [failure.line])
+    if failure is not None:
+        raise failure
+    return columns
+
+
+def _at_lines(check, line_of: list):
+    """``check()``, its error reported at the line of its row."""
+    try:
+        return check()
+    except KcalibError as exc:
+        raise DatasetFormatError(str(exc), line_of[getattr(exc, "row", 0)]) from exc
 
 
 def parse_dataset(path: str) -> Dataset:
-    predictions, targets = _parse_records(path)
-    try:
-        return Dataset(predictions, targets)
-    except KcalibError as exc:
-        raise DatasetFormatError(f"inconsistent dataset: {exc}") from exc
+    return Dataset(columns=_parse_records(path))
 
 
 def parse_locations(path: str) -> TestLocations:
-    predictions, targets = _parse_records(path)
-    return TestLocations(predictions, targets)
+    return TestLocations(columns=_parse_records(path))
+
+
+def _prediction_dicts(family: str, rows: list) -> list:
+    """JSON objects of predictions of ``family`` from the rows of its canonical arrays, as lists."""
+    if family == "laplace":  # one array of location and scale
+        rows = list(zip(*rows[0]))
+    names = [key for key, _ in _FAMILIES[family][0]]
+    return [{"family": family, **dict(zip(names, values))} for values in zip(*rows)]
 
 
 def write_dataset(path: str, data: Dataset) -> None:
-    first = data.predictions[0]
-    header = {"schema": SCHEMA_VERSION, "family": first.family, "dimension": _pred_dim(first)}
+    columns = data.columns
+    header = {"schema": SCHEMA_VERSION, "family": data.family, "dimension": columns.dim}
+    predictions = columns.per_prediction(
+        _prediction_dicts(columns.family, [r.tolist() for r in columns.rows()]),
+        lambda weights, parts: {"family": "mixture", "weights": weights.tolist(), "components": parts},
+    )
+    kind = _TARGET_TYPES[columns.family]
+    if kind == "reals":
+        targets = [{"type": kind, "values": v} for v in columns.y.T.tolist()]
+    else:
+        targets = [{"type": kind, _TARGET_FIELDS[kind]: int(v)} for v in columns.y[0].tolist()]
     lines = [json.dumps(header)]
-    for p, y in zip(data.predictions, data.targets):
-        lines.append(
-            json.dumps({"prediction": prediction_to_dict(p), "target": target_to_dict(y)})
-        )
+    lines += [json.dumps({"prediction": p, "target": t}) for p, t in zip(predictions, targets)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

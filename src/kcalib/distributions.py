@@ -10,16 +10,168 @@ and it mutates nothing but the caller-owned generator.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtr, ndtri
 
 from .exceptions import DimensionError, FamilyError, ParameterError
 
 SIMPLEX_TOL = 1e-9
 MAX_MIXTURE_COMPONENTS = 64
 TRANSPORT_LP_VARIABLES = 1024  # per transport LP: one LP over thousands of pairs costs HiGHS far more memory
+_STANDARD_NORMAL = statistics.NormalDist()
+
+
+# ---------------------------------------------------------------------------
+# Validation rules
+#
+# Each family's rules take its parameters as rows, one per prediction or
+# target, and return (bad, error class, message) checks in the order in which
+# a single value meets them, and a function that gives the canonical rows
+# (normalized, say) once the checks have passed. A constructor checks its one
+# row; the dataset parser checks all rows of a file at once and reports the
+# first bad one.
+
+
+def check_rows(checks) -> None:
+    """Raise the error of the first row that fails one of ``checks``, with that row in ``row``.
+
+    ``bad`` is a bool (all rows or none), a boolean per row, or a function
+    giving either; a function is called only if no earlier check failed on
+    every row, so it may rely on their passing. The message is a string or a
+    function of the row. Of the checks a row fails, the one listed first wins.
+    """
+    first = None
+    for bad, kind, message in checks:
+        if callable(bad):
+            bad = bad()
+        if isinstance(bad, np.ndarray):
+            if not np.count_nonzero(bad):
+                continue
+            row = int(np.argmax(bad))
+        elif isinstance(bad, list):
+            if not any(bad):
+                continue
+            row = bad.index(True)
+        elif bad:
+            row = 0
+        else:
+            continue
+        if first is None or row < first[0]:
+            first = (row, kind, message)
+            if row == 0:  # no later check can fail on an earlier row
+                break
+    if first is not None:
+        row, kind, message = first
+        error = kind(message if isinstance(message, str) else message(row))
+        error.row = row
+        raise error
+
+
+def _index_rules(values, what: str) -> list:
+    """Checks of nonnegative integer targets (class indices or counts)."""
+    bad = [not isinstance(v, (int, np.integer)) or v < 0 for v in values]
+    return [(bad, ParameterError, lambda r: f"{what} must be a nonnegative integer, got {values[r]!r}")]
+
+
+def _reals_rules(values: np.ndarray) -> list:
+    """Checks of real target vectors, rows of ``values``."""
+    return [
+        (values.ndim != 2, DimensionError, "real targets must be one-dimensional vectors"),
+        (lambda: ~np.isfinite(values).all(axis=1), ParameterError, "real targets must be finite"),
+    ]
+
+
+def _simplex_rules(probs: np.ndarray, what: str):
+    """Checks of probability vectors, rows of ``probs``; the rows normalized."""
+    total = probs.sum(axis=-1)
+    checks = [
+        (probs.ndim != 2, ParameterError, f"{what} must be a vector"),
+        (lambda: ~np.isfinite(probs).all(axis=1), ParameterError, f"{what} must be finite"),
+        (lambda: (probs < 0).any(axis=1), ParameterError, f"{what} must be nonnegative"),
+        (lambda: np.abs(total - 1.0) > SIMPLEX_TOL, ParameterError,
+         lambda r: f"{what} must sum to 1 (got {float(total[r])!r})"),
+    ]
+    return checks, lambda: probs / total[..., None]
+
+
+def _categorical_rules(probs: np.ndarray):
+    """Checks of class probabilities, rows of ``probs``; the rows normalized."""
+    checks, normalized = _simplex_rules(probs, "class probabilities")
+    checks.append((probs.shape[-1] < 2, ParameterError, "categorical predictions need at least 2 classes"))
+    return checks, lambda: (normalized(),)
+
+
+def _normal_rules(mean: np.ndarray, var: np.ndarray):
+    """Checks of diagonal-normal parameters, rows of ``mean`` and ``var``."""
+    return [
+        (mean.ndim != 2 or var.ndim != 2 or mean.shape != var.shape, DimensionError,
+         "mean and var must be vectors of equal length"),
+        (lambda: ~(np.isfinite(mean) & np.isfinite(var)).all(axis=1), ParameterError,
+         "normal parameters must be finite"),
+        (lambda: (var < 0).any(axis=1), ParameterError, "variances must be nonnegative"),
+    ], lambda: (mean, var)
+
+
+def _laplace_rules(loc, scale):
+    """Checks of Laplace parameters, one location and scale per row (or a number each)."""
+    return [
+        (lambda: ~(np.isfinite(loc) & np.isfinite(scale)), ParameterError, "Laplace parameters must be finite"),
+        (lambda: scale <= 0, ParameterError, "Laplace scale must be strictly positive"),
+    ], lambda: (loc, scale)
+
+
+def _truncated_rules(probs: np.ndarray, tail: np.ndarray):
+    """Checks of truncated countable laws, rows of ``probs`` with a tail mass each; the rows
+    with the probabilities rescaled to carry 1 - tail mass."""
+    mass = probs.sum(axis=-1)
+    total = mass + tail
+    return [
+        (probs.ndim != 2 or probs.shape[-1] < 1, ParameterError, "truncated probabilities must be a nonempty vector"),
+        (lambda: ~(np.isfinite(probs).all(axis=1) & np.isfinite(tail)), ParameterError,
+         "truncated parameters must be finite"),
+        (lambda: (probs < 0).any(axis=1) | (tail < 0), ParameterError, "probabilities and tail mass must be nonnegative"),
+        (lambda: np.abs(total - 1.0) > SIMPLEX_TOL, ParameterError,
+         lambda r: f"probs plus tail mass must sum to 1 (got {float(total[r])!r})"),
+        (lambda: mass <= 0, ParameterError, "truncated support must carry positive mass"),
+    ], lambda: (probs * ((1.0 - tail) / mass)[..., None], tail)
+
+
+def _mixture_rules(weights: np.ndarray, count: int):
+    """Checks of mixture weights, rows of ``weights``, of ``count`` components each; the
+    weights normalized."""
+    checks, normalized = _simplex_rules(weights, "mixture weights")
+    checks += [
+        (count != weights.shape[-1], ParameterError, "number of weights must match number of components"),
+        (count == 0, ParameterError, "mixtures need at least one component"),
+        (count > MAX_MIXTURE_COMPONENTS, ParameterError, f"mixtures are capped at {MAX_MIXTURE_COMPONENTS} components"),
+    ]
+    return checks, normalized
+
+
+def _kept_weights(weights: np.ndarray):
+    """The positive entries of one mixture's normalized ``weights``, normalized again, and their mask."""
+    keep = weights > 0
+    if np.all(keep):
+        return weights, keep
+    kept = weights[keep] / weights[keep].sum()
+    checks, normalized = _simplex_rules(kept[None], "mixture weights")
+    check_rows(checks)
+    return normalized()[0], keep
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _unchecked(cls, *values):
+    """A ``cls`` holding the already checked ``values`` in its slots, in order."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +185,7 @@ class ClassLabel:
     index: int
 
     def __post_init__(self):
-        if not isinstance(self.index, (int, np.integer)) or self.index < 0:
-            raise ParameterError(f"class index must be a nonnegative integer, got {self.index!r}")
+        check_rows(_index_rules([self.index], "class index"))
         object.__setattr__(self, "index", int(self.index))
 
 
@@ -45,12 +196,8 @@ class RealVector:
 
     def __init__(self, values):
         arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
-        if arr.ndim != 1:
-            raise DimensionError("real targets must be one-dimensional vectors")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("real targets must be finite")
-        arr.setflags(write=False)
-        self.values = arr
+        check_rows(_reals_rules(arr[None]))
+        self.values = _frozen(arr)
 
     @property
     def dim(self) -> int:
@@ -70,28 +217,11 @@ class Count:
     value: int
 
     def __post_init__(self):
-        if not isinstance(self.value, (int, np.integer)) or self.value < 0:
-            raise ParameterError(f"count must be a nonnegative integer, got {self.value!r}")
+        check_rows(_index_rules([self.value], "count"))
         object.__setattr__(self, "value", int(self.value))
 
 
 Target = ClassLabel | RealVector | Count
-
-
-def _validated_simplex(probs, what: str) -> np.ndarray:
-    arr = np.asarray(probs, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ParameterError(f"{what} must be a vector")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{what} must be finite")
-    if np.any(arr < 0):
-        raise ParameterError(f"{what} must be nonnegative")
-    total = float(arr.sum())
-    if abs(total - 1.0) > SIMPLEX_TOL:
-        raise ParameterError(f"{what} must sum to 1 (got {total!r})")
-    arr = arr / total
-    arr.setflags(write=False)
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +260,9 @@ class Categorical(Prediction):
     __slots__ = ("probs",)
 
     def __init__(self, probs):
-        arr = _validated_simplex(probs, "class probabilities")
-        if arr.shape[0] < 2:
-            raise ParameterError("categorical predictions need at least 2 classes")
-        self.probs = arr
+        checks, canonical = _categorical_rules(np.asarray(probs, dtype=np.float64)[None])
+        check_rows(checks)
+        self.probs = _frozen(canonical()[0][0])
 
     @property
     def n_classes(self) -> int:
@@ -168,16 +297,9 @@ class DiagNormal(Prediction):
     def __init__(self, mean, var):
         mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
         var = np.atleast_1d(np.asarray(var, dtype=np.float64))
-        if mean.ndim != 1 or var.ndim != 1 or mean.shape != var.shape:
-            raise DimensionError("mean and var must be vectors of equal length")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
-            raise ParameterError("normal parameters must be finite")
-        if np.any(var < 0):
-            raise ParameterError("variances must be nonnegative")
-        mean.setflags(write=False)
-        var.setflags(write=False)
-        self.mean = mean
-        self.var = var
+        check_rows(_normal_rules(mean[None], var[None])[0])
+        self.mean = _frozen(mean)
+        self.var = _frozen(var)
 
     @property
     def dim(self) -> int:
@@ -192,7 +314,7 @@ class DiagNormal(Prediction):
         mu, v = self.mean[0], self.var[0]
         if v == 0.0:
             return 1.0 if y >= mu else 0.0
-        return float(ndtr((y - mu) / math.sqrt(v)))
+        return 0.5 * math.erfc((mu - y) / math.sqrt(2.0 * v))
 
     def quantile(self, tau: float) -> float:
         tau = _check_tau(tau)
@@ -201,7 +323,7 @@ class DiagNormal(Prediction):
         mu, v = self.mean[0], self.var[0]
         if v == 0.0:
             return float(mu)
-        return float(mu + math.sqrt(v) * ndtri(tau))
+        return float(mu + math.sqrt(v) * _STANDARD_NORMAL.inv_cdf(tau))
 
     def log_density(self, target: Target) -> float:
         if not isinstance(target, RealVector):
@@ -234,10 +356,7 @@ class Laplace(Prediction):
     def __init__(self, loc: float, scale: float):
         loc = float(loc)
         scale = float(scale)
-        if not (math.isfinite(loc) and math.isfinite(scale)):
-            raise ParameterError("Laplace parameters must be finite")
-        if scale <= 0:
-            raise ParameterError("Laplace scale must be strictly positive")
+        check_rows(_laplace_rules(loc, scale)[0])
         self.loc = loc
         self.scale = scale
 
@@ -285,18 +404,11 @@ class Mixture(Prediction):
     __slots__ = ("weights", "components")
 
     def __init__(self, weights, components):
-        weights = _validated_simplex(weights, "mixture weights")
         components = tuple(components)
-        if len(components) != weights.shape[0]:
-            raise ParameterError("number of weights must match number of components")
-        if len(components) == 0:
-            raise ParameterError("mixtures need at least one component")
-        if len(components) > MAX_MIXTURE_COMPONENTS:
-            raise ParameterError(f"mixtures are capped at {MAX_MIXTURE_COMPONENTS} components")
-        keep = weights > 0
-        if not np.all(keep):
-            components = tuple(c for c, k in zip(components, keep) if k)
-            weights = _validated_simplex(weights[keep] / weights[keep].sum(), "mixture weights")
+        checks, normalized = _mixture_rules(np.asarray(weights, dtype=np.float64)[None], len(components))
+        check_rows(checks)
+        weights, keep = _kept_weights(normalized()[0])
+        components = tuple(c for c, k in zip(components, keep) if k)
         first = components[0]
         if isinstance(first, Mixture):
             raise FamilyError("mixtures of mixtures are not supported")
@@ -305,7 +417,7 @@ class Mixture(Prediction):
                 raise FamilyError("mixture components must share one family")
             if _pred_dim(c) != _pred_dim(first):
                 raise DimensionError("mixture components must share one dimension")
-        self.weights = weights
+        self.weights = _frozen(weights)
         self.components = components
 
     @property
@@ -335,7 +447,10 @@ class Mixture(Prediction):
 
     def log_density(self, target: Target) -> float:
         terms = [math.log(w) + c.log_density(target) for w, c in zip(self.weights, self.components)]
-        return float(logsumexp(terms))
+        top = max(terms)
+        if math.isinf(top):
+            return top
+        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
     def __eq__(self, other):
         return (
@@ -359,22 +474,10 @@ class TruncatedCountable(Prediction):
     __slots__ = ("probs", "tail_mass")
 
     def __init__(self, probs, tail_mass: float = 0.0):
-        arr = np.asarray(probs, dtype=np.float64)
         tail_mass = float(tail_mass)
-        if arr.ndim != 1 or arr.shape[0] < 1:
-            raise ParameterError("truncated probabilities must be a nonempty vector")
-        if not np.all(np.isfinite(arr)) or not math.isfinite(tail_mass):
-            raise ParameterError("truncated parameters must be finite")
-        if np.any(arr < 0) or tail_mass < 0:
-            raise ParameterError("probabilities and tail mass must be nonnegative")
-        total = float(arr.sum()) + tail_mass
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise ParameterError(f"probs plus tail mass must sum to 1 (got {total!r})")
-        if arr.sum() <= 0:
-            raise ParameterError("truncated support must carry positive mass")
-        arr = arr * ((1.0 - tail_mass) / arr.sum())
-        arr.setflags(write=False)
-        self.probs = arr
+        checks, canonical = _truncated_rules(np.asarray(probs, dtype=np.float64)[None], np.array([tail_mass]))
+        check_rows(checks)
+        self.probs = _frozen(canonical()[0][0])
         self.tail_mass = tail_mass
 
     @property

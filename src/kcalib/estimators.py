@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import is_
 
 import numpy as np
@@ -50,9 +50,21 @@ def _same_items(a, b) -> bool:
 
 
 class Dataset:
-    """Homogeneous sequence of (prediction, target) pairs."""
+    """Homogeneous sequence of (prediction, target) pairs.
 
-    def __init__(self, predictions, targets):
+    Its ``columns`` are the source of truth. ``Dataset(predictions, targets)``
+    checks the pairs; ``Dataset(columns=...)`` takes columns that have been
+    checked already (by the parser or a generator), and builds the
+    ``predictions`` and ``targets`` lists only when they are first read.
+    """
+
+    def __init__(self, predictions=(), targets=(), *, columns: Columns | None = None):
+        self._lists = self._items = None
+        if columns is not None:
+            if len(columns) == 0:
+                raise ParameterError("datasets must contain at least one pair")
+            self._columns = columns
+            return
         predictions = list(predictions)
         targets = list(targets)
         if len(predictions) != len(targets):
@@ -69,38 +81,52 @@ class Dataset:
             if _pred_dim(p) != dim:
                 raise DimensionError(f"mixed prediction dimensions: {dim} vs {_pred_dim(p)}")
             _check_pair(p, y)
-        self.predictions = predictions
-        self.targets = targets
+        self._lists = (predictions, targets)
         self._columns = None
+
+    def _pairs(self) -> tuple:
+        if self._lists is None:
+            self._lists = (self._columns.prediction_objects(), self._columns.target_objects())
+            self._items = tuple(map(list, self._lists))
+        return self._lists
+
+    @property
+    def predictions(self) -> list:
+        return self._pairs()[0]
+
+    @property
+    def targets(self) -> list:
+        return self._pairs()[1]
 
     @property
     def columns(self) -> Columns:
-        """Columnar parameter arrays, built on the first estimator call.
+        """Columnar parameter arrays.
 
-        They are built again when an item of ``predictions`` or ``targets``
-        has been replaced since, so edits of those lists are never stale.
+        Once the ``predictions`` and ``targets`` lists exist, the columns are
+        built again when an item of them has been replaced since, so edits of
+        those lists are never stale.
         """
-        cols = self._columns
-        if cols is None or not (
-            _same_items(cols.predictions, self.predictions) and _same_items(cols.targets, self.targets)
+        lists = self._lists
+        if lists is not None and (
+            self._items is None or not all(map(_same_items, self._items, lists))
         ):
-            cols = self._columns = Columns.of(list(self.predictions), list(self.targets))
-        return cols
+            self._items = tuple(map(list, lists))
+            self._columns = Columns.of(*self._items)
+        return self._columns
 
     @property
     def family(self) -> str:
-        return self.predictions[0].family
+        columns = self.columns
+        return columns.family if columns.weights is None else "mixture"
 
     def __len__(self) -> int:
-        return len(self.predictions)
+        return len(self.columns)
 
     def __getitem__(self, i):
         return self.predictions[i], self.targets[i]
 
     def subset(self, indices) -> "Dataset":
-        return Dataset(
-            [self.predictions[i] for i in indices], [self.targets[i] for i in indices]
-        )
+        return Dataset(columns=replace(self.columns.take(np.asarray(indices, dtype=np.intp)), at=None))
 
 
 class TestLocations(Dataset):

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import exprel
 
 from .distributions import (
     Categorical,
@@ -26,7 +25,9 @@ from .distributions import (
     RealVector,
     Target,
     TruncatedCountable,
+    _frozen,
     _solve_transport,
+    _unchecked,
     mixture_wasserstein,
     wasserstein2,
 )
@@ -157,6 +158,12 @@ def _distance(a, b):
     return np.sqrt(np.sum((a - b) ** 2, axis=0))
 
 
+def _exprel(x):
+    """(exp(x) - 1) / x, and 1 where |x| < 1e-16, as ``scipy.special.exprel`` defines it."""
+    tiny = np.abs(x) < 1e-16
+    return np.where(tiny, 1.0, np.expm1(x) / np.where(tiny, 1.0, x))
+
+
 def _target_kernel(tk: TargetKernel, a, b):
     if isinstance(tk, KroneckerDelta):
         return np.all(a == b, axis=0).astype(np.float64)
@@ -186,13 +193,13 @@ def _laplace_expect(loc, scale, y, gamma):
     g = gamma * np.abs(loc - y)
     t = scale * gamma
     u = g * (t - 1.0) / t
-    return (np.exp(-g) + g * np.exp(np.maximum(u, 0.0) - g) * exprel(-np.abs(u))) / (t + 1.0)
+    return (np.exp(-g) + g * np.exp(np.maximum(u, 0.0) - g) * _exprel(-np.abs(u))) / (t + 1.0)
 
 
 def _exp_dd(y1, y2):
     """The divided difference exp[0, y1, y2] for 0 >= y1 >= y2, with no cancellation."""
     far = y2 < -0.5
-    out = (np.exp(y1) * exprel(y2 - y1) - exprel(y1)) / np.where(far, y2, -1.0)
+    out = (np.exp(y1) * _exprel(y2 - y1) - _exprel(y1)) / np.where(far, y2, -1.0)
     # near 0, the sum over k of h_k(y1, y2) / (k + 2)!, h_k the complete symmetric polynomials
     y1, y2 = y1[~far], y2[~far]
     series, h, power, fact = 0.5, 1.0, 1.0, 2.0
@@ -218,7 +225,7 @@ def _laplace_double(l1, b1, l2, b2, gamma):
     y1, y2 = m * (x0 - x1), m * (x0 - x2)
     # with q[x0, x1, x2] = -q[x1, x2] / x0 and the common factor of q[x1, x2] and q[x2] taken out
     q12 = (1.0 / (x0 + x2) + 1.0 / x1) / (x0 + x1)
-    dd = q12 * (1.0 / x0 + m * exprel(y1)) + m * m * _exp_dd(y1, y2) / (x0 + x2)
+    dd = q12 * (1.0 / x0 + m * _exprel(y1)) + m * m * _exp_dd(y1, y2) / (x0 + x2)
     return (x0 * x1) ** 2 * x2 / (gamma * (x1 + x2)) * np.exp(-m * x0) * dd
 
 
@@ -266,48 +273,107 @@ class Columns:
     y: np.ndarray | None = None
     weights: np.ndarray | None = None
     draws: tuple = ()
-    predictions: list = field(default_factory=list)
-    targets: list | None = None
     at: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, family: str, canonical: tuple, y=None, weights=None) -> "Columns":
+        """Columns of ``family`` from the arrays its predictions hold, the predictions on the last axis.
+
+        Those are mean and var of normals, the stacked loc and scale of Laplace
+        laws, the probabilities of a categorical, and the (rescaled)
+        probabilities and the tail mass of a truncated countable law; for
+        mixtures, those of the components on an axis before the predictions.
+        """
+        params = canonical
+        if family == "diag_normal":
+            emb = np.concatenate([canonical[0], np.sqrt(canonical[1])])
+        elif family == "laplace":
+            emb = canonical[0] * np.array([1.0, math.sqrt(2.0)]).reshape((2,) + (1,) * (canonical[0].ndim - 1))
+        elif family == "categorical":
+            emb = canonical[0]
+        else:
+            probs, tail = canonical
+            emb = np.concatenate([probs, tail[None]])
+            # Expectations renormalize over the truncated support; the
+            # induced absolute error is bounded by 2 * tail_mass.
+            params = (probs / probs.sum(axis=0),)
+        if y is not None and y.shape[0] != _target_dim(family, params):
+            raise DimensionError("target dimension does not match the prediction dimension")
+        return cls(family, emb, params, y, weights)
 
     @classmethod
     def of(cls, predictions, targets=None) -> "Columns":
         p0 = predictions[0]
         if any(type(p) is not type(p0) for p in predictions):  # also the components of mixtures
             raise FamilyError("the predictions of one batch must share one family")
-        family, emb, params, y, weights = p0.family, None, (), None, None
         try:
-            if isinstance(p0, DiagNormal):
-                params = (_stack([p.mean for p in predictions]), _stack([p.var for p in predictions]))
-                emb = np.concatenate([params[0], np.sqrt(params[1])])
-            elif isinstance(p0, Laplace):
-                params = (np.array([[p.loc for p in predictions], [p.scale for p in predictions]]),)
-                emb = params[0] * np.array([[1.0], [math.sqrt(2.0)]])
-            elif isinstance(p0, Categorical):
-                emb = _stack([p.probs for p in predictions])
-                params = (emb,)
-            elif isinstance(p0, TruncatedCountable):
-                probs = _stack([p.probs for p in predictions])
-                emb = np.concatenate([probs, [[p.tail_mass for p in predictions]]])
-                # Expectations renormalize over the truncated support; the
-                # induced absolute error is bounded by 2 * tail_mass.
-                params = (probs / probs.sum(axis=0),)
-            elif isinstance(p0, Mixture):
+            y = None if targets is None else _stack([_target_coords(t) for t in targets])
+            if isinstance(p0, Mixture):
                 # A shorter mixture repeats its first component at weight 0,
                 # so that every closed form stays finite.
                 k, n = max(len(p.components) for p in predictions), len(predictions)
                 parts = [(p.components + p.components[:1] * k)[c] for c in range(k) for p in predictions]
                 parts = cls.of(parts)
-                family, emb = parts.family, parts.emb.reshape(-1, k, n)
-                params = tuple(a.reshape(a.shape[:-1] + (k, n)) for a in parts.params)
                 weights = np.array([[*p.weights] + [0.0] * (k - p.weights.size) for p in predictions]).T
-            if params and targets is not None:
-                y = _stack([_target_coords(t) for t in targets])
+                canonical = tuple(a.reshape(a.shape[:-1] + (k, n)) for a in parts.canonical())
+                return cls.build(parts.family, canonical, y, weights)
+            if isinstance(p0, DiagNormal):
+                canonical = (_stack([p.mean for p in predictions]), _stack([p.var for p in predictions]))
+            elif isinstance(p0, Laplace):
+                canonical = (np.array([[p.loc for p in predictions], [p.scale for p in predictions]]),)
+            elif isinstance(p0, Categorical):
+                canonical = (_stack([p.probs for p in predictions]),)
+            else:
+                canonical = (_stack([p.probs for p in predictions]), np.array([p.tail_mass for p in predictions]))
         except ValueError as exc:  # ragged rows
             raise DimensionError("predictions and targets of one batch must share one dimension") from exc
-        if y is not None and y.shape[0] != _target_dim(family, params):
-            raise DimensionError("target dimension does not match the prediction dimension")
-        return cls(family, emb, params, y, weights, (), predictions, targets)
+        return cls.build(p0.family, canonical, y)
+
+    def __len__(self) -> int:
+        return self.emb.shape[-1]
+
+    @property
+    def dim(self) -> int:
+        """The dimension of each prediction: of its law, or the support size of a discrete one."""
+        if self.family == "diag_normal":
+            return self.params[0].shape[0]
+        return 1 if self.family == "laplace" else self.emb.shape[0] - (self.family == "truncated_countable")
+
+    def canonical(self) -> tuple:
+        """The arrays ``build`` made these columns from (for a mixture, those of its components)."""
+        if self.family in ("diag_normal", "laplace"):
+            return self.params
+        return (self.emb,) if self.family == "categorical" else (self.emb[:-1], self.emb[-1])
+
+    def rows(self) -> list:
+        """The ``canonical`` arrays with one row per prediction; a mixture's with one per component,
+        component-major (component c of prediction i in row c n + i)."""
+        return [np.moveaxis(a if self.weights is None else a.reshape(a.shape[:-2] + (-1,)), -1, 0)
+                for a in self.canonical()]
+
+    def per_prediction(self, items: list, mixture) -> list:
+        """``items``, one per row of ``rows``, as one item per prediction: for a mixture,
+        ``mixture(weights, items of its components)``."""
+        if self.weights is None:
+            return items
+        n = self.weights.shape[1]
+        weights = _frozen(self.weights.T.copy())
+        return [
+            mixture(w[:m], [items[c * n + i] for c in range(m)])
+            for i, (w, m) in enumerate(zip(weights, np.count_nonzero(weights, axis=1).tolist()))
+        ]
+
+    def prediction_objects(self) -> list:
+        """The predictions as objects, built without checking them again."""
+        rows = [_frozen(r.copy()) for r in self.rows()]
+        return self.per_prediction(_objects(self.family, rows), lambda w, parts: _unchecked(Mixture, w, tuple(parts)))
+
+    def target_objects(self) -> list:
+        """The targets as objects, built without checking them again."""
+        if self.family in _DISCRETE:
+            kind = ClassLabel if self.family == "categorical" else Count
+            return [kind(int(v)) for v in self.y[0].tolist()]
+        return [_unchecked(RealVector, v) for v in _frozen(self.y.T.copy())]
 
     def take(self, index) -> "Columns":
         """A view of the predictions at ``index``, an integer array of any shape."""
@@ -316,7 +382,18 @@ class Columns:
             return tuple(None if a is None else a.take(index, axis=-1) for a in arrays)
 
         (emb, y, weights), params = pick((self.emb, self.y, self.weights)), pick(self.params)
-        return Columns(self.family, emb, params, y, weights, pick(self.draws), self.predictions, at=index)
+        return Columns(self.family, emb, params, y, weights, pick(self.draws), at=index)
+
+
+def _objects(family: str, rows: list) -> list:
+    """Predictions of ``family`` from the rows of its canonical arrays, built without checks."""
+    if family == "diag_normal":
+        return [_unchecked(DiagNormal, m, v) for m, v in zip(*rows)]
+    if family == "laplace":
+        return [_unchecked(Laplace, loc, scale) for loc, scale in rows[0].tolist()]
+    if family == "categorical":
+        return [_unchecked(Categorical, p) for p in rows[0]]
+    return [_unchecked(TruncatedCountable, p, t) for p, t in zip(rows[0], rows[1].tolist())]
 
 
 def _stack(rows) -> np.ndarray:
@@ -393,7 +470,7 @@ def _with_expectations(spec: KernelSpec, columns: Columns, labels=("single", "pa
     """``columns`` with the Monte-Carlo draws of ``labels``, or checked for closed-form expectations."""
     tk, mode = spec.target_kernel, spec.expectation
     if isinstance(mode, MonteCarlo):
-        return replace(columns, draws=_draws(mode, columns.predictions, labels))
+        return replace(columns, draws=_draws(mode, columns.prediction_objects(), labels))
     closed = {"diag_normal": GaussianRBF, "laplace": LaplacianExp}.get(columns.family, TargetKernel)
     if not isinstance(tk, closed):  # discrete laws take every target kernel
         raise ConfigurationError(
@@ -639,7 +716,7 @@ def cme_values(spec: KernelSpec, columns: Columns, sites: Columns) -> np.ndarray
     T_j of ``sites``; blocks of rows are evaluated as one tile each.
     """
     columns, tk = prepare(spec, columns, sites), spec.target_kernel
-    n, j_count = len(columns.predictions), len(sites.predictions)
+    n, j_count = len(columns), len(sites)
     t, step = sites.take(np.arange(j_count)[None, :]), max(1, tile_size(columns) ** 2 // j_count)
     z = np.empty((n, j_count))
     for lo in range(0, n, step):

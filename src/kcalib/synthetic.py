@@ -21,10 +21,10 @@ from .calibration_tests import (
     test_bootstrap_ustat,
     test_cme,
 )
-from .distributions import DiagNormal, RealVector
+from .distributions import _normal_rules, _reals_rules, check_rows
 from .estimators import Dataset, skce_block, skce_plug_in, skce_ustat
 from .exceptions import ParameterError
-from .kernels import KernelSpec, default_kernel_spec
+from .kernels import Columns, KernelSpec, default_kernel_spec
 from .rng import substream
 
 
@@ -38,11 +38,8 @@ def gen_calibrated(d: int, n: int, seed: int, replicate: int = 0) -> Dataset:
     if d < 1 or n < 1:
         raise ParameterError("need d >= 1 and n >= 1")
     rng = substream(seed, "calibrated", replicate)
-    var = np.full(d, 0.01)
-    c = rng.uniform(0.0, 1.0, size=n)
-    predictions = [DiagNormal(np.full(d, ci), var) for ci in c]
-    targets = [p.sample(rng) for p in predictions]
-    return Dataset(predictions, targets)
+    mean, var = _means_and_variances(rng, d, n)
+    return _normal_dataset(mean, var, mean + np.sqrt(var) * rng.standard_normal((n, d)))
 
 
 def gen_uncalibrated(d: int, n: int, seed: int, replicate: int = 0) -> Dataset:
@@ -51,15 +48,22 @@ def gen_uncalibrated(d: int, n: int, seed: int, replicate: int = 0) -> Dataset:
     if d < 1 or n < 1:
         raise ParameterError("need d >= 1 and n >= 1")
     rng = substream(seed, "uncalibrated", replicate)
-    var = np.full(d, 0.01)
+    mean, var = _means_and_variances(rng, d, n)
+    shifted = mean.copy()
+    shifted[:, 0] = 0.1
+    return _normal_dataset(mean, var, shifted + np.sqrt(var) * rng.standard_normal((n, d)))
+
+
+def _means_and_variances(rng: np.random.Generator, d: int, n: int):
+    """(n, d) means c 1_d with c ~ U(0, 1) and variances 0.1^2 of the scenario predictions."""
     c = rng.uniform(0.0, 1.0, size=n)
-    predictions = [DiagNormal(np.full(d, ci), var) for ci in c]
-    targets = []
-    for p in predictions:
-        mean = p.mean.copy()
-        mean[0] = 0.1
-        targets.append(RealVector(mean + np.sqrt(var) * rng.standard_normal(d)))
-    return Dataset(predictions, targets)
+    return np.repeat(c[:, None], d, axis=1), np.full((n, d), 0.01)
+
+
+def _normal_dataset(mean: np.ndarray, var: np.ndarray, y: np.ndarray) -> Dataset:
+    """The dataset of normal predictions and real targets given as (n, d) rows, checked as a file is."""
+    check_rows(_normal_rules(mean, var)[0] + _reals_rules(y))
+    return Dataset(columns=Columns.build("diag_normal", (mean.T, var.T), y.T))
 
 
 @dataclass
@@ -91,10 +95,9 @@ def gen_ols_scenario(seed: int, replicate: int = 0) -> OlsScenario:
     residuals = train_y - design @ coef
     noise_var = float(residuals @ residuals / (len(train_x) - 2))
     val_x, val_y = _draw_sine_pairs(rng, 50)
-    predictions = [
-        DiagNormal([coef[0] + coef[1] * x], [noise_var]) for x in val_x
-    ]
-    targets = [RealVector([y]) for y in val_y]
+    validation = _normal_dataset(
+        (coef[0] + coef[1] * val_x)[:, None], np.full((len(val_x), 1), noise_var), val_y[:, None]
+    )
     return OlsScenario(
         train_x=train_x,
         train_y=train_y,
@@ -102,7 +105,7 @@ def gen_ols_scenario(seed: int, replicate: int = 0) -> OlsScenario:
         slope=float(coef[1]),
         noise_var=noise_var,
         validation_x=val_x,
-        validation=Dataset(predictions, targets),
+        validation=validation,
     )
 
 
@@ -142,9 +145,7 @@ def fit_linear_gaussian(x: np.ndarray, y: np.ndarray):
 def linear_gaussian_predictions(coef: np.ndarray, noise_var: float, x: np.ndarray, y: np.ndarray) -> Dataset:
     design = np.column_stack([np.ones(len(x)), x])
     means = design @ coef
-    predictions = [DiagNormal([m], [noise_var]) for m in means]
-    targets = [RealVector([v]) for v in y]
-    return Dataset(predictions, targets)
+    return _normal_dataset(means[:, None], np.full((len(means), 1), noise_var), np.asarray(y, dtype=np.float64)[:, None])
 
 
 _SCENARIOS = {

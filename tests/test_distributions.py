@@ -98,6 +98,34 @@ def test_diag_normal_matches_scipy_cdf_quantile():
         )
 
 
+@given(z=st.floats(-30.0, 8.0))
+@settings(max_examples=300, deadline=None)
+def test_diag_normal_cdf_matches_scipy_ndtr(z):
+    from scipy.special import ndtr
+
+    assert math.isclose(DiagNormal(0.0, 1.0).cdf(z), ndtr(z), rel_tol=1e-12, abs_tol=0.0)
+
+
+@given(tau=st.floats(1e-10, 1.0 - 1e-10))
+@settings(max_examples=300, deadline=None)
+def test_diag_normal_quantile_matches_scipy_ndtri(tau):
+    from scipy.special import ndtri
+
+    assert math.isclose(DiagNormal(0.0, 1.0).quantile(tau), ndtri(tau), rel_tol=1e-12, abs_tol=0.0)
+
+
+def test_mixture_log_density_matches_scipy_logsumexp():
+    from scipy.special import logsumexp
+
+    m = Mixture([0.2, 0.5, 0.3], [DiagNormal(-1.0, 0.5), DiagNormal(0.0, 1.0), DiagNormal(40.0, 0.1)])
+    for y in (-3.0, 0.0, 2.5, 40.0, 1e3):
+        terms = [math.log(w) + c.log_density(RealVector(y)) for w, c in zip(m.weights, m.components)]
+        assert math.isclose(m.log_density(RealVector(y)), logsumexp(terms), rel_tol=1e-14)
+    point = Mixture([0.5, 0.5], [DiagNormal(0.0, 0.0), DiagNormal(1.0, 1.0)])
+    assert point.log_density(RealVector(0.0)) == math.inf
+    assert point.log_density(RealVector(3.0)) == pytest.approx(math.log(0.5 * stats.norm.pdf(2.0)))
+
+
 def test_diag_normal_log_density_matches_scipy():
     p = DiagNormal([0.1, -0.4], [0.5, 2.0])
     y = RealVector([0.0, 1.0])

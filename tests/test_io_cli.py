@@ -1,5 +1,7 @@
 """Tests for dataset files and the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kcalib
+from kcalib import cli, kernels
 from kcalib import (
     Categorical,
     ClassLabel,
@@ -92,6 +95,22 @@ def test_roundtrip_locations(tmp_path):
     out = parse_locations(str(path))
     assert len(out) == 2
     assert out.predictions[1] == locs.predictions[1]
+
+
+def test_parse_drops_zero_weight_components_as_the_constructor_does(tmp_path):
+    parts = [{"family": "diag_normal", "mean": [m], "var": [1.0]} for m in (0.0, 1.0, 2.0)]
+    records = [
+        {"prediction": {"family": "mixture", "weights": w, "components": parts[: len(w)]},
+         "target": {"type": "reals", "values": [0.5]}}
+        for w in ([0.25, 0.0, 0.75], [0.5, 0.5], [0.5, 0.5, 0.0])
+    ]
+    path = _write(tmp_path, ['{"schema": 1, "family": "mixture", "dimension": 1}'] + [json.dumps(r) for r in records])
+    data = parse_dataset(path)
+    normals = [DiagNormal(m, 1.0) for m in (0.0, 1.0, 2.0)]
+    assert data.predictions == [
+        Mixture([0.25, 0.0, 0.75], normals), Mixture([0.5, 0.5], normals[:2]), Mixture([0.5, 0.5, 0.0], normals)
+    ]
+    assert data.columns.weights.shape == (2, 3)
 
 
 def test_file_format_has_header(tmp_path):
@@ -456,6 +475,138 @@ def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path):
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=str(tmp_path), env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_special_unloaded(tmp_path):
+    # the normal CDF, its inverse and exprel come from the standard library and numpy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    code = "import sys, kcalib.cli; print('scipy.special' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=str(tmp_path), env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+def test_cli_commands_on_normals_leave_scipy_special_unloaded(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io, sys\n"
+        "from kcalib import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(code, 'scipy.special' in sys.modules)\n"
+    )
+    data, scaled = str(tmp_path / "d.jsonl"), str(tmp_path / "s.jsonl")
+    commands = [
+        ["generate", "--scenario", "uncalibrated", "--n", "64", "--seed", "2", "--out", data],
+        ["estimate", "--data", data],
+        ["test", "--data", data, "--method", "sqrt-block"],
+        ["test", "--data", data, "--method", "bootstrap", "--bootstrap", "100"],
+        ["diagnose", "--data", data],
+        ["recalibrate", "--data", data, "--temperature", "2", "--out", scaled],
+    ]
+    for argv in commands:
+        res = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, cwd=str(tmp_path), env=env
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["0", "False"], argv
+
+
+def test_estimate_and_tests_on_a_parsed_file_build_no_records(sample_file, monkeypatch, capsys):
+    built = []
+
+    def counting(init):
+        def counted(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        return counted
+
+    for cls in (DiagNormal, RealVector):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    unchecked = kernels._unchecked  # how lists read from columns are built
+    monkeypatch.setattr(kernels, "_unchecked", lambda cls, *values: built.append(cls) or unchecked(cls, *values))
+    commands = [
+        ["estimate"],
+        ["test", "--method", "sqrt-block"],
+        ["test", "--method", "bootstrap", "--bootstrap", "100"],
+        ["test", "--method", "cme"],
+    ]
+    for argv in commands:
+        assert cli.main([*argv, "--data", sample_file, "--format", "json"]) == 0
+    assert built == []
+    # the count sees the objects that reading the lists builds
+    assert len(parse_dataset(sample_file).predictions) == 32
+    assert built.count(DiagNormal) == built.count(RealVector) == 32
+
+
+# ---------------------------------------------------------------------------
+# fuzz: malformed records never crash the CLI
+
+
+_MUTATIONS = ("drop", "ragged", "nan", "huge", "negative-variance", "family", "target-type", "not-an-object")
+
+
+def _mutate(record: dict, mutation: str, pick: int) -> None:
+    prediction, target = (p if isinstance(p, dict) else {} for p in (record.get("prediction"), record.get("target")))
+    vectors = [v for v in (prediction.get("mean"), prediction.get("var"), target.get("values")) if v]
+    if mutation == "drop":
+        owner = [record, record, prediction, prediction, prediction, target, target][pick % 7]
+        owner.pop(["prediction", "target", "mean", "var", "family", "values", "type"][pick % 7], None)
+    elif mutation == "ragged" and vectors:
+        vectors[pick % len(vectors)].append(0.5)
+    elif mutation in ("nan", "huge") and vectors:
+        vectors[pick % len(vectors)][0] = float("nan") if mutation == "nan" else "__HUGE__"
+    elif mutation == "negative-variance" and prediction.get("var"):
+        prediction["var"][0] = -1.0
+    elif mutation == "family":
+        prediction["family"] = ["laplace", "categorical", "mixture", "truncated_countable", "bogus"][pick % 5]
+    elif mutation == "target-type":
+        target["type"] = ["class", "count", "bogus"][pick % 3]
+    elif mutation == "not-an-object":
+        record[["prediction", "target"][pick % 2]] = [1.5, None, "x"][pick % 3]
+
+
+@st.composite
+def _mutated_records(draw):
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 6))
+    records = [
+        {
+            "prediction": {"family": "diag_normal", "mean": [0.1 * i] * d, "var": [0.5] * d},
+            "target": {"type": "reals", "values": [0.2 * i - 0.3] * d},
+        }
+        for i in range(n)
+    ]
+    edits = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(_MUTATIONS), st.integers(0, 6)),
+                          min_size=1, max_size=3))
+    for row, mutation, pick in edits:
+        _mutate(records[row], mutation, pick)
+    header = json.dumps({"schema": 1, "family": "diag_normal", "dimension": d})
+    return [header] + [json.dumps(r).replace('"__HUGE__"', "1e999") for r in records]
+
+
+@given(lines=_mutated_records(), command=st.sampled_from([["estimate"], ["diagnose"], ["test", "--method", "cme"]]))
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzzed_records_exit_cleanly_and_name_the_line(tmp_path_factory, lines, command):
+    path = tmp_path_factory.mktemp("fuzz") / "data.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        parse_dataset(str(path))
+        bad_line = None
+    except DatasetFormatError as exc:
+        bad_line = exc.line
+        assert bad_line is not None and 2 <= bad_line <= len(lines)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*command, "--data", str(path), "--format", "json"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if bad_line is not None:
+        assert code == 2
+        assert f"line {bad_line}:" in err.getvalue()
 
 
 def test_cli_version(tmp_path):

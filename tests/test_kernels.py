@@ -35,6 +35,7 @@ from kcalib import (
     mixture_wasserstein,
     wasserstein2,
 )
+from kcalib import kernels
 from kcalib.estimators import Dataset
 from kcalib.exceptions import ConfigurationError, FamilyError, ParameterError
 from kcalib.kernels import (
@@ -246,6 +247,23 @@ def test_laplace_double_expectation_quadrature(b1, b2, gamma):
     )
     got = double_expect_target_kernel(spec, Laplace(l1, b1), Laplace(l2, b2))
     assert math.isclose(got, oracle, rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-17, -1e-17, 1e-16, -1e-16, 1e-8, -1e-8])
+def test_exprel_matches_scipy_near_zero(x):
+    from scipy.special import exprel
+
+    assert kernels._exprel(np.array(x)) == pytest.approx(exprel(x), rel=1e-15)
+
+
+@given(x=st.floats(-800.0, 800.0))
+@settings(max_examples=300, deadline=None)
+def test_exprel_matches_scipy(x):
+    from scipy.special import exprel
+
+    with np.errstate(over="ignore"):  # exp(x) overflows above 709.8: both give inf
+        ours = kernels._exprel(np.array(x))
+    assert ours == pytest.approx(exprel(x), rel=1e-15)
 
 
 def test_laplace_expectation_continuous_across_pole():

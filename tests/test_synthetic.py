@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from kcalib import DiagNormal, default_kernel_spec
+from kcalib import DiagNormal, RealVector, default_cme_locations, default_kernel_spec
 from kcalib.exceptions import ParameterError
+from kcalib.rng import substream
 from kcalib.synthetic import (
     BenchmarkConfig,
     BenchmarkResult,
@@ -65,6 +66,44 @@ def test_gen_uncalibrated_first_coordinate_biased():
     assert abs(y[:, 0].mean() - 0.1) < 0.01
     # remaining coordinates stay calibrated
     assert abs((y[:, 1] - means[:, 1]).mean()) < 0.01
+
+
+def _per_record_scenario(d, n, seed, replicate, calibrated):
+    """The scenario drawn one record at a time, as DiagNormal and RealVector objects."""
+    rng = substream(seed, "calibrated" if calibrated else "uncalibrated", replicate)
+    var = np.full(d, 0.01)
+    predictions = [DiagNormal(np.full(d, c), var) for c in rng.uniform(0.0, 1.0, size=n)]
+    if calibrated:
+        return predictions, [p.sample(rng) for p in predictions]
+    targets = []
+    for p in predictions:
+        mean = p.mean.copy()
+        mean[0] = 0.1
+        targets.append(RealVector(mean + np.sqrt(var) * rng.standard_normal(d)))
+    return predictions, targets
+
+
+@pytest.mark.parametrize("d", [1, 10])
+@pytest.mark.parametrize("seed", [0, 3, 41])
+@pytest.mark.parametrize("calibrated", [True, False], ids=["calibrated", "uncalibrated"])
+def test_columnar_generators_match_per_record_draws(calibrated, seed, d):
+    predictions, targets = _per_record_scenario(d, 37, seed, 2, calibrated)
+    data = (gen_calibrated if calibrated else gen_uncalibrated)(d, 37, seed, replicate=2)
+    mean, var = data.columns.params
+    assert np.array_equal(mean, np.array([p.mean for p in predictions]).T)
+    assert np.array_equal(var, np.array([p.var for p in predictions]).T)
+    assert np.array_equal(data.columns.y, np.array([t.values for t in targets]).T)
+    assert data.predictions == predictions and data.targets == targets
+
+
+@pytest.mark.parametrize("d", [1, 10])
+def test_default_cme_locations_match_per_location_draws(d):
+    rng = substream(5, "cme-locations")
+    means = [rng.uniform(0.0, 1.0, size=d) for _ in range(7)]
+    targets = [RealVector(0.1 * rng.standard_normal(d)) for _ in range(7)]
+    locs = default_cme_locations(d, 7, seed=5)
+    assert locs.predictions == [DiagNormal(m, np.full(d, 0.01)) for m in means]
+    assert locs.targets == targets
 
 
 def test_generator_validation():
