@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .estimators import (
     Dataset,
     TestLocations,
@@ -110,8 +111,12 @@ def test_bootstrap_ustat(
     if num_bootstrap < 100:
         raise ParameterError("need at least 100 bootstrap resamples for stable tail quantiles")
     rng = substream(seed, "bootstrap-ustat")
-    # multiplicity counts of n draws with replacement, one resample per row
-    counts = rng.multinomial(n, np.full(n, 1.0 / n), size=num_bootstrap).astype(np.float64)
+    # multiplicity counts of n draws with replacement, one resample per row,
+    # drawn in chunks of rows so that no (R, n) array of integers is held
+    counts, chunk = np.empty((num_bootstrap, n)), max(1, kernels.TILE_BYTES // (8 * n))
+    for lo in range(0, num_bootstrap, chunk):
+        size = min(chunk, num_bootstrap - lo)
+        counts[lo : lo + size] = rng.multinomial(n, np.full(n, 1.0 / n), size=size)
     # One pass over the upper tiles of the symmetric h collects its row sums,
     # its diagonal and the quadratic forms c^T h c of every resample c.
     columns = prepare(spec, data.columns)
@@ -127,7 +132,8 @@ def test_bootstrap_ustat(
             row_sums[cols] += h.sum(axis=0)
             weight = 2.0
         row_sums[rows] += h.sum(axis=1)
-        quad += weight * np.sum((counts[:, rows] @ h) * counts[:, cols], axis=1)
+        a, b = counts[:, rows[0] : rows[-1] + 1], counts[:, cols[0] : cols[-1] + 1]  # views: tiles are ranges
+        quad += weight * np.sum((a @ h) * b, axis=1)
     total = float(row_sums.sum())
     statistic = (total - diag.sum()) / (n - 1)  # n * U-statistic
     # Each resample's statistic under the doubly centered kernel
@@ -151,10 +157,24 @@ def test_bootstrap_ustat(
     )
 
 
+def _chi2_sf(j: int, x: float) -> float:
+    """P(X > x) for X ~ chi-squared(j), j a positive integer: Q(j / 2, x / 2).
+
+    Q(a + 1, z) = Q(a, z) + z^a e^-z / Gamma(a + 1) from Q(1, z) = e^-z or
+    Q(1/2, z) = erfc(sqrt(z)); each term is formed in log space, so none
+    overflows at large x or j.
+    """
+    if math.isnan(x):
+        return x
+    if x <= 0 or math.isinf(x):
+        return float(x <= 0)
+    z, a = x / 2.0, (j % 2) / 2.0
+    terms = [math.exp((a + i) * math.log(z) - z - math.lgamma(a + i + 1.0)) for i in range(j // 2)]
+    return math.fsum(terms + [math.erfc(math.sqrt(z)) if j % 2 else 0.0])
+
+
 def test_cme(spec: KernelSpec, data: Dataset, locs: TestLocations) -> TestReport:
     """CME test: Hotelling's T^2 statistic against a chi-squared(J) null."""
-    from scipy.special import chdtrc  # loaded on use: it is slow to import
-
     n, j_count = len(data), len(locs)
     if n <= j_count:
         raise ParameterError(
@@ -173,7 +193,7 @@ def test_cme(spec: KernelSpec, data: Dataset, locs: TestLocations) -> TestReport
         diagnostics["ridge_regularized"] = True
         diagnostics["ridge"] = ridge
     statistic = float(n * z_bar @ np.linalg.solve(cov, z_bar))
-    p_value = float(chdtrc(j_count, statistic))
+    p_value = _chi2_sf(j_count, statistic)
     return TestReport(
         method=f"cme(J={j_count})",
         statistic=statistic,

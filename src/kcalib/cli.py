@@ -33,7 +33,6 @@ from .classical import (
     quantile_curve,
 )
 from .dataset_io import parse_dataset, parse_locations, write_dataset
-from .distributions import temperature_scale
 from .estimators import Dataset, TestLocations, skce_block, skce_plug_in, skce_ustat, ucme_squared
 from .exceptions import ConfigurationError, KcalibError
 from .kernels import (
@@ -249,10 +248,7 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_recalibrate(args) -> int:
     data = parse_dataset(args.data)
-    scaled = Dataset(
-        [temperature_scale(p, args.temperature) for p in data.predictions], data.targets
-    )
-    write_dataset(args.out, scaled)
+    write_dataset(args.out, Dataset(columns=data.columns.temperature_scaled(args.temperature)))
     _emit({"written": args.out, "temperature": args.temperature}, args.format)
     return 0
 

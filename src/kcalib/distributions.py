@@ -601,20 +601,7 @@ def mixture_wasserstein(p: Mixture, q: Mixture, s: float = 2.0) -> float:
 
 
 def temperature_scale(p: Prediction, t: float) -> Prediction:
-    """Generalized temperature scaling with temperature ``t`` > 0.
+    """Generalized temperature scaling with temperature ``t`` > 0 (``Columns.temperature_scaled``)."""
+    from .kernels import Columns  # the kernels module builds on this one
 
-    Categorical probabilities are raised to the power 1/t and renormalized;
-    normal variances and Laplace scales are multiplied by t. Means and
-    locations are unchanged, so point predictions keep their accuracy.
-    """
-    t = float(t)
-    if not math.isfinite(t) or t <= 0:
-        raise ParameterError(f"temperature must be finite and positive, got {t!r}")
-    if isinstance(p, Categorical):
-        scaled = p.probs ** (1.0 / t)
-        return Categorical(scaled / scaled.sum())
-    if isinstance(p, DiagNormal):
-        return DiagNormal(p.mean, p.var * t)
-    if isinstance(p, Laplace):
-        return Laplace(p.loc, p.scale * t)
-    raise FamilyError(f"temperature scaling has no closed form for family {p.family!r}")
+    return Columns.of([p]).temperature_scaled(t).prediction_objects()[0]

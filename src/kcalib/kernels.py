@@ -26,8 +26,11 @@ from .distributions import (
     Target,
     TruncatedCountable,
     _frozen,
+    _laplace_rules,
+    _normal_rules,
     _solve_transport,
     _unchecked,
+    check_rows,
     mixture_wasserstein,
     wasserstein2,
 )
@@ -283,7 +286,10 @@ class Columns:
         laws, the probabilities of a categorical, and the (rescaled)
         probabilities and the tail mass of a truncated countable law; for
         mixtures, those of the components on an axis before the predictions.
+        The arrays are held C-ordered, so that ``take`` along the last axis is a fast gather.
         """
+        canonical = tuple(np.ascontiguousarray(a) for a in canonical)
+        y, weights = (None if a is None else np.ascontiguousarray(a) for a in (y, weights))
         params = canonical
         if family == "diag_normal":
             emb = np.concatenate([canonical[0], np.sqrt(canonical[1])])
@@ -383,6 +389,30 @@ class Columns:
 
         (emb, y, weights), params = pick((self.emb, self.y, self.weights)), pick(self.params)
         return Columns(self.family, emb, params, y, weights, pick(self.draws), at=index)
+
+    def temperature_scaled(self, t: float) -> "Columns":
+        """Generalized temperature scaling with temperature ``t`` > 0.
+
+        Categorical probabilities are raised to the power 1/t and renormalized;
+        normal variances and Laplace scales are multiplied by t. Means and
+        locations are unchanged, so point predictions keep their accuracy.
+        """
+        t, family = float(t), self.family if self.weights is None else "mixture"
+        if not math.isfinite(t) or t <= 0:
+            raise ParameterError(f"temperature must be finite and positive, got {t!r}")
+        if family == "categorical":  # over the largest mass, so that no row underflows to 0 / 0
+            powered = (self.emb / self.emb.max(axis=0)) ** (1.0 / t)
+            return Columns.build(family, (powered / powered.sum(axis=0),), self.y)
+        if family == "diag_normal":
+            canonical = (self.params[0], self.params[1] * t)
+            checks = _normal_rules(*(a.T for a in canonical))[0]
+        elif family == "laplace":
+            canonical = (self.params[0] * np.array([[1.0], [t]]),)
+            checks = _laplace_rules(*canonical[0])[0]
+        else:
+            raise FamilyError(f"temperature scaling has no closed form for family {family!r}")
+        check_rows(checks)  # a scale may overflow, or a Laplace scale underflow to 0
+        return Columns.build(family, canonical, self.y)
 
 
 def _objects(family: str, rows: list) -> list:

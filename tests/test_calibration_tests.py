@@ -20,6 +20,8 @@ from kcalib import (
     test_bootstrap_ustat,
     test_cme,
 )
+from kcalib import kernels
+from kcalib.calibration_tests import _chi2_sf
 from kcalib.estimators import h_matrix
 from kcalib.exceptions import ParameterError
 from kcalib.rng import substream
@@ -147,6 +149,43 @@ def test_bootstrap_is_deterministic_in_seed():
     )
 
 
+def _dense_bootstrap(spec, data, num_bootstrap, seed):
+    """Statistic, null draws and p-value of the bootstrap from the full h matrix
+    and one multinomial draw of all resamples."""
+    n, h = len(data), h_matrix(spec, data)
+    counts = substream(seed, "bootstrap-ustat").multinomial(n, np.full(n, 1.0 / n), size=num_bootstrap)
+    hc = h - h.mean(axis=1, keepdims=True) - h.mean(axis=0, keepdims=True) + h.mean()
+    draws = (np.sum((counts @ hc) * counts, axis=1) - counts @ np.diag(hc)) / n
+    statistic = (h.sum() - np.trace(h)) / (n - 1)
+    return statistic, draws, (1 + np.count_nonzero(draws >= statistic)) / (num_bootstrap + 1)
+
+
+@pytest.mark.parametrize("tile", [4, 5, 7])
+def test_bootstrap_ragged_tiles_match_dense_reference(tile, monkeypatch):
+    # n = 23 is not a multiple of the tile side, so the last row and column of tiles are partial
+    spec = default_kernel_spec()
+    data = gen_uncalibrated(2, 23, seed=12, replicate=tile)
+    monkeypatch.setattr(kernels, "TILE_BYTES", 8 * data.columns.emb.shape[0] * tile * tile)
+    assert kernels.tile_size(data.columns) == tile
+    report = test_bootstrap_ustat(spec, data, num_bootstrap=200, seed=tile)
+    statistic, draws, p_value = _dense_bootstrap(spec, data, 200, seed=tile)
+    assert report.statistic == pytest.approx(statistic, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(report.diagnostics["null_draws"], draws, rtol=1e-12, atol=1e-12)
+    assert report.p_value == p_value
+
+
+@pytest.mark.parametrize("rows", [1, 7, 150])
+def test_bootstrap_counts_drawn_in_chunks_equal_one_draw(rows, monkeypatch):
+    # TILE_BYTES // (8 n) resamples are drawn at a time; 150 is not a multiple of 7
+    n, num_bootstrap = 16, 150
+    monkeypatch.setattr(kernels, "TILE_BYTES", 8 * n * rows + 8 * n - 1)
+    spec, data = default_kernel_spec(), _calibrated(n, seed=13)
+    report = test_bootstrap_ustat(spec, data, num_bootstrap=num_bootstrap, seed=rows)
+    _, draws, p_value = _dense_bootstrap(spec, data, num_bootstrap, seed=rows)
+    np.testing.assert_allclose(report.diagnostics["null_draws"], draws, rtol=1e-12, atol=1e-12)
+    assert report.p_value == p_value
+
+
 def test_bootstrap_validation():
     spec = default_kernel_spec()
     data = _calibrated(8, seed=9)
@@ -191,6 +230,20 @@ def test_cme_ridge_on_singular_covariance():
     report = test_cme(spec, data, locs)
     assert report.diagnostics.get("ridge_regularized")
     assert math.isfinite(report.statistic)
+
+
+def test_chi2_tail_matches_scipy_chdtrc():
+    from scipy.special import chdtrc
+
+    x = np.concatenate([[0.0, 1e-300, 1e-12], np.geomspace(1e-8, 2000.0, 400), np.linspace(0.0, 2000.0, 2001)])
+    for j in range(1, 65):
+        want = chdtrc(j, x)
+        got = np.array([_chi2_sf(j, v) for v in x.tolist()])
+        keep = want > 1e-300
+        np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0.0, err_msg=f"J={j}")
+    assert _chi2_sf(3, -1.0) == _chi2_sf(3, 0.0) == 1.0
+    assert math.isnan(_chi2_sf(3, math.nan))
+    assert _chi2_sf(4, math.inf) == 0.0 and _chi2_sf(79, 1e6) == 0.0
 
 
 def test_default_cme_locations_shape_and_determinism():

@@ -376,6 +376,62 @@ def test_cli_recalibrate_roundtrip(sample_file, tmp_path):
     assert scaled.targets[0] == original.targets[0]
 
 
+def _per_record_temperature_scale(p, t):
+    """Temperature scaling one prediction object at a time."""
+    if isinstance(p, DiagNormal):
+        return DiagNormal(p.mean, p.var * t)
+    if isinstance(p, Laplace):
+        return Laplace(p.loc, p.scale * t)
+    scaled = p.probs ** (1.0 / t)
+    return Categorical(scaled / scaled.sum())
+
+
+@pytest.mark.parametrize("family", ["diag_normal", "laplace", "categorical"])
+@pytest.mark.parametrize("t", [0.3, 2.0])
+def test_cli_recalibrate_matches_per_record_scaling(family, t, tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng([7, len(family)])
+    n = 50
+    if family == "diag_normal":
+        preds = [DiagNormal(rng.normal(size=2), rng.uniform(0.0, 3.0, 2)) for _ in range(n)]
+        tgts = [RealVector(rng.normal(size=2)) for _ in range(n)]
+    elif family == "laplace":
+        preds = [Laplace(rng.normal(), rng.uniform(0.1, 3.0)) for _ in range(n)]
+        tgts = [RealVector(rng.normal()) for _ in range(n)]
+    else:
+        preds = [Categorical(rng.dirichlet(np.full(4, 0.5))) for _ in range(n)]
+        tgts = [ClassLabel(int(c)) for c in rng.integers(0, 4, n)]
+    data, out, want = tmp_path / "data.jsonl", tmp_path / "scaled.jsonl", tmp_path / "want.jsonl"
+    write_dataset(str(data), Dataset(preds, tgts))
+    original = parse_dataset(str(data))
+    write_dataset(str(want), Dataset([_per_record_temperature_scale(p, t) for p in original.predictions], tgts))
+    # the command reads and writes columns: it builds no prediction or target objects
+    for cls in (DiagNormal, Laplace, Categorical, RealVector, ClassLabel):
+        monkeypatch.setattr(cls, "__init__", None)
+    monkeypatch.setattr(kernels, "_unchecked", None)
+    assert cli.main(["recalibrate", "--data", str(data), "--temperature", str(t), "--out", str(out)]) == 0
+    monkeypatch.undo()
+    if family != "categorical":
+        assert out.read_bytes() == want.read_bytes()
+    else:
+        got, expected = parse_dataset(str(out)), parse_dataset(str(want))
+        np.testing.assert_allclose(got.columns.emb, expected.columns.emb, rtol=0.0, atol=1e-15)
+        assert got.targets == expected.targets
+
+
+def test_cli_recalibrate_rejects_mixtures_and_bad_temperatures(tmp_path, capsys):
+    data, out = tmp_path / "data.jsonl", tmp_path / "scaled.jsonl"
+    write_dataset(str(data), Dataset([Mixture([0.4, 0.6], [Laplace(0, 1), Laplace(1, 2)])], [RealVector(0.5)]))
+    assert cli.main(["recalibrate", "--data", str(data), "--temperature", "2", "--out", str(out)]) == 2
+    assert "no closed form for family 'mixture'" in capsys.readouterr().err
+    write_dataset(str(data), Dataset([Laplace(0.0, 1e-300)], [RealVector(0.5)]))
+    assert cli.main(["recalibrate", "--data", str(data), "--temperature", "1e-300", "--out", str(out)]) == 2
+    assert "Laplace scale must be strictly positive" in capsys.readouterr().err
+    for t in ("0", "-1", "nan"):
+        assert cli.main(["recalibrate", "--data", str(data), "--temperature", t, "--out", str(out)]) == 2
+        assert "temperature must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_benchmark_csv(tmp_path):
     out = tmp_path / "bench.csv"
     res = _run(
@@ -505,6 +561,7 @@ def test_cli_commands_on_normals_leave_scipy_special_unloaded(tmp_path):
         ["test", "--data", data, "--method", "bootstrap", "--bootstrap", "100"],
         ["diagnose", "--data", data],
         ["recalibrate", "--data", data, "--temperature", "2", "--out", scaled],
+        ["test", "--data", data, "--method", "cme"],
     ]
     for argv in commands:
         res = subprocess.run(

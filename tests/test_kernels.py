@@ -529,6 +529,45 @@ def test_pairwise_h_rejects_mixed_families():
         pairwise_h(_spec(metric=MW(), tk=GaussianRBF(gamma=0.5)), mixtures, tgts, *pairs)
 
 
+def _c_ordered(columns):
+    arrays = [columns.emb, *columns.params, columns.y, columns.weights]
+    return all(a.flags.c_contiguous for a in arrays if a is not None)
+
+
+def test_columns_producers_hold_c_ordered_arrays(tmp_path):
+    # take along the last axis gathers fast only from C-ordered arrays
+    from kcalib.dataset_io import parse_dataset, write_dataset
+    from kcalib.synthetic import default_cme_locations, gen_calibrated, gen_uncalibrated, make_scenario_dataset
+
+    rng = substream(3, "c-ordered")
+    normals = Dataset(
+        [DiagNormal(rng.normal(size=3), rng.uniform(0.1, 1.0, 3)) for _ in range(6)],
+        [RealVector(rng.normal(size=3)) for _ in range(6)],
+    )
+    mixtures = Dataset(
+        [Mixture(rng.dirichlet(np.ones(k)), [Laplace(rng.normal(), 1.0) for _ in range(k)]) for k in (1, 3, 2)],
+        [RealVector(rng.normal()) for _ in range(3)],
+    )
+    categoricals = Dataset([Categorical(rng.dirichlet(np.ones(4))) for _ in range(5)], [ClassLabel(1)] * 5)
+    truncated = Dataset([TruncatedCountable([0.5, 0.3], tail_mass=0.2)] * 3, [Count(0)] * 3)
+    produced = {
+        f"objects-{name}": data.columns
+        for name, data in [("normal", normals), ("mixture", mixtures), ("categorical", categoricals),
+                           ("truncated", truncated)]
+    }
+    for name, data in [("normal", normals), ("mixture", mixtures), ("categorical", categoricals)]:
+        write_dataset(str(tmp_path / f"{name}.jsonl"), data)
+        produced[f"parsed-{name}"] = parse_dataset(str(tmp_path / f"{name}.jsonl")).columns
+    produced["gen_calibrated"] = gen_calibrated(3, 7, seed=1).columns
+    produced["gen_uncalibrated"] = gen_uncalibrated(2, 7, seed=1).columns
+    produced["scenario"] = make_scenario_dataset("uncalibrated", 4, 9, seed=1).columns
+    produced["cme-locations"] = default_cme_locations(3, 4, seed=0).columns
+    produced["subset"] = normals.subset([4, 0, 2]).columns
+    produced["subset-mixture"] = mixtures.subset([2, 0]).columns
+    produced["temperature-scaled"] = normals.columns.temperature_scaled(2.0)
+    assert [name for name, columns in produced.items() if not _c_ordered(columns)] == []
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
