@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Categorical, ClassLabel, Prediction, RealVector, TruncatedCountable
+from .distributions import Categorical, Prediction, TruncatedCountable
 from .estimators import Dataset
 from .exceptions import DimensionError, FamilyError, ParameterError
+from .kernels import _DISCRETE
 
 DEFAULT_TAU_GRID = tuple(np.round(np.arange(0.05, 0.96, 0.05), 2))
 
@@ -77,16 +78,11 @@ def binned_confidence_ece(data: Dataset, num_bins: int = 10) -> float:
     """Standard confidence-binned ECE baseline (biased; no debiasing)."""
     if num_bins < 1:
         raise ParameterError("need at least one bin")
-    for p in data.predictions:
-        if not isinstance(p, Categorical):
-            raise FamilyError("binned confidence ECE requires categorical predictions")
-    confidences = np.array([float(np.max(p.probs)) for p in data.predictions])
-    correct = np.array(
-        [
-            1.0 if int(np.argmax(p.probs)) == y.index else 0.0
-            for p, y in zip(data.predictions, data.targets)
-        ]
-    )
+    columns = data.columns
+    if columns.family != "categorical" or columns.weights is not None:
+        raise FamilyError("binned confidence ECE requires categorical predictions")
+    confidences = columns.emb.max(axis=0)
+    correct = 1.0 * (columns.emb.argmax(axis=0) == columns.y[0])
     edges = np.linspace(0.0, 1.0, num_bins + 1)
     bins = np.clip(np.digitize(confidences, edges[1:-1]), 0, num_bins - 1)
     n = len(data)
@@ -114,15 +110,6 @@ class QuantileCurve:
         return float(np.mean(np.abs(self.empirical - self.taus)))
 
 
-def _univariate_pit(data: Dataset) -> np.ndarray:
-    pit = np.empty(len(data))
-    for i, (p, y) in enumerate(zip(data.predictions, data.targets)):
-        if not isinstance(y, RealVector) or y.dim != 1:
-            raise DimensionError("quantile diagnostics require univariate real targets")
-        pit[i] = p.cdf(float(y.values[0]))
-    return pit
-
-
 def quantile_curve(data: Dataset, taus=DEFAULT_TAU_GRID) -> QuantileCurve:
     """Fraction of points whose predicted CDF value falls at or below tau.
 
@@ -131,54 +118,30 @@ def quantile_curve(data: Dataset, taus=DEFAULT_TAU_GRID) -> QuantileCurve:
     taus = np.asarray(taus, dtype=np.float64)
     if np.any(taus <= 0) or np.any(taus > 1):
         raise ParameterError("quantile levels must lie in (0, 1]")
-    pit = _univariate_pit(data)
+    columns = data.columns
+    if columns.family in _DISCRETE or columns.y.shape[0] != 1:
+        raise DimensionError("quantile diagnostics require univariate real targets")
+    pit = columns.cdf(columns.y[0])
     empirical = np.array([np.mean(pit <= t) for t in taus])
     return QuantileCurve(taus=taus, empirical=empirical)
 
 
 def pinball_loss(data: Dataset, tau: float) -> float:
     """Mean check loss of the predicted tau-quantiles against the targets."""
-    tau = float(tau)
-    if not (0.0 < tau < 1.0):
-        raise ParameterError(f"quantile level must lie in (0, 1), got {tau!r}")
-    total = 0.0
-    for p, y in zip(data.predictions, data.targets):
-        if not isinstance(y, RealVector) or y.dim != 1:
-            raise DimensionError("pinball loss requires univariate real targets")
-        pred = p.quantile(tau)
-        obs = float(y.values[0])
-        total += (1.0 - tau) * max(pred - obs, 0.0) + tau * max(obs - pred, 0.0)
-    return total / len(data)
+    columns = data.columns
+    pred, obs, tau = columns.quantile(tau), columns.y[0], float(tau)
+    return float(np.mean((1.0 - tau) * np.maximum(pred - obs, 0.0) + tau * np.maximum(obs - pred, 0.0)))
 
 
 def nll(data: Dataset) -> float:
     """Mean negative log density; +inf if any point has zero density."""
-    values = [p.log_density(y) for p, y in zip(data.predictions, data.targets)]
-    if any(v == -math.inf for v in values):
+    values = data.columns.log_density()
+    if np.any(values == -math.inf):
         return math.inf
     return -float(np.mean(values))
 
 
 def mse(data: Dataset) -> float:
     """Mean squared Euclidean distance between targets and predictive means."""
-    total = 0.0
-    for p, y in zip(data.predictions, data.targets):
-        if not isinstance(y, RealVector):
-            raise FamilyError("mse requires real-vector targets")
-        mean = _predictive_mean(p)
-        total += float(np.sum((y.values - mean) ** 2))
-    return total / len(data)
-
-
-def _predictive_mean(p: Prediction) -> np.ndarray:
-    from .distributions import DiagNormal, Laplace, Mixture
-
-    if isinstance(p, DiagNormal):
-        return p.mean
-    if isinstance(p, Laplace):
-        return np.array([p.loc])
-    if isinstance(p, Mixture):
-        return np.sum(
-            [w * _predictive_mean(c) for w, c in zip(p.weights, p.components)], axis=0
-        )
-    raise FamilyError(f"no predictive mean for family {p.family!r}")
+    columns = data.columns
+    return float(np.mean(np.sum((columns.y - columns.mean()) ** 2, axis=0)))

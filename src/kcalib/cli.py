@@ -257,7 +257,7 @@ def _cmd_benchmark(args) -> int:
     config = BenchmarkConfig(
         scenario=args.scenario,
         d=args.dim,
-        n_grid=tuple(int(n) for n in args.n_grid.split(",")),
+        n_grid=args.n_grid,
         replicates=args.replicates,
         alpha=args.alpha,
         seed=args.seed,
@@ -275,6 +275,14 @@ def _cmd_benchmark(args) -> int:
             result.to_csv(fh)
         _emit({"written": args.out, "rows": len(result.rows)}, args.format)
     return 0
+
+
+def _sizes(text: str) -> tuple:
+    """Comma-separated integers, as an argparse ``type``."""
+    try:
+        return tuple(int(n) for n in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["estimators", "tests"], default="tests")
     p.add_argument("--scenario", choices=["calibrated", "uncalibrated"], default="calibrated")
     p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--n-grid", default="4,16,64,256,1024")
+    p.add_argument("--n-grid", type=_sizes, default="4,16,64,256,1024")
     p.add_argument("--replicates", type=int, default=200)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)

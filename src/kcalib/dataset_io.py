@@ -22,6 +22,10 @@ from functools import partial
 import numpy as np
 
 from .distributions import (
+    TARGET_TYPES,
+    ClassLabel,
+    Count,
+    RealVector,
     _categorical_rules,
     _index_rules,
     _kept_weights,
@@ -31,6 +35,7 @@ from .distributions import (
     _reals_rules,
     _truncated_rules,
     check_rows,
+    pair_rules,
 )
 from .estimators import Dataset, TestLocations
 from .exceptions import DatasetFormatError, DimensionError, KcalibError, ParameterError
@@ -46,13 +51,9 @@ _FAMILIES = {
     "categorical": ((("probs", "array"),), _categorical_rules),
     "truncated_countable": ((("probs", "array"), ("tail_mass", "number")), _truncated_rules),
 }
-# The target type of each family's pairs, and its one field.
-_TARGET_TYPES = {"categorical": "class", "truncated_countable": "count", "diag_normal": "reals", "laplace": "reals"}
-_TARGET_FIELDS = {"class": "index", "count": "value", "reals": "values"}
-_PAIR_ERRORS = {
-    "categorical": "categorical predictions require class-label targets",
-    "truncated_countable": "truncated countable predictions require count targets",
-}
+# Each target type's name in files, and its one field.
+_TARGETS = {ClassLabel: ("class", "index"), Count: ("count", "value"), RealVector: ("reals", "values")}
+_TARGET_TYPES = {kind: target_type for target_type, (kind, _) in _TARGETS.items()}
 _PREDICTION, _TARGET = "invalid prediction: ", "invalid target: "
 
 
@@ -126,10 +127,11 @@ def _record(raw: str, line: int, family, first: list, decode, constants: list):
     components = _component_family(prediction, line)
     try:
         kind = target.get("type") if isinstance(target, dict) else None
-        if not isinstance(kind, str) or kind not in _TARGET_FIELDS:
+        if not isinstance(kind, str) or kind not in _TARGET_TYPES:
             raise DatasetFormatError(f"unknown target type {kind!r}", line)
-        if _TARGET_FIELDS[kind] not in target:
-            raise DatasetFormatError(f"{_TARGET}{_TARGET_FIELDS[kind]!r}", line)
+        field = _TARGETS[_TARGET_TYPES[kind]][1]
+        if field not in target:
+            raise DatasetFormatError(f"{_TARGET}{field!r}", line)
         if prediction["family"] != family:
             raise DatasetFormatError(
                 f"record family {prediction['family']!r} does not match header family {family!r}", line
@@ -141,9 +143,10 @@ def _record(raw: str, line: int, family, first: list, decode, constants: list):
                 raise DatasetFormatError(
                     f"record family 'mixture of {components}' does not match 'mixture of {first[0]}'", line
                 )
-            if kind != _TARGET_TYPES[components]:
-                message = _PAIR_ERRORS.get(components, f"{components} predictions require real-vector targets")
-                raise DatasetFormatError(message, line)
+            try:
+                check_rows(pair_rules(components, [_TARGET_TYPES[kind]]))
+            except KcalibError as exc:
+                raise DatasetFormatError(str(exc), line) from exc
     except DatasetFormatError as exc:
         exc.prediction = prediction
         raise
@@ -244,23 +247,22 @@ def _columns(family: str, records: list, dimension, single: bool) -> Columns | N
         check_rows(checks)
         return None
     dim = 1 if family == "laplace" else arrays[0].shape[-1]
-    kind = _TARGET_TYPES[family]
-    values = [t[_TARGET_FIELDS[kind]] for _, t in records]
-    if kind == "reals":
+    target_type = TARGET_TYPES[family][0]
+    values = [t[_TARGETS[target_type][1]] for _, t in records]
+    if target_type is RealVector:
         y = _floats(values, "vector", _TARGET, single)
-        target_checks = _reals_rules(y)
-        pair = (y.shape[-1] != dim, DimensionError, f"target dimension {y.shape[-1]} != prediction dimension {dim}")
-    else:
-        target_checks = _index_rules(values, "class index" if kind == "class" else "count")
-        out_of_range = [kind == "class" and isinstance(v, (int, np.integer)) and v >= dim for v in values]
-        pair = (out_of_range, DimensionError, lambda r: f"class index {values[r]} out of range for {dim} classes")
+        target_checks, sizes = _reals_rules(y), [y.shape[-1]] * n
+    else:  # an index that is no integer fails its own check first
+        target_checks = _index_rules(values, "class index" if target_type is ClassLabel else "count")
+        sizes = [v if isinstance(v, (int, np.integer)) else 0 for v in values]
     check_rows(
         checks
         + _labelled(_TARGET, target_checks)
         + [(dimension is not None and dim != dimension, DimensionError,
-            f"record dimension {dim} does not match dataset dimension {dimension}"), pair]
+            f"record dimension {dim} does not match dataset dimension {dimension}")]
+        + pair_rules(family, [target_type] * n, dim, sizes)
     )
-    y = y.T if kind == "reals" else _floats(values, "number", _TARGET, single)[None]
+    y = y.T if target_type is RealVector else _floats(values, "number", _TARGET, single)[None]
     canonical = canonical()
     if k is not None:
         weights = normalized()
@@ -293,16 +295,12 @@ def _checked_columns(family, records: list, dimension) -> Columns | None:
 
 
 def _concat(parts: list) -> Columns:
-    """One ``Columns`` of the single-record ``parts``; mixtures are padded to the most
-    components by repeating their first at weight 0."""
-    canonical, weights = [c.canonical() for c in parts], None
-    if parts[0].weights is not None:
-        k = max(len(c.weights) for c in parts)
-        pads = [np.r_[np.arange(len(c.weights)), np.zeros(k - len(c.weights), dtype=int)] for c in parts]
-        canonical = [[a.take(pad, axis=-2) for a in arrays] for arrays, pad in zip(canonical, pads)]
-        weights = np.concatenate([np.pad(c.weights, ((0, k - len(c.weights)), (0, 0))) for c in parts], axis=1)
-    canonical = tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*canonical))
-    return Columns.build(parts[0].family, canonical, np.concatenate([c.y for c in parts], axis=-1), weights)
+    """One ``Columns`` of the single-record ``parts``."""
+    canonical, y = zip(*(c.canonical() for c in parts)), np.concatenate([c.y for c in parts], axis=-1)
+    if parts[0].weights is None:
+        return Columns.build(parts[0].family, tuple(np.concatenate(a, axis=-1) for a in canonical), y)
+    canonical = tuple(np.concatenate([a[..., 0] for a in arrays], axis=-1) for arrays in canonical)
+    return Columns.mixtures(parts[0].family, canonical, [c.weights[:, 0] for c in parts], y)
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +374,11 @@ def write_dataset(path: str, data: Dataset) -> None:
         _prediction_dicts(columns.family, [r.tolist() for r in columns.rows()]),
         lambda weights, parts: {"family": "mixture", "weights": weights.tolist(), "components": parts},
     )
-    kind = _TARGET_TYPES[columns.family]
+    kind, field = _TARGETS[TARGET_TYPES[columns.family][0]]
     if kind == "reals":
-        targets = [{"type": kind, "values": v} for v in columns.y.T.tolist()]
+        targets = [{"type": kind, field: v} for v in columns.y.T.tolist()]
     else:
-        targets = [{"type": kind, _TARGET_FIELDS[kind]: int(v)} for v in columns.y[0].tolist()]
+        targets = [{"type": kind, field: int(v)} for v in columns.y[0].tolist()]
     lines = [json.dumps(header)]
     lines += [json.dumps({"prediction": p, "target": t}) for p, t in zip(predictions, targets)]
     with open(path, "w", encoding="utf-8") as fh:

@@ -10,7 +10,6 @@ and it mutates nothing but the caller-owned generator.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ from .exceptions import DimensionError, FamilyError, ParameterError
 SIMPLEX_TOL = 1e-9
 MAX_MIXTURE_COMPONENTS = 64
 TRANSPORT_LP_VARIABLES = 1024  # per transport LP: one LP over thousands of pairs costs HiGHS far more memory
-_STANDARD_NORMAL = statistics.NormalDist()
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +221,49 @@ class Count:
 
 Target = ClassLabel | RealVector | Count
 
+# The target type each family's pairs take, as named in messages; a mixture's pairs take its components'.
+TARGET_TYPES = {
+    "categorical": (ClassLabel, "class-label"),
+    "truncated_countable": (Count, "count"),
+    "diag_normal": (RealVector, "real-vector"),
+    "laplace": (RealVector, "real-vector"),
+}
+
+
+def pair_rules(family: str, types: list, dim: int = 0, sizes=None) -> list:
+    """Checks of pairs of predictions of ``family`` with targets of the classes ``types``, one per row.
+
+    Given the targets' ``sizes`` (the index of a class label, the dimension of
+    a real vector), also checks that they fit predictions of dimension ``dim``
+    (for a categorical, its number of classes).
+    """
+    kind, noun = TARGET_TYPES[family]
+    checks = [([not issubclass(t, kind) for t in types], FamilyError,
+               f"{family.replace('_', ' ')} predictions require {noun} targets")]
+    if sizes is None or kind is Count:
+        return checks
+    if kind is ClassLabel:
+        return checks + [([s >= dim for s in sizes], DimensionError,
+                          lambda r: f"class index {sizes[r]} out of range for {dim} classes")]
+    return checks + [([s != dim for s in sizes], DimensionError,
+                      lambda r: f"target dimension {sizes[r]} != prediction dimension {dim}")]
+
+
+def _target_size(y: Target) -> int:
+    """What ``pair_rules`` checks of a target: a class label's index, a real vector's dimension."""
+    return y.index if isinstance(y, ClassLabel) else y.dim if isinstance(y, RealVector) else 0
+
 
 # ---------------------------------------------------------------------------
 # Predictions
 
 
 class Prediction:
-    """Base class of all prediction families."""
+    """Base class of all prediction families.
+
+    ``cdf``, ``quantile`` and ``log_density`` evaluate the prediction's
+    one-column ``kernels.Columns``, where each is written once per family.
+    """
 
     family: str
 
@@ -237,20 +271,25 @@ class Prediction:
         raise NotImplementedError
 
     def cdf(self, y: float) -> float:
-        raise DimensionError(f"cdf is not defined for family {self.family!r}")
+        """P(Z <= y) for Z ~ this univariate prediction (``Columns.cdf``)."""
+        return float(_column(self).cdf(float(y))[0])
 
     def quantile(self, tau: float) -> float:
-        raise DimensionError(f"quantile is not defined for family {self.family!r}")
+        """inf{y : P(Z <= y) >= tau} for Z ~ this univariate prediction (``Columns.quantile``)."""
+        return float(_column(self).quantile(tau)[0])
 
     def log_density(self, target: Target) -> float:
-        raise NotImplementedError
+        """Log density, or log mass for a discrete law, at ``target`` (``Columns.log_density``)."""
+        family = self.components[0].family if isinstance(self, Mixture) else self.family
+        check_rows(pair_rules(family, [type(target)], _pred_dim(self), [_target_size(target)]))
+        return float(_column(self, [target]).log_density()[0])
 
 
-def _check_tau(tau: float) -> float:
-    tau = float(tau)
-    if not (0.0 < tau < 1.0):
-        raise ParameterError(f"quantile level must lie in (0, 1), got {tau!r}")
-    return tau
+def _column(p: Prediction, targets=None):
+    """The one-column ``Columns`` of ``p``, with ``targets`` if given."""
+    from .kernels import Columns  # the kernels module builds on this one
+
+    return Columns.of([p], targets)
 
 
 class Categorical(Prediction):
@@ -270,16 +309,6 @@ class Categorical(Prediction):
 
     def sample(self, rng: np.random.Generator) -> ClassLabel:
         return ClassLabel(int(rng.choice(self.n_classes, p=self.probs)))
-
-    def log_density(self, target: Target) -> float:
-        if not isinstance(target, ClassLabel):
-            raise FamilyError("categorical predictions require class-label targets")
-        if target.index >= self.n_classes:
-            raise DimensionError(
-                f"class index {target.index} out of range for {self.n_classes} classes"
-            )
-        p = self.probs[target.index]
-        return math.log(p) if p > 0 else -math.inf
 
     def __eq__(self, other):
         return isinstance(other, Categorical) and np.array_equal(self.probs, other.probs)
@@ -307,34 +336,6 @@ class DiagNormal(Prediction):
 
     def sample(self, rng: np.random.Generator) -> RealVector:
         return RealVector(self.mean + np.sqrt(self.var) * rng.standard_normal(self.dim))
-
-    def cdf(self, y: float) -> float:
-        if self.dim != 1:
-            raise DimensionError("cdf requires a univariate prediction")
-        mu, v = self.mean[0], self.var[0]
-        if v == 0.0:
-            return 1.0 if y >= mu else 0.0
-        return 0.5 * math.erfc((mu - y) / math.sqrt(2.0 * v))
-
-    def quantile(self, tau: float) -> float:
-        tau = _check_tau(tau)
-        if self.dim != 1:
-            raise DimensionError("quantile requires a univariate prediction")
-        mu, v = self.mean[0], self.var[0]
-        if v == 0.0:
-            return float(mu)
-        return float(mu + math.sqrt(v) * _STANDARD_NORMAL.inv_cdf(tau))
-
-    def log_density(self, target: Target) -> float:
-        if not isinstance(target, RealVector):
-            raise FamilyError("normal predictions require real-vector targets")
-        if target.dim != self.dim:
-            raise DimensionError(f"target dimension {target.dim} != prediction dimension {self.dim}")
-        if np.any(self.var == 0):
-            # Point-mass coordinates carry no Lebesgue density.
-            return math.inf if np.allclose(target.values, self.mean) else -math.inf
-        z = (target.values - self.mean) ** 2 / self.var
-        return float(-0.5 * (np.sum(z) + np.sum(np.log(2.0 * math.pi * self.var))))
 
     def __eq__(self, other):
         return (
@@ -366,25 +367,6 @@ class Laplace(Prediction):
 
     def sample(self, rng: np.random.Generator) -> RealVector:
         return RealVector([rng.laplace(self.loc, self.scale)])
-
-    def cdf(self, y: float) -> float:
-        z = (y - self.loc) / self.scale
-        if z < 0:
-            return 0.5 * math.exp(z)
-        return 1.0 - 0.5 * math.exp(-z)
-
-    def quantile(self, tau: float) -> float:
-        tau = _check_tau(tau)
-        if tau < 0.5:
-            return self.loc + self.scale * math.log(2.0 * tau)
-        return self.loc - self.scale * math.log(2.0 * (1.0 - tau))
-
-    def log_density(self, target: Target) -> float:
-        if not isinstance(target, RealVector):
-            raise FamilyError("Laplace predictions require real-vector targets")
-        if target.dim != 1:
-            raise DimensionError("Laplace predictions are univariate")
-        return -abs(target.values[0] - self.loc) / self.scale - math.log(2.0 * self.scale)
 
     def __eq__(self, other):
         return isinstance(other, Laplace) and (self.loc, self.scale) == (other.loc, other.scale)
@@ -428,30 +410,6 @@ class Mixture(Prediction):
         idx = int(rng.choice(len(self.components), p=self.weights))
         return self.components[idx].sample(rng)
 
-    def cdf(self, y: float) -> float:
-        if self.dim != 1:
-            raise DimensionError("cdf requires a univariate mixture")
-        return float(sum(w * c.cdf(y) for w, c in zip(self.weights, self.components)))
-
-    def quantile(self, tau: float) -> float:
-        tau = _check_tau(tau)
-        if self.dim != 1:
-            raise DimensionError("quantile requires a univariate mixture")
-        los = [c.quantile(tau) for c in self.components]
-        lo, hi = min(los), max(los)
-        if lo == hi:
-            return lo
-        from scipy.optimize import brentq  # loaded on use: it is slow to import
-
-        return float(brentq(lambda y: self.cdf(y) - tau, lo, hi, xtol=1e-12))
-
-    def log_density(self, target: Target) -> float:
-        terms = [math.log(w) + c.log_density(target) for w, c in zip(self.weights, self.components)]
-        top = max(terms)
-        if math.isinf(top):
-            return top
-        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
-
     def __eq__(self, other):
         return (
             isinstance(other, Mixture)
@@ -488,22 +446,6 @@ class TruncatedCountable(Prediction):
         if self.tail_mass > 0:
             raise FamilyError("cannot sample a truncated distribution with undeclared tail support")
         return Count(int(rng.choice(self.support_size, p=self.probs / self.probs.sum())))
-
-    def cdf(self, y: float) -> float:
-        if y < 0:
-            return 0.0
-        k = min(int(math.floor(y)), self.support_size - 1)
-        return float(self.probs[: k + 1].sum())
-
-    def log_density(self, target: Target) -> float:
-        if not isinstance(target, Count):
-            raise FamilyError("truncated countable predictions require count targets")
-        if target.value < self.support_size:
-            p = self.probs[target.value]
-            return math.log(p) if p > 0 else -math.inf
-        if self.tail_mass == 0.0:
-            return -math.inf
-        raise FamilyError("log mass beyond the truncation point is undetermined (tail mass > 0)")
 
     def __eq__(self, other):
         return (
@@ -602,6 +544,4 @@ def mixture_wasserstein(p: Mixture, q: Mixture, s: float = 2.0) -> float:
 
 def temperature_scale(p: Prediction, t: float) -> Prediction:
     """Generalized temperature scaling with temperature ``t`` > 0 (``Columns.temperature_scaled``)."""
-    from .kernels import Columns  # the kernels module builds on this one
-
-    return Columns.of([p]).temperature_scaled(t).prediction_objects()[0]
+    return _column(p).temperature_scaled(t).prediction_objects()[0]

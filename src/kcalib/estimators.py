@@ -7,17 +7,7 @@ from operator import is_
 
 import numpy as np
 
-from .distributions import (
-    Categorical,
-    ClassLabel,
-    Count,
-    Mixture,
-    Prediction,
-    RealVector,
-    Target,
-    TruncatedCountable,
-    _pred_dim,
-)
+from .distributions import Mixture, Prediction, _pred_dim, _target_size, check_rows, pair_rules
 from .exceptions import DimensionError, FamilyError, ParameterError
 from .kernels import Columns, KernelSpec, cme_values, h_values, prepare, tile_size, upper_tiles
 
@@ -25,24 +15,6 @@ from .kernels import Columns, KernelSpec, cme_values, h_values, prepare, tile_si
 def _family(p: Prediction) -> str:
     """The family of ``p``, naming a mixture's component family too."""
     return f"mixture of {p.components[0].family}" if isinstance(p, Mixture) else p.family
-
-
-def _check_pair(p: Prediction, y: Target) -> None:
-    if isinstance(p, Mixture):  # its target is one of its components'
-        p = p.components[0]
-    if isinstance(p, Categorical):
-        if not isinstance(y, ClassLabel):
-            raise FamilyError("categorical predictions require class-label targets")
-        if y.index >= p.n_classes:
-            raise DimensionError(f"class index {y.index} out of range for {p.n_classes} classes")
-    elif isinstance(p, TruncatedCountable):
-        if not isinstance(y, Count):
-            raise FamilyError("truncated countable predictions require count targets")
-    else:
-        if not isinstance(y, RealVector):
-            raise FamilyError(f"{p.family} predictions require real-vector targets")
-        if y.dim != p.dim:
-            raise DimensionError(f"target dimension {y.dim} != prediction dimension {p.dim}")
 
 
 def _same_items(a, b) -> bool:
@@ -72,15 +44,15 @@ class Dataset:
         if len(predictions) == 0:
             raise ParameterError("datasets must contain at least one pair")
         first = predictions[0]
-        dim = _pred_dim(first)
-        for p, y in zip(predictions, targets):
-            if _family(p) != _family(first):
-                raise FamilyError(
-                    f"mixed prediction families: {_family(first)!r} vs {_family(p)!r}"
-                )
-            if _pred_dim(p) != dim:
-                raise DimensionError(f"mixed prediction dimensions: {dim} vs {_pred_dim(p)}")
-            _check_pair(p, y)
+        family, dim = _family(first), _pred_dim(first)
+        check_rows([
+            ([_family(p) != family for p in predictions], FamilyError,
+             lambda r: f"mixed prediction families: {family!r} vs {_family(predictions[r])!r}"),
+            ([_pred_dim(p) != dim for p in predictions], DimensionError,
+             lambda r: f"mixed prediction dimensions: {dim} vs {_pred_dim(predictions[r])}"),
+            *pair_rules(family.removeprefix("mixture of "), [type(y) for y in targets], dim,
+                        [_target_size(y) for y in targets]),
+        ])
         self._lists = (predictions, targets)
         self._columns = None
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import statistics
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,6 +37,9 @@ from .distributions import (
 )
 from .exceptions import ConfigurationError, DimensionError, FamilyError, ParameterError
 from .rng import substream
+
+_STANDARD_NORMAL = statistics.NormalDist()
+_ERFC = np.frompyfunc(math.erfc, 1, 1)  # numpy has no erfc, and scipy.special is slow to import
 
 # ---------------------------------------------------------------------------
 # Kernel configuration types
@@ -315,14 +319,8 @@ class Columns:
         try:
             y = None if targets is None else _stack([_target_coords(t) for t in targets])
             if isinstance(p0, Mixture):
-                # A shorter mixture repeats its first component at weight 0,
-                # so that every closed form stays finite.
-                k, n = max(len(p.components) for p in predictions), len(predictions)
-                parts = [(p.components + p.components[:1] * k)[c] for c in range(k) for p in predictions]
-                parts = cls.of(parts)
-                weights = np.array([[*p.weights] + [0.0] * (k - p.weights.size) for p in predictions]).T
-                canonical = tuple(a.reshape(a.shape[:-1] + (k, n)) for a in parts.canonical())
-                return cls.build(parts.family, canonical, y, weights)
+                parts = cls.of([c for p in predictions for c in p.components])
+                return cls.mixtures(parts.family, parts.canonical(), [p.weights for p in predictions], y)
             if isinstance(p0, DiagNormal):
                 canonical = (_stack([p.mean for p in predictions]), _stack([p.var for p in predictions]))
             elif isinstance(p0, Laplace):
@@ -334,6 +332,20 @@ class Columns:
         except ValueError as exc:  # ragged rows
             raise DimensionError("predictions and targets of one batch must share one dimension") from exc
         return cls.build(p0.family, canonical, y)
+
+    @classmethod
+    def mixtures(cls, family: str, canonical: tuple, weights: list, y=None) -> "Columns":
+        """Columns of mixtures from the ``canonical`` arrays of their components of ``family``,
+        those of each mixture in turn on the last axis, and the ``weights`` of each mixture.
+
+        A shorter mixture repeats its first component at weight 0, so that
+        every closed form stays finite.
+        """
+        counts = np.array([len(w) for w in weights])
+        slot = np.arange(counts.max())[:, None]
+        index = np.cumsum(counts) - counts + np.where(slot < counts, slot, 0)
+        padded = np.where(slot < counts, np.concatenate(weights).take(index), 0.0)
+        return cls.build(family, tuple(a.take(index, axis=-1) for a in canonical), y, padded)
 
     def __len__(self) -> int:
         return self.emb.shape[-1]
@@ -413,6 +425,95 @@ class Columns:
             raise FamilyError(f"temperature scaling has no closed form for family {family!r}")
         check_rows(checks)  # a scale may overflow, or a Laplace scale underflow to 0
         return Columns.build(family, canonical, self.y)
+
+    # Predictive laws, one closed form per family. A mixture's is a weighted sum, or a
+    # log-sum-exp, over its component axis, where its zero-weight padding adds nothing.
+
+    def cdf(self, y) -> np.ndarray:
+        """P(Z <= y) for Z ~ each univariate prediction or count law, ``y`` broadcast against them."""
+        if self.family == "categorical" or self.dim != 1 and self.family != "truncated_countable":
+            raise DimensionError(f"no cdf of {self.family!r} predictions of dimension {self.dim}")
+        if self.weights is not None:
+            return np.sum(self.weights * replace(self, weights=None).cdf(y), axis=0)
+        if self.family == "diag_normal":
+            mean, var = self.params[0][0], self.params[1][0]
+            point = var == 0.0
+            z = (mean - y) / np.sqrt(2.0 * np.where(point, 1.0, var))
+            return np.where(point, 1.0 * (y >= mean), 0.5 * np.asarray(_ERFC(z), dtype=np.float64))
+        if self.family == "laplace":
+            loc, scale = self.params[0]
+            z = (y - loc) / scale
+            half = 0.5 * np.exp(-np.abs(z))
+            return np.where(z < 0, half, 1.0 - half)
+        cumulative = np.cumsum(self.emb[:-1], axis=0)
+        k = np.clip(np.floor(y), 0, len(cumulative) - 1).astype(np.intp)
+        k = np.broadcast_to(k, cumulative.shape[1:])[None]
+        return np.where(y < 0, 0.0, np.take_along_axis(cumulative, k, 0)[0])
+
+    def quantile(self, tau: float) -> np.ndarray:
+        """inf{y : P(Z <= y) >= tau} for Z ~ each univariate prediction, ``tau`` in (0, 1).
+
+        A mixture's is found by bisection to 1e-12, bracketed by the quantiles of its components.
+        """
+        tau = float(tau)
+        if not 0.0 < tau < 1.0:
+            raise ParameterError(f"quantile level must lie in (0, 1), got {tau!r}")
+        if self.family in _DISCRETE or self.dim != 1:
+            raise DimensionError(f"no quantile of {self.family!r} predictions of dimension {self.dim}")
+        if self.weights is not None:
+            parts = replace(self, weights=None).quantile(tau)
+            lo, hi = parts.min(axis=0), parts.max(axis=0)
+            hi = np.where(self.cdf(lo) >= tau, lo, hi)  # an atom at lo, or all quantiles equal
+            while True:  # F(lo) < tau <= F(hi) where lo < hi
+                mid = 0.5 * (lo + hi)
+                open_ = (hi - lo > 1e-12) & (lo < mid) & (mid < hi)
+                if not open_.any():
+                    return hi
+                above = self.cdf(mid) >= tau
+                lo, hi = np.where(open_ & ~above, mid, lo), np.where(open_ & above, mid, hi)
+        if self.family == "diag_normal":
+            return self.params[0][0] + np.sqrt(self.params[1][0]) * _STANDARD_NORMAL.inv_cdf(tau)
+        loc, scale = self.params[0]
+        return loc + scale * math.log(2.0 * tau) if tau < 0.5 else loc - scale * math.log(2.0 * (1.0 - tau))
+
+    def log_density(self) -> np.ndarray:
+        """Log density of each prediction at its target; log mass for a discrete law."""
+        y = self.y
+        if self.weights is not None:
+            parts = replace(self, weights=None, y=y[:, None]).log_density()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = np.where(self.weights > 0, np.log(self.weights) + parts, -np.inf)
+                top = terms.max(axis=0)
+                total = top + np.log(np.sum(np.exp(terms - top), axis=0))
+            return np.where(np.isinf(top), top, total)
+        if self.family == "diag_normal":
+            # a point-mass coordinate carries no Lebesgue density: +inf at the mean (np.allclose), else -inf
+            mean, var = self.params
+            near = np.all(np.abs(y - mean) <= 1e-8 + 1e-5 * np.abs(mean), axis=0)
+            safe = np.where(var == 0.0, 1.0, var)
+            value = -0.5 * (np.sum((y - mean) ** 2 / safe, axis=0) + np.sum(np.log(2.0 * math.pi * safe), axis=0))
+            return np.where((var == 0.0).any(axis=0), np.where(near, np.inf, -np.inf), value)
+        if self.family == "laplace":
+            loc, scale = self.params[0]
+            return -np.abs(y[0] - loc) / scale - np.log(2.0 * scale)
+        probs = self.emb if self.family == "categorical" else self.emb[:-1]
+        index = np.broadcast_to(y[0].astype(np.intp), probs.shape[1:])
+        beyond = index >= len(probs)  # past a truncation: no mass if the tail mass is 0, else unknown
+        if self.family != "categorical" and np.any(beyond & (self.emb[-1] > 0)):
+            raise FamilyError("log mass beyond the truncation point is undetermined (tail mass > 0)")
+        mass = np.take_along_axis(probs, np.minimum(index, len(probs) - 1)[None], 0)[0]
+        with np.errstate(divide="ignore"):
+            return np.where(beyond, -np.inf, np.log(mass))
+
+    def mean(self) -> np.ndarray:
+        """The mean vector of each prediction, (d, n)."""
+        if self.weights is not None:
+            return np.sum(self.weights * replace(self, weights=None).mean(), axis=-2)
+        if self.family == "diag_normal":
+            return self.params[0]
+        if self.family == "laplace":
+            return self.params[0][:1]
+        raise FamilyError(f"no predictive mean for family {self.family!r}")
 
 
 def _objects(family: str, rows: list) -> list:

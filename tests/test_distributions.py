@@ -229,6 +229,13 @@ def test_mixture_quantile_inverts_cdf():
         assert math.isclose(m.cdf(m.quantile(tau)), tau, abs_tol=1e-9)
 
 
+def test_mixture_quantile_of_point_masses_is_the_generalized_inverse():
+    # F jumps past tau at the atom -1, so inf{y : F(y) >= tau} = -1
+    assert Mixture([0.3, 0.7], [DiagNormal(-1, 0), DiagNormal(1, 1)]).quantile(0.05) == -1.0
+    assert Mixture([0.5, 0.5], [DiagNormal(-1, 0), DiagNormal(1, 0)]).quantile(0.05) == -1.0
+    assert Mixture([0.5, 0.5], [DiagNormal(-1, 0), DiagNormal(1, 0)]).quantile(0.75) == 1.0
+
+
 def test_mixture_log_density_logsumexp():
     m = Mixture([0.25, 0.75], [DiagNormal(0.0, 1.0), DiagNormal(5.0, 1.0)])
     y = RealVector(1.0)

@@ -359,6 +359,17 @@ def test_cli_diagnose(sample_file, tmp_path):
     assert "nll" in payload and "mse" in payload
 
 
+def test_cli_diagnose_pinball_on_point_mass_mixtures(tmp_path, capsys):
+    parts = [{"family": "diag_normal", "mean": [m], "var": [v]} for m, v in ((-1.0, 0.0), (1.0, 1.0), (1.0, 0.0))]
+    records = [
+        {"prediction": {"family": "mixture", "weights": w, "components": c}, "target": {"type": "reals", "values": [0.0]}}
+        for w, c in (([0.3, 0.7], parts[:2]), ([0.5, 0.5], [parts[0], parts[2]]))
+    ]
+    path = _write(tmp_path, ['{"schema": 1, "family": "mixture", "dimension": 1}'] + [json.dumps(r) for r in records])
+    assert cli.main(["diagnose", "--data", path, "--metrics", "pinball", "--format", "json"]) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["pinball_mean"])
+
+
 def test_cli_recalibrate_roundtrip(sample_file, tmp_path):
     out = tmp_path / "scaled.jsonl"
     res = _run(
@@ -444,6 +455,14 @@ def test_cli_benchmark_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("scenario,")
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("grid", ["4,x", ",", ""])
+def test_cli_benchmark_rejects_a_malformed_n_grid(grid, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["synthetic-benchmark", "--n-grid", grid])
+    assert exc.value.code == 2
+    assert "--n-grid" in capsys.readouterr().err
 
 
 def _mixture_record(components, target):
@@ -590,6 +609,7 @@ def test_estimate_and_tests_on_a_parsed_file_build_no_records(sample_file, monke
         ["test", "--method", "sqrt-block"],
         ["test", "--method", "bootstrap", "--bootstrap", "100"],
         ["test", "--method", "cme"],
+        ["diagnose", "--metrics", "quantile-curve,pinball,nll,mse"],
     ]
     for argv in commands:
         assert cli.main([*argv, "--data", sample_file, "--format", "json"]) == 0

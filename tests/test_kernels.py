@@ -37,7 +37,7 @@ from kcalib import (
 )
 from kcalib import kernels
 from kcalib.estimators import Dataset
-from kcalib.exceptions import ConfigurationError, FamilyError, ParameterError
+from kcalib.exceptions import ConfigurationError, DimensionError, FamilyError, ParameterError
 from kcalib.kernels import (
     eval_prediction_kernel,
     eval_target_kernel,
@@ -593,3 +593,108 @@ def test_laplace_expectation_bounds(loc, scale, y, gamma):
     spec = _spec(tk=LaplacianExp(gamma=gamma))
     val = expect_target_kernel(spec, Laplace(loc, scale), RealVector(y))
     assert 0.0 < val <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# predictive laws on columns
+
+
+def _law(p):
+    """(cdf, quantile, log density, mean) of a univariate prediction, from scipy.stats or written
+    out; the quantile is None where the test checks the generalized inverse by its definition."""
+    if isinstance(p, Mixture):
+        parts = [_law(c) for c in p.components]
+
+        def log_density(y):
+            total = sum(w * math.exp(law[2](y)) for w, law in zip(p.weights, parts))
+            return math.log(total) if total > 0 else -math.inf
+
+        return (lambda y: sum(w * law[0](y) for w, law in zip(p.weights, parts)), None, log_density,
+                sum(w * law[3] for w, law in zip(p.weights, parts)))
+    if isinstance(p, Laplace):
+        law = stats.laplace(p.loc, p.scale)
+        return law.cdf, law.ppf, law.logpdf, p.loc
+    m, v = float(p.mean[0]), float(p.var[0])
+    if v == 0.0:  # a point mass
+        return (lambda y: float(y >= m)), (lambda tau: m), (lambda y: math.inf if y == m else -math.inf), m
+    law = stats.norm(m, math.sqrt(v))
+    return law.cdf, law.ppf, law.logpdf, m
+
+
+def _counts(p):
+    """(cdf, quantile, log mass, mean) of a categorical or truncated count law, written out; it has no
+    quantile or mean."""
+    probs = p.probs
+
+    def log_mass(y):
+        k = int(y)
+        if k < len(probs):
+            return math.log(probs[k]) if probs[k] > 0 else -math.inf
+        if p.tail_mass > 0:
+            raise FamilyError("mass beyond the truncation")
+        return -math.inf
+
+    return (lambda y: float(np.sum(probs[: int(math.floor(y)) + 1])) if y >= 0 else 0.0), None, log_mass, None
+
+
+_N, _L = DiagNormal, Laplace
+_LAWS = {
+    "normal-point-mass": ([_N(0.3, 2.0), _N(-1.0, 0.0), _N(2.0, 0.5)], [1.0, -1.0, -4.0]),
+    "laplace": ([_L(0.7, 1.3), _L(-0.2, 0.6)], [-2.0, 1.1]),
+    "normal-mixture-padded": (
+        [Mixture([0.3, 0.7], [_N(-1.0, 0.0), _N(1.0, 1.0)]),
+         Mixture([0.2, 0.5, 0.3], [_N(-1.0, 0.5), _N(0.0, 1.0), _N(4.0, 0.1)]),
+         Mixture([0.3, 0.7], [_N(-1.0, 0.0), _N(1.0, 1.0)])],
+        [-1.0, 0.5, 0.2],
+    ),
+    "laplace-mixture-padded": (
+        [Mixture([0.4, 0.6], [_L(-1.0, 0.5), _L(2.0, 1.5)]), Mixture([1.0], [_L(0.5, 1.0)])], [0.3, -2.5]
+    ),
+}
+_DISCRETE_LAWS = {
+    "categorical": ([Categorical([0.2, 0.8, 0.0]), Categorical([0.5, 0.3, 0.2])], [ClassLabel(2), ClassLabel(0)]),
+    "truncated": ([TruncatedCountable([0.5, 0.3, 0.2]), TruncatedCountable([0.1, 0.6, 0.3])], [Count(1), Count(7)]),
+    "truncated-tail": ([TruncatedCountable([0.5, 0.3], 0.2)] * 2, [Count(1), Count(0)]),
+}
+
+
+@pytest.mark.parametrize("name", [*_LAWS, *_DISCRETE_LAWS])
+def test_columnar_laws_match_scipy_and_written_out_formulas(name):
+    if name in _LAWS:
+        predictions, ys = _LAWS[name]
+        targets, laws = [RealVector(y) for y in ys], [_law(p) for p in predictions]
+    else:
+        predictions, targets = _DISCRETE_LAWS[name]
+        ys, laws = [float(kernels._target_coords(t)[0]) for t in targets], [_counts(p) for p in predictions]
+    columns = kernels.Columns.of(predictions, targets)
+    np.testing.assert_allclose(columns.log_density(), [law[2](y) for law, y in zip(laws, ys)], rtol=1e-12, atol=0.0)
+    if name == "categorical":
+        for method in (columns.cdf, columns.quantile):
+            with pytest.raises(DimensionError):
+                method(0.5)
+    else:
+        for y in (-3.0, -1.0, 0.0, 0.5, 1.0, 2.5):
+            np.testing.assert_allclose(columns.cdf(y), [law[0](y) for law in laws], rtol=1e-12, atol=1e-300)
+    if name not in _LAWS:
+        with pytest.raises(FamilyError):
+            columns.mean()
+        with pytest.raises(DimensionError):
+            columns.quantile(0.5)
+        return
+    np.testing.assert_allclose(columns.mean()[0], [law[3] for law in laws], rtol=1e-12, atol=1e-15)
+    for tau in (0.01, 0.05, 0.3, 0.5, 0.77, 0.99):
+        got = columns.quantile(tau)
+        for q, law in zip(got, laws):
+            if law[1] is not None:
+                assert math.isclose(q, law[1](tau), rel_tol=1e-12, abs_tol=1e-12)
+            else:  # the generalized inverse inf{y : F(y) >= tau}, found to 1e-12
+                assert law[0](q) >= tau - 1e-12 and law[0](q - 1e-10) < tau
+
+
+def test_columnar_log_mass_beyond_a_declared_tail_is_undetermined():
+    columns = kernels.Columns.of([TruncatedCountable([0.5, 0.3], 0.2)] * 2, [Count(1), Count(9)])
+    with pytest.raises(FamilyError):
+        columns.log_density()
+    mixture = Mixture([0.5, 0.5], [TruncatedCountable([0.5, 0.3], 0.2), TruncatedCountable([0.6, 0.2], 0.2)])
+    with pytest.raises(FamilyError):
+        mixture.log_density(Count(5))
