@@ -36,6 +36,7 @@ from .distributions import (
     _truncated_rules,
     check_rows,
     pair_rules,
+    wrong_target,
 )
 from .estimators import Dataset, TestLocations
 from .exceptions import DatasetFormatError, DimensionError, KcalibError, ParameterError
@@ -143,10 +144,8 @@ def _record(raw: str, line: int, family, first: list, decode, constants: list):
                 raise DatasetFormatError(
                     f"record family 'mixture of {components}' does not match 'mixture of {first[0]}'", line
                 )
-            try:
-                check_rows(pair_rules(components, [_TARGET_TYPES[kind]]))
-            except KcalibError as exc:
-                raise DatasetFormatError(str(exc), line) from exc
+            if _TARGET_TYPES[kind] is not TARGET_TYPES[components][0]:
+                raise DatasetFormatError(wrong_target(components), line)
     except DatasetFormatError as exc:
         exc.prediction = prediction
         raise
@@ -260,7 +259,7 @@ def _columns(family: str, records: list, dimension, single: bool) -> Columns | N
         + _labelled(_TARGET, target_checks)
         + [(dimension is not None and dim != dimension, DimensionError,
             f"record dimension {dim} does not match dataset dimension {dimension}")]
-        + pair_rules(family, [target_type] * n, dim, sizes)
+        + pair_rules(family, dim, [target_type] * n, sizes)
     )
     y = y.T if target_type is RealVector else _floats(values, "number", _TARGET, single)[None]
     canonical = canonical()

@@ -230,23 +230,24 @@ TARGET_TYPES = {
 }
 
 
-def pair_rules(family: str, types: list, dim: int = 0, sizes=None) -> list:
-    """Checks of pairs of predictions of ``family`` with targets of the classes ``types``, one per row.
-
-    Given the targets' ``sizes`` (the index of a class label, the dimension of
-    a real vector), also checks that they fit predictions of dimension ``dim``
-    (for a categorical, its number of classes).
-    """
-    kind, noun = TARGET_TYPES[family]
-    checks = [([not issubclass(t, kind) for t in types], FamilyError,
-               f"{family.replace('_', ' ')} predictions require {noun} targets")]
-    if sizes is None or kind is Count:
-        return checks
+def pair_rules(family: str, dim: int, types: list, sizes: list) -> list:
+    """Checks of pairs of predictions of ``family`` and dimension ``dim`` (a categorical's number of
+    classes) with targets of the classes ``types`` and the ``sizes`` (a class label's index, a real
+    vector's dimension), one of each per row."""
+    kind = TARGET_TYPES[family][0]
+    checks = [([not issubclass(t, kind) for t in types], FamilyError, wrong_target(family))]
     if kind is ClassLabel:
-        return checks + [([s >= dim for s in sizes], DimensionError,
-                          lambda r: f"class index {sizes[r]} out of range for {dim} classes")]
-    return checks + [([s != dim for s in sizes], DimensionError,
-                      lambda r: f"target dimension {sizes[r]} != prediction dimension {dim}")]
+        checks.append(([s >= dim for s in sizes], DimensionError,
+                       lambda r: f"class index {sizes[r]} out of range for {dim} classes"))
+    elif kind is RealVector:
+        checks.append(([s != dim for s in sizes], DimensionError,
+                       lambda r: f"target dimension {sizes[r]} != prediction dimension {dim}"))
+    return checks
+
+
+def wrong_target(family: str) -> str:
+    """The message for a prediction of ``family`` paired with a target of another type."""
+    return f"{family.replace('_', ' ')} predictions require {TARGET_TYPES[family][1]} targets"
 
 
 def _target_size(y: Target) -> int:
@@ -281,7 +282,7 @@ class Prediction:
     def log_density(self, target: Target) -> float:
         """Log density, or log mass for a discrete law, at ``target`` (``Columns.log_density``)."""
         family = self.components[0].family if isinstance(self, Mixture) else self.family
-        check_rows(pair_rules(family, [type(target)], _pred_dim(self), [_target_size(target)]))
+        check_rows(pair_rules(family, _pred_dim(self), [type(target)], [_target_size(target)]))
         return float(_column(self, [target]).log_density()[0])
 
 

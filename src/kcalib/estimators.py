@@ -50,7 +50,7 @@ class Dataset:
              lambda r: f"mixed prediction families: {family!r} vs {_family(predictions[r])!r}"),
             ([_pred_dim(p) != dim for p in predictions], DimensionError,
              lambda r: f"mixed prediction dimensions: {dim} vs {_pred_dim(predictions[r])}"),
-            *pair_rules(family.removeprefix("mixture of "), [type(y) for y in targets], dim,
+            *pair_rules(family.removeprefix("mixture of "), dim, [type(y) for y in targets],
                         [_target_size(y) for y in targets]),
         ])
         self._lists = (predictions, targets)
