@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .distributions import check_allocation
 from .estimators import (
     Dataset,
     TestLocations,
@@ -110,6 +111,7 @@ def test_bootstrap_ustat(
         raise ParameterError("the bootstrap test needs at least 2 pairs")
     if num_bootstrap < 100:
         raise ParameterError("need at least 100 bootstrap resamples for stable tail quantiles")
+    check_allocation(8 * num_bootstrap * n, f"the counts of {num_bootstrap} bootstrap resamples of {n} pairs")
     rng = substream(seed, "bootstrap-ustat")
     # multiplicity counts of n draws with replacement, one resample per row,
     # drawn in chunks of rows so that no (R, n) array of integers is held

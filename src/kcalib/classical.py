@@ -10,7 +10,7 @@ import numpy as np
 from .distributions import Categorical, Prediction, TruncatedCountable
 from .estimators import Dataset
 from .exceptions import DimensionError, FamilyError, ParameterError
-from .kernels import _DISCRETE
+from .distributions import DISCRETE
 
 DEFAULT_TAU_GRID = tuple(np.round(np.arange(0.05, 0.96, 0.05), 2))
 
@@ -119,7 +119,7 @@ def quantile_curve(data: Dataset, taus=DEFAULT_TAU_GRID) -> QuantileCurve:
     if np.any(taus <= 0) or np.any(taus > 1):
         raise ParameterError("quantile levels must lie in (0, 1]")
     columns = data.columns
-    if columns.family in _DISCRETE or columns.y.shape[0] != 1:
+    if columns.family in DISCRETE or columns.y.shape[0] != 1:
         raise DimensionError("quantile diagnostics require univariate real targets")
     pit = columns.cdf(columns.y[0])
     empirical = np.array([np.mean(pit <= t) for t in taus])

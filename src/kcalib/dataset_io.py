@@ -22,6 +22,7 @@ from functools import partial
 import numpy as np
 
 from .distributions import (
+    DISCRETE,
     TARGET_TYPES,
     ClassLabel,
     Count,
@@ -35,6 +36,7 @@ from .distributions import (
     _reals_rules,
     _truncated_rules,
     check_rows,
+    discrete_mixture,
     pair_rules,
     wrong_target,
 )
@@ -138,6 +140,8 @@ def _record(raw: str, line: int, family, first: list, decode, constants: list):
                 f"record family {prediction['family']!r} does not match header family {family!r}", line
             )
         if components is not None:  # a mixture without components fails its own rules
+            if family == "mixture" and components in DISCRETE:
+                raise DatasetFormatError(discrete_mixture(components), line)
             if not first:
                 first.append(components)
             if components != first[0]:

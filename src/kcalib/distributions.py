@@ -10,15 +10,18 @@ and it mutates nothing but the caller-owned generator.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, FamilyError, ParameterError
+from .exceptions import ConfigurationError, DimensionError, FamilyError, ParameterError
 
 SIMPLEX_TOL = 1e-9
 MAX_MIXTURE_COMPONENTS = 64
 TRANSPORT_LP_VARIABLES = 1024  # per transport LP: one LP over thousands of pairs costs HiGHS far more memory
+# Bytes of physical memory; ``check_allocation`` refuses larger arrays.
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +70,22 @@ def check_rows(checks) -> None:
         raise error
 
 
+def checked_index(index, n: int) -> np.ndarray:
+    """``index`` as an integer array of positions among ``n``; a ``ParameterError`` if it is not one."""
+    index = np.asarray(index)
+    if index.size and (index.dtype.kind not in "iu" or index.min() < -n or index.max() >= n):
+        raise ParameterError(f"indices must be integers in [-{n}, {n}), got {index.tolist()!r}")
+    return index.astype(np.intp, copy=False)
+
+
+def check_allocation(nbytes: int, what: str) -> None:
+    """Refuse, before it is allocated, an array of ``nbytes`` larger than ``PHYSICAL_MEMORY``."""
+    if nbytes > PHYSICAL_MEMORY:
+        raise ConfigurationError(
+            f"{what} would take {nbytes:,} bytes, more than the {PHYSICAL_MEMORY:,} bytes of memory"
+        )
+
+
 def _index_rules(values, what: str) -> list:
     """Checks of nonnegative integer targets (class indices or counts)."""
     bad = [not isinstance(v, (int, np.integer)) or v < 0 for v in values]
@@ -77,6 +96,7 @@ def _reals_rules(values: np.ndarray) -> list:
     """Checks of real target vectors, rows of ``values``."""
     return [
         (values.ndim != 2, DimensionError, "real targets must be one-dimensional vectors"),
+        (values.shape[-1] == 0, DimensionError, "real targets need at least one coordinate"),
         (lambda: ~np.isfinite(values).all(axis=1), ParameterError, "real targets must be finite"),
     ]
 
@@ -106,6 +126,7 @@ def _normal_rules(mean: np.ndarray, var: np.ndarray):
     return [
         (mean.ndim != 2 or var.ndim != 2 or mean.shape != var.shape, DimensionError,
          "mean and var must be vectors of equal length"),
+        (mean.shape[-1] == 0, DimensionError, "normal predictions need at least one dimension"),
         (lambda: ~(np.isfinite(mean) & np.isfinite(var)).all(axis=1), ParameterError,
          "normal parameters must be finite"),
         (lambda: (var < 0).any(axis=1), ParameterError, "variances must be nonnegative"),
@@ -159,6 +180,14 @@ def _kept_weights(weights: np.ndarray):
     return normalized()[0], keep
 
 
+def _real(value, what: str, scalar: bool = False):
+    """``value`` as a float (``scalar``) or an array of floats; a ``ParameterError`` if it holds other things."""
+    try:
+        return float(value) if scalar else np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{what} must be real numbers, got {value!r}") from exc
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -193,7 +222,7 @@ class RealVector:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
+        arr = np.atleast_1d(_real(values, "real targets"))
         check_rows(_reals_rules(arr[None]))
         self.values = _frozen(arr)
 
@@ -245,6 +274,16 @@ def pair_rules(family: str, dim: int, types: list, sizes: list) -> list:
     return checks
 
 
+# Families whose mixtures no prediction metric compares: W2 and MW take normal or Laplace
+# components, and ParamEuclidean embeds no mixture.
+DISCRETE = ("categorical", "truncated_countable")
+
+
+def discrete_mixture(family: str) -> str:
+    """The message for a mixture of components of ``family``, one of ``DISCRETE``."""
+    return f"mixtures of {family.replace('_', ' ')} predictions are not supported: no prediction metric compares them"
+
+
 def wrong_target(family: str) -> str:
     """The message for a prediction of ``family`` paired with a target of another type."""
     return f"{family.replace('_', ' ')} predictions require {TARGET_TYPES[family][1]} targets"
@@ -273,7 +312,7 @@ class Prediction:
 
     def cdf(self, y: float) -> float:
         """P(Z <= y) for Z ~ this univariate prediction (``Columns.cdf``)."""
-        return float(_column(self).cdf(float(y))[0])
+        return float(_column(self).cdf(_real(y, "y", scalar=True))[0])
 
     def quantile(self, tau: float) -> float:
         """inf{y : P(Z <= y) >= tau} for Z ~ this univariate prediction (``Columns.quantile``)."""
@@ -300,7 +339,7 @@ class Categorical(Prediction):
     __slots__ = ("probs",)
 
     def __init__(self, probs):
-        checks, canonical = _categorical_rules(np.asarray(probs, dtype=np.float64)[None])
+        checks, canonical = _categorical_rules(_real(probs, "class probabilities")[None])
         check_rows(checks)
         self.probs = _frozen(canonical()[0][0])
 
@@ -325,8 +364,8 @@ class DiagNormal(Prediction):
     __slots__ = ("mean", "var")
 
     def __init__(self, mean, var):
-        mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-        var = np.atleast_1d(np.asarray(var, dtype=np.float64))
+        mean = np.atleast_1d(_real(mean, "normal parameters"))
+        var = np.atleast_1d(_real(var, "normal parameters"))
         check_rows(_normal_rules(mean[None], var[None])[0])
         self.mean = _frozen(mean)
         self.var = _frozen(var)
@@ -356,8 +395,8 @@ class Laplace(Prediction):
     __slots__ = ("loc", "scale")
 
     def __init__(self, loc: float, scale: float):
-        loc = float(loc)
-        scale = float(scale)
+        loc = _real(loc, "Laplace parameters", scalar=True)
+        scale = _real(scale, "Laplace parameters", scalar=True)
         check_rows(_laplace_rules(loc, scale)[0])
         self.loc = loc
         self.scale = scale
@@ -388,7 +427,7 @@ class Mixture(Prediction):
 
     def __init__(self, weights, components):
         components = tuple(components)
-        checks, normalized = _mixture_rules(np.asarray(weights, dtype=np.float64)[None], len(components))
+        checks, normalized = _mixture_rules(_real(weights, "mixture weights")[None], len(components))
         check_rows(checks)
         weights, keep = _kept_weights(normalized()[0])
         components = tuple(c for c, k in zip(components, keep) if k)
@@ -433,8 +472,8 @@ class TruncatedCountable(Prediction):
     __slots__ = ("probs", "tail_mass")
 
     def __init__(self, probs, tail_mass: float = 0.0):
-        tail_mass = float(tail_mass)
-        checks, canonical = _truncated_rules(np.asarray(probs, dtype=np.float64)[None], np.array([tail_mass]))
+        tail_mass = _real(tail_mass, "tail mass", scalar=True)
+        checks, canonical = _truncated_rules(_real(probs, "truncated probabilities")[None], np.array([tail_mass]))
         check_rows(checks)
         self.probs = _frozen(canonical()[0][0])
         self.tail_mass = tail_mass

@@ -7,13 +7,25 @@ from operator import is_
 
 import numpy as np
 
-from .distributions import Mixture, Prediction, _pred_dim, _target_size, check_rows, pair_rules
+from .distributions import (
+    DISCRETE,
+    Mixture,
+    Prediction,
+    _pred_dim,
+    _target_size,
+    check_rows,
+    checked_index,
+    discrete_mixture,
+    pair_rules,
+)
 from .exceptions import DimensionError, FamilyError, ParameterError
 from .kernels import Columns, KernelSpec, cme_values, h_values, prepare, tile_size, upper_tiles
 
 
 def _family(p: Prediction) -> str:
     """The family of ``p``, naming a mixture's component family too."""
+    if not isinstance(p, Prediction):
+        raise FamilyError(f"unknown prediction type {type(p).__name__}")
     return f"mixture of {p.components[0].family}" if isinstance(p, Mixture) else p.family
 
 
@@ -35,6 +47,8 @@ class Dataset:
         if columns is not None:
             if len(columns) == 0:
                 raise ParameterError("datasets must contain at least one pair")
+            if columns.weights is not None and columns.family in DISCRETE:
+                raise FamilyError(discrete_mixture(columns.family))
             self._columns = columns
             return
         predictions = list(predictions)
@@ -45,6 +59,8 @@ class Dataset:
             raise ParameterError("datasets must contain at least one pair")
         first = predictions[0]
         family, dim = _family(first), _pred_dim(first)
+        if isinstance(first, Mixture) and first.components[0].family in DISCRETE:
+            raise FamilyError(discrete_mixture(first.components[0].family))
         check_rows([
             ([_family(p) != family for p in predictions], FamilyError,
              lambda r: f"mixed prediction families: {family!r} vs {_family(predictions[r])!r}"),
@@ -98,7 +114,7 @@ class Dataset:
         return self.predictions[i], self.targets[i]
 
     def subset(self, indices) -> "Dataset":
-        return Dataset(columns=replace(self.columns.take(np.asarray(indices, dtype=np.intp)), at=None))
+        return Dataset(columns=replace(self.columns.take(checked_index(indices, len(self))), at=None))
 
 
 class TestLocations(Dataset):

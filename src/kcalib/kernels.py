@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .distributions import (
+    DISCRETE,
     Categorical,
     ClassLabel,
     Count,
@@ -31,7 +32,9 @@ from .distributions import (
     _normal_rules,
     _solve_transport,
     _unchecked,
+    check_allocation,
     check_rows,
+    checked_index,
     mixture_wasserstein,
     wasserstein2,
 )
@@ -156,13 +159,36 @@ def default_kernel_spec() -> KernelSpec:
 # Each function broadcasts its arguments against each other, with the
 # parameter or target dimension first, so one expression serves a single
 # pair, a list of pairs and a (rows x cols) tile alike, and numpy's inner
-# loops run over the pairs rather than over a short dimension. Distances take
-# direct differences: a Gram expansion inside the square root loses about 8
-# digits.
+# loops run over the pairs rather than over a short dimension.
+#
+# On an outer-product tile of normals in d > 1 dimensions the single
+# expectations and the Gaussian target kernel are one matrix product each:
+# sum a (m - y)^2 expands to sum a m^2 - 2 (a m)^T y + a^T y^2, one GEMM in
+# place of d passes over the tile. Means and targets are first centred by the
+# tile mean of the means, so the expansion cancels only the spread of the
+# tile, not an offset all points share. Distances take direct differences: a
+# Gram expansion inside the square root loses about 8 digits where two
+# predictions nearly coincide. The double expectation of isotropic normals
+# reuses the direct squared mean distance of the W2 distance.
+
+
+def _sq_distance(a, b):
+    return np.sum((a - b) ** 2, axis=0)
 
 
 def _distance(a, b):
-    return np.sqrt(np.sum((a - b) ** 2, axis=0))
+    return np.sqrt(_sq_distance(a, b))
+
+
+def _isotropic(a) -> bool:
+    """Whether every point of ``a`` has equal coordinates."""
+    return bool(np.all(a == a[:1]))
+
+
+def _points(a):
+    """The points of ``a`` (d, ..., T, 1) or (d, ..., 1, T) as rows, (..., T, d)."""
+    a = a.reshape(a.shape[:-2] + (-1,))
+    return a.transpose(tuple(range(1, a.ndim)) + (0,))
 
 
 def _exprel(x):
@@ -171,11 +197,14 @@ def _exprel(x):
     return np.where(tiny, 1.0, np.expm1(x) / np.where(tiny, 1.0, x))
 
 
-def _target_kernel(tk: TargetKernel, a, b):
+def _target_kernel(tk: TargetKernel, a, b, tile: bool = False):
+    """k_Y(a, b); on a ``tile`` of d > 1 dimensions (Gaussian only) as a centred Gram product."""
     if isinstance(tk, KroneckerDelta):
         return np.all(a == b, axis=0).astype(np.float64)
     if isinstance(tk, GaussianRBF):
-        return np.exp(-tk.gamma * np.sum((a - b) ** 2, axis=0))
+        if tile and len(a) > 1:  # the expectation over a normal of zero variance
+            return _normal_expect_tile(a, np.zeros_like(a), b, tk.gamma)
+        return np.exp(-tk.gamma * _sq_distance(a, b))
     return np.exp(-tk.gamma * np.sum(np.abs(a - b), axis=0))
 
 
@@ -188,6 +217,23 @@ def _normal_expect(mean, var, y, gamma):
     denom = 1.0 + 2.0 * gamma * var
     quad = np.sum((mean - y) ** 2 / denom, axis=0)
     return np.exp(-gamma * quad) / np.sqrt(np.prod(denom, axis=0))
+
+
+def _normal_expect_tile(mean, var, y, gamma):
+    """``_normal_expect`` on an outer-product tile, predictions along axis -2 and targets
+    along axis -1 (or the other way round), as one matrix product.
+
+    With a = 1 / denom its logarithm is [2 g a m, -g a, c] [y, y^2, 1]^T, where
+    c = -g sum a m^2 - sum log(denom) / 2 takes in the normalizing factor.
+    """
+    transpose = mean.shape[-1] != 1 or y.shape[-2] != 1  # predictions along the last axis
+    m, y, denom = _points(mean), _points(y), 1.0 + 2.0 * gamma * _points(var)
+    centre = m.mean(axis=-2, keepdims=True)
+    m, y, a = m - centre, y - centre, 1.0 / denom
+    c = -gamma * np.sum(a * m * m, axis=-1, keepdims=True) - 0.5 * np.sum(np.log(denom), axis=-1, keepdims=True)
+    left = np.concatenate([2.0 * gamma * a * m, -gamma * a, c], axis=-1)
+    right = np.concatenate([y, y * y, np.ones(y.shape[:-1] + (1,))], axis=-1)
+    return np.exp(right @ left.swapaxes(-1, -2) if transpose else left @ right.swapaxes(-1, -2))
 
 
 def _laplace_expect(loc, scale, y, gamma):
@@ -256,9 +302,6 @@ def _discrete_double(tk: TargetKernel, p, q):
 # Columnar parameter arrays
 
 
-_DISCRETE = ("categorical", "truncated_countable")
-
-
 @dataclass(frozen=True, eq=False)
 class Columns:
     """Parameter arrays of predictions of one family, one column per prediction.
@@ -313,6 +356,8 @@ class Columns:
 
     @classmethod
     def of(cls, predictions, targets=None) -> "Columns":
+        if len(predictions) == 0:
+            raise ParameterError("a batch needs at least one prediction")
         p0 = predictions[0]
         if any(type(p) is not type(p0) for p in predictions):  # also the components of mixtures
             raise FamilyError("the predictions of one batch must share one family")
@@ -388,7 +433,7 @@ class Columns:
 
     def target_objects(self) -> list:
         """The targets as objects, built without checking them again."""
-        if self.family in _DISCRETE:
+        if self.family in DISCRETE:
             kind = ClassLabel if self.family == "categorical" else Count
             return [kind(int(v)) for v in self.y[0].tolist()]
         return [_unchecked(RealVector, v) for v in _frozen(self.y.T.copy())]
@@ -458,7 +503,7 @@ class Columns:
         tau = float(tau)
         if not 0.0 < tau < 1.0:
             raise ParameterError(f"quantile level must lie in (0, 1), got {tau!r}")
-        if self.family in _DISCRETE or self.dim != 1:
+        if self.family in DISCRETE or self.dim != 1:
             raise DimensionError(f"no quantile of {self.family!r} predictions of dimension {self.dim}")
         if self.weights is not None:
             parts = replace(self, weights=None).quantile(tau)
@@ -536,23 +581,26 @@ def _target_dim(family: str, params: tuple) -> int:
     return params[0].shape[0] if family == "diag_normal" else 1
 
 
-def _expect(tk: TargetKernel, x: Columns, y):
-    """E k_Y(Z, y) for Z ~ the predictions of ``x``, at target coordinates ``y``."""
+def _expect(tk: TargetKernel, x: Columns, y, tile: bool = False):
+    """E k_Y(Z, y) for Z ~ the predictions of ``x``, at target coordinates ``y``; normals of
+    d > 1 dimensions on a ``tile`` as a matrix product."""
     if x.draws:
         return np.mean(_target_kernel(tk, x.draws[1], y[:, None]), axis=0)
     if x.weights is not None:  # a weighted sum over the components
         return np.sum(x.weights * _expect(tk, replace(x, weights=None), y[:, None]), axis=0)
     if x.family == "diag_normal":
-        return _normal_expect(*x.params, y, tk.gamma)
+        return (_normal_expect_tile if tile and len(y) > 1 else _normal_expect)(*x.params, y, tk.gamma)
     if x.family == "laplace":
         return _laplace_expect(*x.params[0], y[0], tk.gamma)
     return _discrete_expect(tk, x.params[0], y)
 
 
-def _double_expect(tk: TargetKernel, x: Columns, z: Columns):
+def _double_expect(tk: TargetKernel, x: Columns, z: Columns, mean_sq=None):
     """E k_Y(Z, Z') for Z ~ the predictions of ``x`` and Z' ~ those of ``z``.
 
-    Over Monte-Carlo draws the prediction with the smaller key takes its
+    Given the squared distances M of their means in ``mean_sq``, isotropic
+    normals take exp(-gamma M / D) / D^(d/2), D = 1 + 2 gamma (v + v'). Over
+    Monte-Carlo draws the prediction with the smaller key takes its
     "pair-left" samples and the other its "pair-right" ones (``x`` left on a
     tie), so the estimate, and with it h, is symmetric in x and z.
     """
@@ -567,21 +615,29 @@ def _double_expect(tk: TargetKernel, x: Columns, z: Columns):
         return np.sum(x.weights[:, None] * z.weights[None] * grid, axis=(0, 1))
     if x.family == "diag_normal":
         (m1, v1), (m2, v2) = x.params, z.params
+        if mean_sq is not None and _isotropic(v1) and _isotropic(v2):
+            denom = 1.0 + 2.0 * tk.gamma * (v1[0] + v2[0])
+            return np.exp(-tk.gamma * (mean_sq / denom)) / denom ** (0.5 * len(v1))
         return _normal_expect(m1, v1 + v2, m2, tk.gamma)
     if x.family == "laplace":
         return _laplace_double(*x.params[0], *z.params[0], tk.gamma)
     return _discrete_double(tk, x.params[0], z.params[0])
 
 
-def _prediction_kernel(pk: PredictionKernel, x: Columns, z: Columns, need=None):
+def _prediction_kernel(pk: PredictionKernel, x: Columns, z: Columns, need=None, mean_sq=None):
     """k_P between the predictions of the views ``x`` and ``z``, broadcast together.
 
+    ``mean_sq`` holds the squared distances of the means of normals, if known.
     MW is evaluated where the boolean ``need`` is true (everywhere when it is
     None) and is 0 elsewhere; the transport problems of those pairs go to one
     batched solve, a plain prediction being a mixture of one component.
     """
     if not isinstance(pk.metric, MW):
-        return np.exp(-pk.lam * _distance(x.emb, z.emb) ** pk.nu)
+        if mean_sq is None:
+            return np.exp(-pk.lam * _distance(x.emb, z.emb) ** pk.nu)
+        a, b = x.emb[x.dim :], z.emb[x.dim :]  # the standard deviations of normals
+        rest = len(a) * (a[0] - b[0]) ** 2 if _isotropic(a) and _isotropic(b) else _sq_distance(a, b)
+        return np.exp(-pk.lam * np.sqrt(mean_sq + rest) ** pk.nu)
     shape = np.broadcast_shapes(x.at.shape, z.at.shape)
     need = np.broadcast_to(True if need is None else need, shape)
 
@@ -601,6 +657,8 @@ def _with_expectations(spec: KernelSpec, columns: Columns, labels=("single", "pa
     """``columns`` with the Monte-Carlo draws of ``labels``, or checked for closed-form expectations."""
     tk, mode = spec.target_kernel, spec.expectation
     if isinstance(mode, MonteCarlo):
+        size = len(labels) * mode.samples * _target_dim(columns.family, columns.params) * len(columns)
+        check_allocation(8 * size, f"{mode.samples} Monte-Carlo samples of {len(columns)} predictions")
         return replace(columns, draws=_draws(mode, columns.prediction_objects(), labels))
     closed = {"diag_normal": GaussianRBF, "laplace": LaplacianExp}.get(columns.family, TargetKernel)
     if not isinstance(tk, closed):  # discrete laws take every target kernel
@@ -748,7 +806,7 @@ def _draws(mode: MonteCarlo, predictions, labels) -> tuple:
 def expect_target_kernel(spec: KernelSpec, p: Prediction, y: Target) -> float:
     """E_{Z ~ p} k_Y(Z, y)."""
     x, coords = _with_expectations(spec, Columns.of([p]), ("single",)), _target_coords(y)
-    real = isinstance(y, RealVector) or x.family in _DISCRETE
+    real = isinstance(y, RealVector) or x.family in DISCRETE
     if not real or coords.shape != (_target_dim(x.family, x.params),):
         raise DimensionError("target must be a real vector matching the prediction dimension")
     return float(_expect(spec.target_kernel, x, coords[:, None])[0])
@@ -759,7 +817,7 @@ def double_expect_target_kernel(spec: KernelSpec, p: Prediction, q: Prediction) 
     if isinstance(spec.expectation, Analytic) and isinstance(p, Mixture) != isinstance(q, Mixture):
         p, q = (r if isinstance(r, Mixture) else Mixture([1.0], [r]) for r in (p, q))
     x, z = (_with_expectations(spec, Columns.of([r]), ("pair-left", "pair-right")) for r in (p, q))
-    if not (x.draws or x.family == z.family or {x.family, z.family} <= set(_DISCRETE)):
+    if not (x.draws or x.family == z.family or {x.family, z.family} <= set(DISCRETE)):
         raise ConfigurationError(f"no closed form across {p.family!r}, {q.family!r}; use MonteCarlo mode")
     if _target_dim(x.family, x.params) != _target_dim(z.family, z.params):
         raise DimensionError("prediction dimensions do not match")
@@ -827,17 +885,30 @@ def h_values(spec: KernelSpec, columns: Columns, i, j, need=None) -> np.ndarray:
     Under MW, h is evaluated only where the boolean ``need`` is true (all
     pairs when it is None) and is 0 elsewhere: a reduction over the symmetric
     h asks for one triangle only.
+
+    Normals under W2 or ParamEuclidean on an outer-product tile, ``i`` of shape
+    (..., T, 1) and ``j`` of (..., 1, T'), take the tile forms and share the
+    squared mean distances; where ``j`` is ``i`` transposed, E k(Z_j, y_i) is the
+    transpose of E k(Z_i, y_j).
     """
-    tk, x, z = spec.target_kernel, columns.take(i), columns.take(j)
-    return _prediction_kernel(spec.prediction_kernel, x, z, need) * (
-        _target_kernel(tk, x.y, z.y) - _expect(tk, x, z.y) - _expect(tk, z, x.y) + _double_expect(tk, x, z)
+    pk, tk, x, z = spec.prediction_kernel, spec.target_kernel, columns.take(i), columns.take(j)
+    tile = (
+        x.family == "diag_normal" and x.weights is None and not x.draws and not isinstance(pk.metric, MW)
+        and isinstance(tk, GaussianRBF) and i.ndim == j.ndim >= 2 and i.shape[-1] == 1 and j.shape[-2] == 1
+    )
+    mean_sq = _sq_distance(x.emb[: x.dim], z.emb[: x.dim]) if tile else None
+    first = _expect(tk, x, z.y, tile)
+    diagonal = tile and np.array_equal(i[..., 0], j[..., 0, :])
+    second = first.swapaxes(-1, -2) if diagonal else _expect(tk, z, x.y, tile)
+    return _prediction_kernel(pk, x, z, need, mean_sq) * (
+        _target_kernel(tk, x.y, z.y, tile) - first - second + _double_expect(tk, x, z, mean_sq)
     )
 
 
 def pairwise_h(spec: KernelSpec, predictions, targets, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """h values for the index pairs (rows[k], cols[k])."""
     columns = prepare(spec, Columns.of(predictions, targets))
-    return h_values(spec, columns, np.asarray(rows), np.asarray(cols))
+    return h_values(spec, columns, checked_index(rows, len(columns)), checked_index(cols, len(columns)))
 
 
 def cme_values(spec: KernelSpec, columns: Columns, sites: Columns) -> np.ndarray:

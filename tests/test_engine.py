@@ -54,12 +54,20 @@ def _spec(metric, tk, lam=0.8, nu=1.0):
     return KernelSpec(PredictionKernel(metric=metric, lam=lam, nu=nu), tk, Analytic())
 
 
-def _normals(d):
+def _normals(d, isotropic=False, offset=0.0):
+    """Normals in d dimensions whose variances differ across coordinates, or (``isotropic``)
+    only across predictions; means and targets are shifted by ``offset``."""
+
     def make(rng, n):
-        preds = [DiagNormal(rng.normal(size=d), rng.uniform(0.1, 1.5, size=d)) for _ in range(n)]
-        tgts = [RealVector(rng.normal(size=d)) for _ in range(n)]
-        locs = [DiagNormal(rng.normal(size=d), rng.uniform(0.1, 1.5, size=d)) for _ in range(3)]
-        return preds, tgts, locs, [RealVector(rng.normal(size=d)) for _ in range(3)]
+        def normal():
+            mean = offset + rng.normal(size=d)
+            var = np.full(d, rng.uniform(0.1, 1.5)) if isotropic else rng.uniform(0.1, 1.5, size=d)
+            return DiagNormal(mean, var)
+
+        preds = [normal() for _ in range(n)]
+        tgts = [RealVector(offset + rng.normal(size=d)) for _ in range(n)]
+        locs = [normal() for _ in range(3)]
+        return preds, tgts, locs, [RealVector(offset + rng.normal(size=d)) for _ in range(3)]
 
     return make
 
@@ -104,6 +112,11 @@ def _ragged_mixtures(rng, n):
 CASES = {
     "normal-d1": (default_kernel_spec(), _normals(1)),
     "normal-d3": (_spec(W2(), GaussianRBF(0.7), nu=1.5), _normals(3)),
+    "normal-isotropic-d2": (_spec(W2(), GaussianRBF(0.7)), _normals(2, isotropic=True)),
+    "normal-isotropic-d10": (default_kernel_spec(), _normals(10, isotropic=True)),
+    "normal-d10": (_spec(ParamEuclidean(), GaussianRBF(0.3), nu=1.5), _normals(10)),
+    "normal-offset-d2": (default_kernel_spec(), _normals(2, offset=1e6)),
+    "normal-offset-isotropic-d10": (_spec(W2(), GaussianRBF(0.5)), _normals(10, isotropic=True, offset=1e6)),
     "laplace-pole": (_spec(ParamEuclidean(), LaplacianExp(1.0)), _laplaces),
     "categorical-kronecker": (_spec(ParamEuclidean(), KroneckerDelta(), nu=2.0), _categoricals),
     "categorical-gaussian": (_spec(ParamEuclidean(), GaussianRBF(0.5)), _categoricals),
@@ -182,6 +195,26 @@ def test_reductions_match_brute_force(case, n, monkeypatch):
         ]
     )
     np.testing.assert_allclose(cme_feature_matrix(spec, data, locs), z, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["normal-isotropic-d10", "normal-d10"])
+def test_stacked_and_diagonal_normal_tiles_match_brute_force(case, monkeypatch):
+    # blocks of 2 are evaluated as 2 x 2 diagonal tiles stacked along a leading axis
+    spec, make = CASES[case]
+    n = 2 * TILE + 3
+    rng = substream(n, "engine-diagonal", case)
+    data = Dataset(*make(rng, n)[:2])
+    monkeypatch.setattr(kernels, "TILE_BYTES", _tile_bytes(spec, data))
+    h = _brute_h(spec, data)
+    etas = [h[lo, lo + 1] for lo in range(0, n - 1, 2)]
+    np.testing.assert_allclose(skce_block(spec, data, 2).block_estimates, etas, rtol=1e-12, atol=1e-12)
+    # one diagonal tile over the rows in shuffled order, and the same rows against a shifted copy
+    rows, columns = rng.permutation(n), kernels.prepare(spec, data.columns)
+    got = kernels.h_values(spec, columns, rows[:, None], rows[None, :])
+    np.testing.assert_allclose(got, h[np.ix_(rows, rows)], rtol=1e-12, atol=1e-12)
+    shifted = np.roll(rows, 1)
+    got = kernels.h_values(spec, columns, rows[:, None], shifted[None, :])
+    np.testing.assert_allclose(got, h[np.ix_(rows, shifted)], rtol=1e-12, atol=1e-12)
 
 
 def test_mixture_cme_at_normal_locations_matches_brute_force(monkeypatch):

@@ -8,12 +8,14 @@ import pytest
 from kcalib import (
     Categorical,
     ClassLabel,
+    Count,
     Dataset,
     DiagNormal,
     Laplace,
     Mixture,
     RealVector,
     TestLocations,
+    TruncatedCountable,
     default_kernel_spec,
     eval_h,
     h_squared_hat,
@@ -22,10 +24,12 @@ from kcalib import (
     skce_ustat,
     ucme_squared,
 )
+from kcalib import kernels
 from kcalib.estimators import cme_feature_matrix
-from kcalib.exceptions import DimensionError, FamilyError, ParameterError
+from kcalib.exceptions import DimensionError, FamilyError, KcalibError, ParameterError
 from kcalib.kernels import (
     KernelSpec,
+    pairwise_h,
     KroneckerDelta,
     LaplacianExp,
     ParamEuclidean,
@@ -104,6 +108,47 @@ def test_dataset_rejects_mixtures_no_metric_can_evaluate():
     categoricals = Mixture([0.5, 0.5], [Categorical([0.5, 0.5]), Categorical([0.9, 0.1])])
     with pytest.raises(FamilyError):
         Dataset([categoricals], [RealVector([0.0, 1.0])])
+
+
+def test_dataset_rejects_mixtures_of_discrete_laws():
+    # no prediction metric compares them, so they fail here rather than at the first reduction
+    categoricals = Mixture([0.5, 0.5], [Categorical([0.5, 0.5]), Categorical([0.9, 0.1])])
+    counts = Mixture([0.5, 0.5], [TruncatedCountable([0.5, 0.5]), TruncatedCountable([0.9, 0.1])])
+    with pytest.raises(FamilyError, match="mixtures of categorical"):
+        Dataset([categoricals, categoricals], [ClassLabel(0), ClassLabel(1)])
+    with pytest.raises(FamilyError, match="mixtures of truncated countable"):
+        Dataset([counts], [Count(1)])
+    columns = Dataset([Categorical([0.5, 0.5])], [ClassLabel(0)]).columns
+    as_mixtures = kernels.Columns.mixtures("categorical", columns.canonical(), [np.ones(1)], columns.y)
+    with pytest.raises(FamilyError, match="mixtures of categorical"):
+        Dataset(columns=as_mixtures)
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: Dataset([1.0], [RealVector([0.0])]), FamilyError),
+        (lambda: _normal_data(3).subset([5]), ParameterError),
+        (lambda: _normal_data(3).subset(["x"]), ParameterError),
+        (lambda: DiagNormal("a", 1), ParameterError),
+        (lambda: Laplace("a", 1), ParameterError),
+        (lambda: Categorical(["a", "b"]), ParameterError),
+        (lambda: RealVector(["a"]), ParameterError),
+        (lambda: pairwise_h(default_kernel_spec(), [], [], [], []), ParameterError),
+        (lambda: pairwise_h(default_kernel_spec(), [DiagNormal(0, 1)], [RealVector(0.0)], [0], [1]), ParameterError),
+        (lambda: DiagNormal([], []), DimensionError),
+        (lambda: RealVector([]), DimensionError),
+    ],
+    ids=[
+        "dataset-of-a-number", "subset-out-of-range", "subset-of-strings", "normal-of-a-string",
+        "laplace-of-a-string", "categorical-of-strings", "target-of-a-string", "pairwise-h-of-nothing",
+        "pairwise-h-out-of-range", "zero-dimensional-normal", "zero-dimensional-target",
+    ],
+)
+def test_library_calls_raise_only_kcalib_errors(call, error):
+    with pytest.raises(KcalibError) as exc:
+        call()
+    assert type(exc.value) is error
 
 
 def test_dataset_rejects_mixed_dimensions():

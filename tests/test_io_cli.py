@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kcalib
-from kcalib import cli, kernels
+from kcalib import cli, distributions, kernels
 from kcalib import (
     Categorical,
     ClassLabel,
@@ -34,7 +34,7 @@ from kcalib.dataset_io import (
     write_dataset,
     write_locations,
 )
-from kcalib.exceptions import DatasetFormatError
+from kcalib.exceptions import ConfigurationError, DatasetFormatError
 
 
 def _roundtrip(tmp_path, data):
@@ -481,7 +481,7 @@ REALS = {"type": "reals", "values": [0.5]}
     "good,bad",
     [
         (_mixture_record(NORMAL_PARTS, REALS), _mixture_record(LAPLACE_PARTS, REALS)),
-        (_mixture_record(CAT_PARTS, {"type": "class", "index": 1}), _mixture_record(CAT_PARTS, REALS)),
+        (_mixture_record(NORMAL_PARTS, REALS), _mixture_record(CAT_PARTS, REALS)),
     ],
     ids=["normal-and-laplace-mixtures", "reals-on-categorical-mixture"],
 )
@@ -493,6 +493,50 @@ def test_mixtures_no_metric_can_evaluate_are_rejected_with_line_number(tmp_path,
     assert res.returncode == 2
     assert "line 3" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_mixtures_of_discrete_laws_are_rejected_with_line_number(tmp_path):
+    # no prediction metric compares them: they fail at load time, not at the first reduction
+    good = _mixture_record(CAT_PARTS, {"type": "class", "index": 1})
+    path = _write(tmp_path, ['{"schema": 1, "family": "mixture"}', good, good])
+    with pytest.raises(DatasetFormatError, match="line 2: mixtures of categorical"):
+        parse_dataset(path)
+    for metric in ("w2", "mw", "param-euclidean"):
+        res = _run(["estimate", "--data", path, "--metric", metric, "--target-kernel", "kronecker"], cwd=str(tmp_path))
+        assert res.returncode == 2
+        assert "line 2: mixtures of categorical" in res.stderr
+
+
+def test_zero_dimensional_records_are_rejected_with_line_number(tmp_path):
+    empty = '{"prediction": {"family": "diag_normal", "mean": [], "var": []}, "target": {"type": "reals", "values": []}}'
+    for header in ('{"schema": 1, "family": "diag_normal"}', '{"schema": 1, "family": "diag_normal", "dimension": 0}'):
+        path = _write(tmp_path, [header, empty, empty])
+        with pytest.raises(DatasetFormatError, match="line 2: invalid prediction: normal predictions need at least one"):
+            parse_dataset(path)
+        res = _run(["estimate", "--data", path], cwd=str(tmp_path))
+        assert res.returncode == 2
+        assert "line 2" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_oversized_arrays_are_refused_before_allocation(sample_file, monkeypatch, capsys):
+    # the limit is lowered, so that the refused arrays are small: the 32-pair sample file
+    # needs 8 * 100 * 32 = 25,600 bytes of bootstrap counts and 8 * 3 * 10 * 32 = 7,680 bytes of draws
+    monkeypatch.setattr(distributions, "PHYSICAL_MEMORY", 5_000)
+    data = parse_dataset(sample_file)
+    with pytest.raises(ConfigurationError, match="25,600 bytes"):
+        kcalib.test_bootstrap_ustat(kcalib.default_kernel_spec(), data, 100)
+    with pytest.raises(ConfigurationError, match="7,680 bytes"):
+        kcalib.skce_ustat(kcalib.KernelSpec(expectation=kcalib.MonteCarlo(10)), data)
+    commands = [
+        (["test", "--method", "bootstrap", "--bootstrap", "100"], "25,600 bytes"),
+        (["estimate", "--expectation", "monte-carlo", "--mc-samples", "10"], "7,680 bytes"),
+    ]
+    for command, size in commands:
+        assert cli.main([*command, "--data", sample_file]) == 2
+        err = capsys.readouterr().err
+        assert size in err and "5,000 bytes" in err
+    monkeypatch.setattr(distributions, "PHYSICAL_MEMORY", 25_600)
+    assert cli.main(["test", "--method", "bootstrap", "--bootstrap", "100", "--data", sample_file]) == 0
 
 
 def test_cli_error_exit_codes(tmp_path):
@@ -623,7 +667,7 @@ def test_estimate_and_tests_on_a_parsed_file_build_no_records(sample_file, monke
 # fuzz: malformed records never crash the CLI
 
 
-_MUTATIONS = ("drop", "ragged", "nan", "huge", "negative-variance", "family", "target-type", "not-an-object")
+_MUTATIONS = ("drop", "ragged", "empty", "nan", "huge", "negative-variance", "family", "target-type", "not-an-object")
 
 
 def _mutate(record: dict, mutation: str, pick: int) -> None:
@@ -634,6 +678,8 @@ def _mutate(record: dict, mutation: str, pick: int) -> None:
         owner.pop(["prediction", "target", "mean", "var", "family", "values", "type"][pick % 7], None)
     elif mutation == "ragged" and vectors:
         vectors[pick % len(vectors)].append(0.5)
+    elif mutation == "empty" and vectors:
+        vectors[pick % len(vectors)].clear()
     elif mutation in ("nan", "huge") and vectors:
         vectors[pick % len(vectors)][0] = float("nan") if mutation == "nan" else "__HUGE__"
     elif mutation == "negative-variance" and prediction.get("var"):
