@@ -161,15 +161,14 @@ def default_kernel_spec() -> KernelSpec:
 # pair, a list of pairs and a (rows x cols) tile alike, and numpy's inner
 # loops run over the pairs rather than over a short dimension.
 #
-# On an outer-product tile of normals in d > 1 dimensions the single
-# expectations and the Gaussian target kernel are one matrix product each:
-# sum a (m - y)^2 expands to sum a m^2 - 2 (a m)^T y + a^T y^2, one GEMM in
-# place of d passes over the tile. Means and targets are first centred by the
-# tile mean of the means, so the expansion cancels only the spread of the
-# tile, not an offset all points share. Distances take direct differences: a
-# Gram expansion inside the square root loses about 8 digits where two
-# predictions nearly coincide. The double expectation of isotropic normals
-# reuses the direct squared mean distance of the W2 distance.
+# On an outer-product tile of normals in d > 1 dimensions, the single
+# expectations and the Gaussian target kernel expand sum a (m - y)^2 into
+# sum a m^2 - 2 (a m)^T y + a^T y^2: one GEMM, not d passes over the tile.
+# Means and targets are centred by the tile mean of the means first, so the
+# expansion cancels only the spread of the tile, not an offset all points
+# share. Distances take direct differences: a Gram expansion under the square
+# root loses about 8 digits where two predictions nearly coincide. Isotropic
+# normals reuse the direct squared mean distance in the double expectation.
 
 
 def _sq_distance(a, b):
@@ -220,12 +219,9 @@ def _normal_expect(mean, var, y, gamma):
 
 
 def _normal_expect_tile(mean, var, y, gamma):
-    """``_normal_expect`` on an outer-product tile, predictions along axis -2 and targets
-    along axis -1 (or the other way round), as one matrix product.
-
-    With a = 1 / denom its logarithm is [2 g a m, -g a, c] [y, y^2, 1]^T, where
-    c = -g sum a m^2 - sum log(denom) / 2 takes in the normalizing factor.
-    """
+    """``_normal_expect`` on an outer-product tile, predictions along axis -2 and targets along
+    axis -1 (or the other way round): with a = 1 / denom, the exponential of the matrix product
+    [2 g a m, -g a, c] [y, y^2, 1]^T, c = -g sum a m^2 - sum log(denom) / 2 the normalization."""
     transpose = mean.shape[-1] != 1 or y.shape[-2] != 1  # predictions along the last axis
     m, y, denom = _points(mean), _points(y), 1.0 + 2.0 * gamma * _points(var)
     centre = m.mean(axis=-2, keepdims=True)
@@ -892,9 +888,9 @@ def h_values(spec: KernelSpec, columns: Columns, i, j, need=None) -> np.ndarray:
     transpose of E k(Z_i, y_j).
     """
     pk, tk, x, z = spec.prediction_kernel, spec.target_kernel, columns.take(i), columns.take(j)
-    tile = (
+    tile = (  # prepared normals take the Gaussian target kernel
         x.family == "diag_normal" and x.weights is None and not x.draws and not isinstance(pk.metric, MW)
-        and isinstance(tk, GaussianRBF) and i.ndim == j.ndim >= 2 and i.shape[-1] == 1 and j.shape[-2] == 1
+        and i.ndim == j.ndim >= 2 and i.shape[-1] == 1 and j.shape[-2] == 1
     )
     mean_sq = _sq_distance(x.emb[: x.dim], z.emb[: x.dim]) if tile else None
     first = _expect(tk, x, z.y, tile)
