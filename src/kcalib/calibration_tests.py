@@ -23,7 +23,7 @@ from .estimators import (
     skce_block,
 )
 from .exceptions import ParameterError
-from .kernels import Columns, KernelSpec, h_values, prepare, tile_size, upper_tiles
+from .kernels import Columns, KernelSpec, h_values, prepare, tile_size, tiling, upper_tiles
 from .rng import substream
 
 
@@ -55,7 +55,7 @@ def test_asymptotic_block(
     n = len(data)
     report = skce_block(spec, data, block_size)
     num_blocks = report.diagnostics["num_blocks"]
-    diagnostics = {"skce": report.value, "num_blocks": num_blocks, "block_size": block_size}
+    diagnostics = {"skce": report.value, **report.diagnostics}
     if variant == "empirical-std":
         if num_blocks < 2:
             raise ParameterError(
@@ -66,6 +66,7 @@ def test_asymptotic_block(
         diagnostics["sigma_hat_b"] = sigma
     else:
         hsq = h_squared_hat(spec, data)
+        diagnostics["h_evaluations"] += n * (n - 1) // 2
         sigma = math.sqrt(2.0 * hsq) if hsq > 0 else 0.0
         scale = math.sqrt(num_blocks * block_size * (block_size - 1))
         diagnostics["h_squared_hat"] = hsq
@@ -154,7 +155,8 @@ def test_bootstrap_ustat(
         p_value=float(p_value),
         seed=seed,
         diagnostics={
-            "skce_ustat": float(statistic) / n, "null_draws": draws, "h_evaluations": n * (n + 1) // 2
+            "skce_ustat": float(statistic) / n, "null_draws": draws, "h_evaluations": n * (n + 1) // 2,
+            **tiling(spec, data.columns),
         },
     )
 
@@ -185,7 +187,7 @@ def test_cme(spec: KernelSpec, data: Dataset, locs: TestLocations) -> TestReport
     z = cme_feature_matrix(spec, data, locs)
     z_bar = z.mean(axis=0)
     cov = np.cov(z, rowvar=False, ddof=1).reshape(j_count, j_count)
-    diagnostics = {"z_bar": z_bar}
+    diagnostics = {"z_bar": z_bar, "h_evaluations": z.size, **tiling(spec, data.columns)}
     cond = np.linalg.cond(cov)
     if not np.isfinite(cond) or cond > 1e12:
         ridge = 1e-10 * np.trace(cov) / j_count

@@ -19,7 +19,7 @@ from .distributions import (
     pair_rules,
 )
 from .exceptions import DimensionError, FamilyError, ParameterError
-from .kernels import Columns, KernelSpec, cme_values, h_values, prepare, tile_size, upper_tiles
+from .kernels import Columns, KernelSpec, cme_values, h_values, prepare, tile_size, tiling, upper_tiles
 
 
 def _family(p: Prediction) -> str:
@@ -125,6 +125,9 @@ class TestLocations(Dataset):
 
 @dataclass
 class EstimateReport:
+    """An estimate; the ``diagnostics`` of a reduction of h name its ``path`` and ``tile`` side
+    (``kernels.route``) and count its ``h_evaluations``."""
+
     kind: str
     value: float
     block_estimates: np.ndarray | None = None
@@ -151,7 +154,7 @@ def skce_plug_in(spec: KernelSpec, data: Dataset) -> EstimateReport:
     return EstimateReport(
         kind="plug-in",
         value=max(raw, 0.0),
-        diagnostics={"raw_value": raw, "h_evaluations": n * n},
+        diagnostics={"raw_value": raw, "h_evaluations": n * n, **tiling(spec, data.columns)},
     )
 
 
@@ -200,6 +203,7 @@ def skce_block(spec: KernelSpec, data: Dataset, block_size: int) -> EstimateRepo
             "dropped_points": n - num_blocks * block_size,
             "num_blocks": num_blocks,
             "block_size": block_size,
+            **tiling(spec, data.columns),
         },
     )
 
@@ -234,5 +238,5 @@ def ucme_squared(spec: KernelSpec, data: Dataset, locs: TestLocations) -> Estima
     return EstimateReport(
         kind=f"ucme(J={len(locs)})",
         value=float(np.mean(inner_means**2)),
-        diagnostics={"inner_means": inner_means},
+        diagnostics={"inner_means": inner_means, "h_evaluations": z.size, **tiling(spec, data.columns)},
     )

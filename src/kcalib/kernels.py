@@ -169,6 +169,11 @@ def default_kernel_spec() -> KernelSpec:
 # share. Distances take direct differences: a Gram expansion under the square
 # root loses about 8 digits where two predictions nearly coincide. Isotropic
 # normals reuse the direct squared mean distance in the double expectation.
+#
+# On an outer-product tile of discrete laws with masses P over the support
+# 0, ..., K - 1, E k(Z_i, y_j) is the GEMM P_i^T G_j with G = k_Y(support, y),
+# one-hot under the Kronecker delta (so exact: only zeros are added), and
+# E k(Z_i, Z'_j) is P_i^T (Grid P_j) with Grid the K x K kernel on the support.
 
 
 def _sq_distance(a, b):
@@ -188,6 +193,18 @@ def _points(a):
     """The points of ``a`` (d, ..., T, 1) or (d, ..., 1, T) as rows, (..., T, d)."""
     a = a.reshape(a.shape[:-2] + (-1,))
     return a.transpose(tuple(range(1, a.ndim)) + (0,))
+
+
+def _tile_rows(x, y):
+    """The predictions ``x`` and targets ``y`` of an outer-product tile as rows (``_points``), and
+    whether the predictions run along its last axis."""
+    return _points(x), _points(y), x.shape[-1] != 1 or y.shape[-2] != 1
+
+
+def _tile_product(left, right, transpose):
+    """The tile of the inner products of prediction rows ``left`` and target rows ``right``,
+    predictions along axis -2, or along -1 where ``transpose``."""
+    return right @ left.swapaxes(-1, -2) if transpose else left @ right.swapaxes(-1, -2)
 
 
 def _exprel(x):
@@ -222,14 +239,13 @@ def _normal_expect_tile(mean, var, y, gamma):
     """``_normal_expect`` on an outer-product tile, predictions along axis -2 and targets along
     axis -1 (or the other way round): with a = 1 / denom, the exponential of the matrix product
     [2 g a m, -g a, c] [y, y^2, 1]^T, c = -g sum a m^2 - sum log(denom) / 2 the normalization."""
-    transpose = mean.shape[-1] != 1 or y.shape[-2] != 1  # predictions along the last axis
-    m, y, denom = _points(mean), _points(y), 1.0 + 2.0 * gamma * _points(var)
+    (m, y, transpose), denom = _tile_rows(mean, y), 1.0 + 2.0 * gamma * _points(var)
     centre = m.mean(axis=-2, keepdims=True)
     m, y, a = m - centre, y - centre, 1.0 / denom
     c = -gamma * np.sum(a * m * m, axis=-1, keepdims=True) - 0.5 * np.sum(np.log(denom), axis=-1, keepdims=True)
     left = np.concatenate([2.0 * gamma * a * m, -gamma * a, c], axis=-1)
     right = np.concatenate([y, y * y, np.ones(y.shape[:-1] + (1,))], axis=-1)
-    return np.exp(right @ left.swapaxes(-1, -2) if transpose else left @ right.swapaxes(-1, -2))
+    return np.exp(_tile_product(left, right, transpose))
 
 
 def _laplace_expect(loc, scale, y, gamma):
@@ -283,14 +299,22 @@ def _support(size: int, ndim: int) -> np.ndarray:
     return np.arange(size, dtype=np.float64).reshape((1, size) + (1,) * (ndim - 2))
 
 
-def _discrete_expect(tk: TargetKernel, probs, y):
-    """E k(Z, y) for Z with masses ``probs`` on the points 0, 1, ..."""
+def _discrete_expect(tk: TargetKernel, probs, y, tile: bool = False):
+    """E k(Z, y) for Z with masses ``probs`` on the points 0, 1, ...; on a ``tile`` as the
+    product of the masses and k_Y(support, y)."""
+    if tile:
+        p, y, transpose = _tile_rows(probs, y)
+        return _tile_product(p, _target_kernel(tk, _support(len(probs), 2), y[None]), transpose)
     kernel = _target_kernel(tk, _support(probs.shape[0], y.ndim + 1), y[:, None])
     return np.sum(probs * kernel, axis=0)
 
 
-def _discrete_double(tk: TargetKernel, p, q):
+def _discrete_double(tk: TargetKernel, p, q, tile: bool = False):
+    """E k(Z, Z') for Z, Z' with masses ``p`` and ``q``; on a ``tile`` (``p`` along axis -2) as
+    the products of p, the kernel on the support and q."""
     grid = _target_kernel(tk, _support(p.shape[0], 3), _support(q.shape[0], 3).swapaxes(1, 2))
+    if tile:
+        return _tile_product(_points(p) @ grid, _points(q), False)
     return np.sum(p * np.tensordot(grid, q, axes=(1, 0)), axis=0)
 
 
@@ -311,6 +335,7 @@ class Columns:
     (K, n) their weights. ``draws`` holds each prediction's Monte-Carlo key and
     its "single", "pair-left" and "pair-right" samples (or some of these, in
     this order), (d, S, n) each. Views from ``take`` keep their rows in ``at``.
+    Columns from ``prepare`` hold their ``route``.
     """
 
     family: str
@@ -320,6 +345,7 @@ class Columns:
     weights: np.ndarray | None = None
     draws: tuple = ()
     at: np.ndarray | None = None
+    route: tuple = ()
 
     @classmethod
     def build(cls, family: str, canonical: tuple, y=None, weights=None) -> "Columns":
@@ -528,12 +554,14 @@ class Columns:
                 total = top + np.log(np.sum(np.exp(terms - top), axis=0))
             return np.where(np.isinf(top), top, total)
         if self.family == "diag_normal":
-            # a point-mass coordinate carries no Lebesgue density: +inf at the mean (np.allclose), else -inf
+            # the limit as the zero variances shrink to 0: +inf where every point-mass coordinate
+            # equals its mean exactly, else -inf; the other coordinates do not decide
             mean, var = self.params
-            near = np.all(np.abs(y - mean) <= 1e-8 + 1e-5 * np.abs(mean), axis=0)
-            safe = np.where(var == 0.0, 1.0, var)
+            point = var == 0.0
+            atom = np.all(~point | (y == mean), axis=0)
+            safe = np.where(point, 1.0, var)
             value = -0.5 * (np.sum((y - mean) ** 2 / safe, axis=0) + np.sum(np.log(2.0 * math.pi * safe), axis=0))
-            return np.where((var == 0.0).any(axis=0), np.where(near, np.inf, -np.inf), value)
+            return np.where(point.any(axis=0), np.where(atom, np.inf, -np.inf), value)
         if self.family == "laplace":
             loc, scale = self.params[0]
             return -np.abs(y[0] - loc) / scale - np.log(2.0 * scale)
@@ -579,7 +607,7 @@ def _target_dim(family: str, params: tuple) -> int:
 
 def _expect(tk: TargetKernel, x: Columns, y, tile: bool = False):
     """E k_Y(Z, y) for Z ~ the predictions of ``x``, at target coordinates ``y``; normals of
-    d > 1 dimensions on a ``tile`` as a matrix product."""
+    d > 1 dimensions and discrete laws on a ``tile`` as a matrix product."""
     if x.draws:
         return np.mean(_target_kernel(tk, x.draws[1], y[:, None]), axis=0)
     if x.weights is not None:  # a weighted sum over the components
@@ -588,13 +616,14 @@ def _expect(tk: TargetKernel, x: Columns, y, tile: bool = False):
         return (_normal_expect_tile if tile and len(y) > 1 else _normal_expect)(*x.params, y, tk.gamma)
     if x.family == "laplace":
         return _laplace_expect(*x.params[0], y[0], tk.gamma)
-    return _discrete_expect(tk, x.params[0], y)
+    return _discrete_expect(tk, x.params[0], y, tile)
 
 
-def _double_expect(tk: TargetKernel, x: Columns, z: Columns, mean_sq=None):
+def _double_expect(tk: TargetKernel, x: Columns, z: Columns, tile: bool = False, mean_sq=None):
     """E k_Y(Z, Z') for Z ~ the predictions of ``x`` and Z' ~ those of ``z``.
 
-    Given the squared distances M of their means in ``mean_sq``, isotropic
+    Discrete laws on a ``tile`` take matrix products. Given the squared
+    distances M of their means in ``mean_sq``, isotropic
     normals take exp(-gamma M / D) / D^(d/2), D = 1 + 2 gamma (v + v'). Over
     Monte-Carlo draws the prediction with the smaller key takes its
     "pair-left" samples and the other its "pair-right" ones (``x`` left on a
@@ -617,7 +646,7 @@ def _double_expect(tk: TargetKernel, x: Columns, z: Columns, mean_sq=None):
         return _normal_expect(m1, v1 + v2, m2, tk.gamma)
     if x.family == "laplace":
         return _laplace_double(*x.params[0], *z.params[0], tk.gamma)
-    return _discrete_double(tk, x.params[0], z.params[0])
+    return _discrete_double(tk, x.params[0], z.params[0], tile)
 
 
 def _prediction_kernel(pk: PredictionKernel, x: Columns, z: Columns, need=None, mean_sq=None):
@@ -686,7 +715,7 @@ def prepare(spec: KernelSpec, columns: Columns, sites: Columns | None = None) ->
         if isinstance(metric, ParamEuclidean) and isinstance(spec.target_kernel, KroneckerDelta):
             _with_expectations(spec, columns)
         raise DimensionError("test locations and data differ in dimension")
-    return _with_expectations(spec, columns)
+    return replace(_with_expectations(spec, columns), route=route(spec, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -850,21 +879,46 @@ def eval_h(spec: KernelSpec, p: Prediction, y: Target, q: Prediction, z: Target)
 # sets the tile side.
 TILE_BYTES = 1 << 20
 
+# The paths of ``route`` whose outer-product tiles take the tile forms of ``h_values``.
+_TILE_PATHS = ("normal GEMM", "normal direct", "discrete GEMM")
+
+
+def route(spec: KernelSpec, columns: Columns) -> tuple:
+    """The path that h of ``columns`` takes under ``spec``, as reports name it, and the floats per
+    pair that its tile temporaries hold, from which ``tile_size`` sets the tile side.
+
+    The paths are "Monte-Carlo" (4 d S floats over S draws in d dimensions), "MW transport" (p K^2
+    on mixtures of K components with p parameter rows), "normal GEMM" (d > 1 dimensions), "normal
+    direct" (d = 1), "Laplace direct" and "discrete GEMM". Normal GEMM holds the d rows of the
+    squared mean distances when every prediction is isotropic; the others a float per embedding row.
+    """
+    if isinstance(spec.expectation, MonteCarlo):
+        return "Monte-Carlo", 4 * spec.expectation.samples * _target_dim(columns.family, columns.params)
+    width = columns.emb.shape[0]
+    if isinstance(spec.prediction_kernel.metric, MW):
+        if columns.weights is not None:
+            width = columns.params[0].shape[0] * columns.weights.shape[0] ** 2
+        return "MW transport", width
+    if columns.family == "diag_normal" and columns.dim > 1:
+        return "normal GEMM", columns.dim if _isotropic(columns.params[1]) else width
+    path = {"diag_normal": "normal direct", "laplace": "Laplace direct"}.get(columns.family, "discrete GEMM")
+    return path, width
+
+
+def tiling(spec: KernelSpec, columns: Columns) -> dict:
+    """The ``path`` and ``tile`` side of the reductions of h over ``columns`` under ``spec``, for their reports."""
+    path, width = route(spec, columns)
+    return {"path": path, "tile": _tile_side(width)}
+
+
+def _tile_side(width: int) -> int:
+    return max(1, math.isqrt(TILE_BYTES // (8 * width)))
+
 
 def tile_size(columns: Columns) -> int:
-    """Side of the square tiles over which h of ``columns`` from ``prepare`` is evaluated.
-
-    A pair's temporaries hold a float per embedding row on closed forms, p K^2
-    on mixtures of K components with p parameter rows, and four times d S over
-    S Monte-Carlo draws in d dimensions.
-    """
-    if columns.draws:
-        width = 4 * math.prod(columns.draws[1].shape[:2])
-    elif columns.weights is not None:
-        width = columns.params[0].shape[0] * columns.weights.shape[0] ** 2
-    else:
-        width = columns.emb.shape[0]
-    return max(1, math.isqrt(TILE_BYTES // (8 * width)))
+    """Side of the square tiles over which h of ``columns`` from ``prepare`` is evaluated: their
+    pairs hold TILE_BYTES of the floats per pair that their ``route`` counts."""
+    return _tile_side(columns.route[1])
 
 
 def upper_tiles(n: int, size: int):
@@ -882,22 +936,19 @@ def h_values(spec: KernelSpec, columns: Columns, i, j, need=None) -> np.ndarray:
     pairs when it is None) and is 0 elsewhere: a reduction over the symmetric
     h asks for one triangle only.
 
-    Normals under W2 or ParamEuclidean on an outer-product tile, ``i`` of shape
-    (..., T, 1) and ``j`` of (..., 1, T'), take the tile forms and share the
-    squared mean distances; where ``j`` is ``i`` transposed, E k(Z_j, y_i) is the
-    transpose of E k(Z_i, y_j).
+    On the normal and discrete paths of the ``route``, an outer-product tile,
+    ``i`` of shape (..., T, 1) and ``j`` of (..., 1, T'), takes the tile forms,
+    and normals share the squared mean distances; where ``j`` is ``i``
+    transposed, E k(Z_j, y_i) is the transpose of E k(Z_i, y_j).
     """
     pk, tk, x, z = spec.prediction_kernel, spec.target_kernel, columns.take(i), columns.take(j)
-    tile = (  # prepared normals take the Gaussian target kernel
-        x.family == "diag_normal" and x.weights is None and not x.draws and not isinstance(pk.metric, MW)
-        and i.ndim == j.ndim >= 2 and i.shape[-1] == 1 and j.shape[-2] == 1
-    )
-    mean_sq = _sq_distance(x.emb[: x.dim], z.emb[: x.dim]) if tile else None
+    tile = columns.route[0] in _TILE_PATHS and i.ndim == j.ndim >= 2 and i.shape[-1] == 1 and j.shape[-2] == 1
+    mean_sq = _sq_distance(x.emb[: x.dim], z.emb[: x.dim]) if tile and x.family == "diag_normal" else None
     first = _expect(tk, x, z.y, tile)
     diagonal = tile and np.array_equal(i[..., 0], j[..., 0, :])
     second = first.swapaxes(-1, -2) if diagonal else _expect(tk, z, x.y, tile)
     return _prediction_kernel(pk, x, z, need, mean_sq) * (
-        _target_kernel(tk, x.y, z.y, tile) - first - second + _double_expect(tk, x, z, mean_sq)
+        _target_kernel(tk, x.y, z.y, tile) - first - second + _double_expect(tk, x, z, tile, mean_sq)
     )
 
 
@@ -914,12 +965,12 @@ def cme_values(spec: KernelSpec, columns: Columns, sites: Columns) -> np.ndarray
     T_j of ``sites``; blocks of rows are evaluated as one tile each.
     """
     columns, tk = prepare(spec, columns, sites), spec.target_kernel
-    n, j_count = len(columns), len(sites)
+    tile, n, j_count = columns.route[0] in _TILE_PATHS, len(columns), len(sites)
     t, step = sites.take(np.arange(j_count)[None, :]), max(1, tile_size(columns) ** 2 // j_count)
     z = np.empty((n, j_count))
     for lo in range(0, n, step):
         x = columns.take(np.arange(lo, min(lo + step, n))[:, None])
         z[lo : lo + step] = _prediction_kernel(spec.prediction_kernel, t, x) * (
-            _target_kernel(tk, t.y, x.y) - _expect(tk, x, t.y)
+            _target_kernel(tk, t.y, x.y, tile) - _expect(tk, x, t.y, tile)
         )
     return z

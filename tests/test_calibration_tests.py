@@ -7,18 +7,33 @@ import pytest
 from scipy import stats
 
 from kcalib import (
+    MW,
+    Analytic,
+    Categorical,
+    ClassLabel,
     Dataset,
     DiagNormal,
+    GaussianRBF,
+    KernelSpec,
+    KroneckerDelta,
+    Laplace,
+    LaplacianExp,
+    Mixture,
+    MonteCarlo,
+    ParamEuclidean,
+    PredictionKernel,
     RealVector,
     default_cme_locations,
     default_kernel_spec,
     h_squared_hat,
     skce_block,
+    skce_plug_in,
     skce_ustat,
     test_asymptotic_block,
     test_asymptotic_sqrt_block,
     test_bootstrap_ustat,
     test_cme,
+    ucme_squared,
 )
 from kcalib import kernels
 from kcalib.calibration_tests import _chi2_sf
@@ -165,8 +180,8 @@ def test_bootstrap_ragged_tiles_match_dense_reference(tile, monkeypatch):
     # n = 23 is not a multiple of the tile side, so the last row and column of tiles are partial
     spec = default_kernel_spec()
     data = gen_uncalibrated(2, 23, seed=12, replicate=tile)
-    monkeypatch.setattr(kernels, "TILE_BYTES", 8 * data.columns.emb.shape[0] * tile * tile)
-    assert kernels.tile_size(data.columns) == tile
+    monkeypatch.setattr(kernels, "TILE_BYTES", 8 * kernels.route(spec, data.columns)[1] * tile * tile)
+    assert kernels.tile_size(kernels.prepare(spec, data.columns)) == tile
     report = test_bootstrap_ustat(spec, data, num_bootstrap=200, seed=tile)
     statistic, draws, p_value = _dense_bootstrap(spec, data, 200, seed=tile)
     assert report.statistic == pytest.approx(statistic, rel=1e-12, abs=1e-12)
@@ -279,3 +294,50 @@ def test_all_tests_reject_obvious_miscalibration():
     assert test_bootstrap_ustat(spec, data, num_bootstrap=200, seed=0).p_value < 0.01
     locs = default_cme_locations(1, 10, seed=0)
     assert test_cme(spec, data, locs).p_value < 0.01
+
+
+def test_tiled_reports_name_their_path_and_tile_and_count_h():
+    spec, n = default_kernel_spec(), 23
+    data, locs = gen_uncalibrated(2, n, seed=3), default_cme_locations(2, 3)
+    tile = kernels.tile_size(kernels.prepare(spec, data.columns))
+    pairs = n * (n - 1) // 2
+    reports = [  # B = 5 and the sqrt-block B = 4 each drop 3 points
+        (skce_plug_in(spec, data), n * n),
+        (skce_block(spec, data, 5), 4 * 10),
+        (skce_ustat(spec, data), pairs),
+        (test_bootstrap_ustat(spec, data, 100), n * (n + 1) // 2),
+        (test_asymptotic_block(spec, data, 5), 4 * 10),
+        (test_asymptotic_block(spec, data, 5, variant="h-squared"), 4 * 10 + pairs),
+        (test_asymptotic_sqrt_block(spec, data), 5 * 6),
+        (test_cme(spec, data, locs), n * 3),
+        (ucme_squared(spec, data, locs), n * 3),
+    ]
+    for report, evaluations in reports:
+        diagnostics = report.diagnostics
+        assert (diagnostics["path"], diagnostics["tile"]) == ("normal GEMM", tile)
+        assert diagnostics["h_evaluations"] == evaluations
+    assert [r.diagnostics["dropped_points"] for r, _ in reports[4:7]] == [3, 3, 3]
+
+
+def _spec(metric, tk, expectation=Analytic()):
+    return KernelSpec(PredictionKernel(metric=metric), tk, expectation)
+
+
+@pytest.mark.parametrize(
+    "spec, predictions, target, path",
+    [
+        (default_kernel_spec(), [DiagNormal(0.0, 1.0)] * 4, RealVector(0.5), "normal direct"),
+        (default_kernel_spec(), [DiagNormal([0.0, 1.0], [1.0, 2.0])] * 4, RealVector([0.5, 0.0]), "normal GEMM"),
+        (_spec(ParamEuclidean(), LaplacianExp()), [Laplace(0.0, 1.0)] * 4, RealVector(0.5), "Laplace direct"),
+        (_spec(ParamEuclidean(), KroneckerDelta()), [Categorical([0.3, 0.7])] * 4, ClassLabel(1), "discrete GEMM"),
+        (_spec(MW(), GaussianRBF()), [Mixture([0.5, 0.5], [DiagNormal(0.0, 1.0)] * 2)] * 4, RealVector(0.5),
+         "MW transport"),
+        (_spec(MW(), GaussianRBF()), [DiagNormal(0.0, 1.0)] * 4, RealVector(0.5), "MW transport"),
+        (KernelSpec(expectation=MonteCarlo(20)), [DiagNormal(0.0, 1.0)] * 4, RealVector(0.5), "Monte-Carlo"),
+    ],
+)
+def test_reports_name_the_route_of_each_family(spec, predictions, target, path):
+    data = Dataset(predictions, [target] * len(predictions))
+    report = skce_ustat(spec, data)
+    tile = kernels.tile_size(kernels.prepare(spec, data.columns))
+    assert (report.diagnostics["path"], report.diagnostics["tile"]) == (path, tile)

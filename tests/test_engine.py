@@ -15,6 +15,7 @@ from kcalib import (
     Analytic,
     Categorical,
     ClassLabel,
+    Count,
     Dataset,
     DiagNormal,
     GaussianRBF,
@@ -29,6 +30,7 @@ from kcalib import (
     PredictionKernel,
     RealVector,
     TestLocations,
+    TruncatedCountable,
     W2,
     default_kernel_spec,
     double_expect_target_kernel,
@@ -87,6 +89,18 @@ def _categoricals(rng, n):
     return preds, tgts, locs, [ClassLabel(int(rng.integers(0, 3))) for _ in range(3)]
 
 
+def _counts(rng, n, support=4):
+    # tail mass > 0; counts at the truncation point (support - 1) and beyond it
+    def law():
+        tail = rng.uniform(0.05, 0.3)
+        return TruncatedCountable((1.0 - tail) * rng.dirichlet(np.ones(support)), tail)
+
+    values = rng.integers(0, support + 3, size=n)
+    values[0], values[-1] = support - 1, support + 1
+    locs = [law() for _ in range(3)]
+    return [law() for _ in range(n)], [Count(int(v)) for v in values], locs, [Count(v) for v in (0, support - 1, support + 2)]
+
+
 def _mixtures(rng, n):
     def mixture():
         comps = [DiagNormal(rng.normal(), rng.uniform(0.2, 1.0)) for _ in range(2)]
@@ -120,6 +134,8 @@ CASES = {
     "laplace-pole": (_spec(ParamEuclidean(), LaplacianExp(1.0)), _laplaces),
     "categorical-kronecker": (_spec(ParamEuclidean(), KroneckerDelta(), nu=2.0), _categoricals),
     "categorical-gaussian": (_spec(ParamEuclidean(), GaussianRBF(0.5)), _categoricals),
+    "categorical-laplacian": (_spec(ParamEuclidean(), LaplacianExp(0.7), nu=0.5), _categoricals),
+    "truncated-countable-gaussian": (_spec(ParamEuclidean(), GaussianRBF(0.3)), _counts),
     "mixture-mw": (_spec(MW(2.0), GaussianRBF(0.5)), _mixtures),
     "mixture-mw-ragged": (_spec(MW(1.5), GaussianRBF(0.5)), _ragged_mixtures),
     "laplace-gaussian-mc": (
@@ -131,14 +147,7 @@ CASES = {
 
 def _tile_bytes(spec, data):
     """TILE_BYTES at which the tiles of ``data`` have side TILE."""
-    columns = data.columns
-    if isinstance(spec.expectation, MonteCarlo):  # four (d, S) arrays per pair
-        width = 4 * columns.y.shape[0] * spec.expectation.samples
-    elif columns.weights is not None:  # p parameter rows times K^2 components
-        width = columns.params[0].shape[0] * columns.weights.shape[0] ** 2
-    else:
-        width = columns.emb.shape[0]
-    return 8 * width * TILE * TILE
+    return 8 * kernels.route(spec, data.columns)[1] * TILE * TILE
 
 
 def _brute_h(spec, data):
@@ -197,8 +206,7 @@ def test_reductions_match_brute_force(case, n, monkeypatch):
     np.testing.assert_allclose(cme_feature_matrix(spec, data, locs), z, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("case", ["normal-isotropic-d10", "normal-d10"])
-def test_stacked_and_diagonal_normal_tiles_match_brute_force(case, monkeypatch):
+def _check_stacked_and_diagonal_tiles(case, monkeypatch):
     # blocks of 2 are evaluated as 2 x 2 diagonal tiles stacked along a leading axis
     spec, make = CASES[case]
     n = 2 * TILE + 3
@@ -215,6 +223,31 @@ def test_stacked_and_diagonal_normal_tiles_match_brute_force(case, monkeypatch):
     shifted = np.roll(rows, 1)
     got = kernels.h_values(spec, columns, rows[:, None], shifted[None, :])
     np.testing.assert_allclose(got, h[np.ix_(rows, shifted)], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["normal-isotropic-d10", "normal-d10"])
+def test_stacked_and_diagonal_normal_tiles_match_brute_force(case, monkeypatch):
+    _check_stacked_and_diagonal_tiles(case, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "case", ["categorical-kronecker", "categorical-gaussian", "categorical-laplacian", "truncated-countable-gaussian"]
+)
+def test_stacked_and_diagonal_discrete_tiles_match_brute_force(case, monkeypatch):
+    _check_stacked_and_diagonal_tiles(case, monkeypatch)
+
+
+def test_discrete_tile_expectations_under_kronecker_delta_are_exact():
+    # the one-hot product adds only exact zeros to the mass of the target's class
+    spec, make = CASES["categorical-kronecker"]
+    preds, tgts, _, _ = make(substream(3, "engine-delta"), 40)
+    columns = kernels.prepare(spec, Dataset(preds, tgts).columns)
+    assert columns.route[0] == "discrete GEMM"
+    rows, cols = np.arange(40)[:, None], np.arange(40)[::-1][None, :]
+    probs, labels = np.array([p.probs for p in preds]), np.array([t.index for t in tgts])
+    for i, j, want in ((rows, cols, probs[rows, labels[cols]]), (cols, rows, probs[cols, labels[rows]])):
+        got = kernels._expect(spec.target_kernel, columns.take(i), columns.take(j).y, tile=True)
+        assert np.array_equal(got, want)
 
 
 def test_mixture_cme_at_normal_locations_matches_brute_force(monkeypatch):

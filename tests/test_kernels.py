@@ -698,3 +698,37 @@ def test_columnar_log_mass_beyond_a_declared_tail_is_undetermined():
     mixture = Mixture([0.5, 0.5], [TruncatedCountable([0.5, 0.3], 0.2), TruncatedCountable([0.6, 0.2], 0.2)])
     with pytest.raises(FamilyError):
         mixture.log_density(Count(5))
+
+
+def _normal_log_density(mean, var, y):
+    """Written out: the limit of the normal log density as the zero variances shrink to 0. It is
+    +inf where every zero-variance coordinate equals its mean, -inf where one does not."""
+    points = [(m, t) for m, v, t in zip(mean, var, y) if v == 0.0]
+    if points:
+        return math.inf if all(t == m for m, t in points) else -math.inf
+    return sum(-0.5 * ((t - m) ** 2 / v + math.log(2.0 * math.pi * v)) for m, v, t in zip(mean, var, y))
+
+
+@pytest.mark.parametrize(
+    "mean, var, y",
+    [
+        ([1e6], [0.0], [1e6 + 5.0]),  # within np.allclose of the atom, but not at it
+        ([1e6], [0.0], [1e6]),
+        ([0.0, 0.0], [0.0, 1.0], [0.0, 5.0]),  # the atom's coordinate at its mean, a density in the other
+        ([0.0, 0.0], [0.0, 1.0], [1e-9, 0.0]),
+        ([2.0, -1.0, 0.5], [0.0, 0.3, 0.0], [2.0, 4.0, 0.5]),
+        ([0.3, -1.0], [2.0, 0.5], [1.0, -4.0]),
+    ],
+)
+def test_normal_log_density_places_point_masses_by_exact_equality(mean, var, y):
+    want = _normal_log_density(mean, var, y)
+    got = DiagNormal(mean, var).log_density(RealVector(y))
+    assert got == want or math.isclose(got, want, rel_tol=1e-12)
+    # as the component of a mixture, next to a standard normal in every coordinate
+    mixture = Mixture([0.25, 0.75], [DiagNormal(mean, var), DiagNormal(np.zeros(len(y)), np.ones(len(y)))])
+    other = _normal_log_density(np.zeros(len(y)), np.ones(len(y)), y)
+    want = want if math.isinf(want) else math.log(0.25 * math.exp(want) + 0.75 * math.exp(other))
+    if want == -math.inf:
+        want = math.log(0.75) + other
+    got = mixture.log_density(RealVector(y))
+    assert got == want or math.isclose(got, want, rel_tol=1e-12)
