@@ -161,19 +161,20 @@ def default_kernel_spec() -> KernelSpec:
 # pair, a list of pairs and a (rows x cols) tile alike, and numpy's inner
 # loops run over the pairs rather than over a short dimension.
 #
-# On an outer-product tile of normals in d > 1 dimensions, the single
-# expectations and the Gaussian target kernel expand sum a (m - y)^2 into
-# sum a m^2 - 2 (a m)^T y + a^T y^2: one GEMM, not d passes over the tile.
-# Means and targets are centred by the tile mean of the means first, so the
-# expansion cancels only the spread of the tile, not an offset all points
-# share. Distances take direct differences: a Gram expansion under the square
-# root loses about 8 digits where two predictions nearly coincide. Isotropic
-# normals reuse the direct squared mean distance in the double expectation.
+# On an outer-product tile of normals, the single expectations and the
+# Gaussian target kernel expand sum a (m - y)^2 into sum a m^2 - 2 (a m)^T y +
+# a^T y^2: one GEMM, not d passes over the tile. Means and targets are centred
+# by the tile mean of the means first, so the expansion cancels only the spread
+# of the tile, not an offset all points share. Distances take direct
+# differences, accumulated row by row: a Gram expansion under the square root
+# loses about 8 digits where two predictions nearly coincide. Isotropic normals
+# reuse the squared mean distance in the double expectation.
 #
 # On an outer-product tile of discrete laws with masses P over the support
 # 0, ..., K - 1, E k(Z_i, y_j) is the GEMM P_i^T G_j with G = k_Y(support, y),
 # one-hot under the Kronecker delta (so exact: only zeros are added), and
 # E k(Z_i, Z'_j) is P_i^T (Grid P_j) with Grid the K x K kernel on the support.
+# Tile forms work in place, on T x T arrays that they allocate themselves.
 
 
 def _sq_distance(a, b):
@@ -184,9 +185,39 @@ def _distance(a, b):
     return np.sqrt(_sq_distance(a, b))
 
 
-def _isotropic(a) -> bool:
-    """Whether every point of ``a`` has equal coordinates."""
-    return bool(np.all(a == a[:1]))
+def _row_sum(a, b, square: bool = True, over=None):
+    """The sum over the rows k of (a_k - b_k)^2, or of |a_k - b_k|, on a tile, each divided by
+    c_k + e_k given ``over`` = (c, e), accumulated row by row in one array."""
+    total = row = denom = None
+    for k in range(len(a)):
+        row = np.subtract(a[k], b[k], out=row)
+        (np.square if square else np.abs)(row, out=row)
+        if over is not None:
+            denom = np.add(over[0][k], over[1][k], out=denom)
+            row /= denom
+        if total is None:
+            total, row = row, None
+        else:
+            total += row
+    return total
+
+
+def _row_prod(a, b):
+    """The product over the rows k of a_k + b_k on a tile, accumulated row by row in one array."""
+    total, row = np.add(a[0], b[0]), None
+    for k in range(1, len(a)):
+        row = np.add(a[k], b[k], out=row)
+        total *= row
+    return total
+
+
+def _kernel_of_sq(pk: PredictionKernel, sq):
+    """exp(-lam d^nu) from the squared distances ``sq``, in place."""
+    np.sqrt(sq, out=sq)
+    if pk.nu != 1.0:
+        sq **= pk.nu
+    sq *= -pk.lam
+    return np.exp(sq, out=sq)
 
 
 def _points(a):
@@ -214,12 +245,18 @@ def _exprel(x):
 
 
 def _target_kernel(tk: TargetKernel, a, b, tile: bool = False):
-    """k_Y(a, b); on a ``tile`` of d > 1 dimensions (Gaussian only) as a centred Gram product."""
+    """k_Y(a, b); on a ``tile`` in place, the Gaussian as a centred Gram product."""
+    if tile and isinstance(tk, GaussianRBF):  # the expectation over a normal of zero variance
+        return _normal_expect_tile(a, np.zeros_like(a), b, tk.gamma)
+    if tile:  # from the L1 distance
+        out = _row_sum(a, b, square=False)
+        if isinstance(tk, KroneckerDelta):
+            return np.equal(out, 0.0, out=out, casting="unsafe")
+        out *= -tk.gamma
+        return np.exp(out, out=out)
     if isinstance(tk, KroneckerDelta):
         return np.all(a == b, axis=0).astype(np.float64)
     if isinstance(tk, GaussianRBF):
-        if tile and len(a) > 1:  # the expectation over a normal of zero variance
-            return _normal_expect_tile(a, np.zeros_like(a), b, tk.gamma)
         return np.exp(-tk.gamma * _sq_distance(a, b))
     return np.exp(-tk.gamma * np.sum(np.abs(a - b), axis=0))
 
@@ -245,7 +282,8 @@ def _normal_expect_tile(mean, var, y, gamma):
     c = -gamma * np.sum(a * m * m, axis=-1, keepdims=True) - 0.5 * np.sum(np.log(denom), axis=-1, keepdims=True)
     left = np.concatenate([2.0 * gamma * a * m, -gamma * a, c], axis=-1)
     right = np.concatenate([y, y * y, np.ones(y.shape[:-1] + (1,))], axis=-1)
-    return np.exp(_tile_product(left, right, transpose))
+    out = _tile_product(left, right, transpose)
+    return np.exp(out, out=out)
 
 
 def _laplace_expect(loc, scale, y, gamma):
@@ -606,26 +644,23 @@ def _target_dim(family: str, params: tuple) -> int:
 
 
 def _expect(tk: TargetKernel, x: Columns, y, tile: bool = False):
-    """E k_Y(Z, y) for Z ~ the predictions of ``x``, at target coordinates ``y``; normals of
-    d > 1 dimensions and discrete laws on a ``tile`` as a matrix product."""
+    """E k_Y(Z, y) for Z ~ the predictions of ``x``, at target coordinates ``y``; normals and
+    discrete laws on a ``tile`` as a matrix product."""
     if x.draws:
         return np.mean(_target_kernel(tk, x.draws[1], y[:, None]), axis=0)
     if x.weights is not None:  # a weighted sum over the components
         return np.sum(x.weights * _expect(tk, replace(x, weights=None), y[:, None]), axis=0)
     if x.family == "diag_normal":
-        return (_normal_expect_tile if tile and len(y) > 1 else _normal_expect)(*x.params, y, tk.gamma)
+        return (_normal_expect_tile if tile else _normal_expect)(*x.params, y, tk.gamma)
     if x.family == "laplace":
         return _laplace_expect(*x.params[0], y[0], tk.gamma)
     return _discrete_expect(tk, x.params[0], y, tile)
 
 
-def _double_expect(tk: TargetKernel, x: Columns, z: Columns, tile: bool = False, mean_sq=None):
+def _double_expect(tk: TargetKernel, x: Columns, z: Columns):
     """E k_Y(Z, Z') for Z ~ the predictions of ``x`` and Z' ~ those of ``z``.
 
-    Discrete laws on a ``tile`` take matrix products. Given the squared
-    distances M of their means in ``mean_sq``, isotropic
-    normals take exp(-gamma M / D) / D^(d/2), D = 1 + 2 gamma (v + v'). Over
-    Monte-Carlo draws the prediction with the smaller key takes its
+    Over Monte-Carlo draws the prediction with the smaller key takes its
     "pair-left" samples and the other its "pair-right" ones (``x`` left on a
     tie), so the estimate, and with it h, is symmetric in x and z.
     """
@@ -639,30 +674,21 @@ def _double_expect(tk: TargetKernel, x: Columns, z: Columns, tile: bool = False,
         grid = _double_expect(tk, x_k, replace(z, weights=None, params=[a[:, None] for a in z.params]))
         return np.sum(x.weights[:, None] * z.weights[None] * grid, axis=(0, 1))
     if x.family == "diag_normal":
-        (m1, v1), (m2, v2) = x.params, z.params
-        if mean_sq is not None and _isotropic(v1) and _isotropic(v2):
-            denom = 1.0 + 2.0 * tk.gamma * (v1[0] + v2[0])
-            return np.exp(-tk.gamma * (mean_sq / denom)) / denom ** (0.5 * len(v1))
-        return _normal_expect(m1, v1 + v2, m2, tk.gamma)
+        return _normal_expect(x.params[0], x.params[1] + z.params[1], z.params[0], tk.gamma)
     if x.family == "laplace":
         return _laplace_double(*x.params[0], *z.params[0], tk.gamma)
-    return _discrete_double(tk, x.params[0], z.params[0], tile)
+    return _discrete_double(tk, x.params[0], z.params[0])
 
 
-def _prediction_kernel(pk: PredictionKernel, x: Columns, z: Columns, need=None, mean_sq=None):
+def _prediction_kernel(pk: PredictionKernel, x: Columns, z: Columns, need=None):
     """k_P between the predictions of the views ``x`` and ``z``, broadcast together.
 
-    ``mean_sq`` holds the squared distances of the means of normals, if known.
     MW is evaluated where the boolean ``need`` is true (everywhere when it is
     None) and is 0 elsewhere; the transport problems of those pairs go to one
     batched solve, a plain prediction being a mixture of one component.
     """
     if not isinstance(pk.metric, MW):
-        if mean_sq is None:
-            return np.exp(-pk.lam * _distance(x.emb, z.emb) ** pk.nu)
-        a, b = x.emb[x.dim :], z.emb[x.dim :]  # the standard deviations of normals
-        rest = len(a) * (a[0] - b[0]) ** 2 if _isotropic(a) and _isotropic(b) else _sq_distance(a, b)
-        return np.exp(-pk.lam * np.sqrt(mean_sq + rest) ** pk.nu)
+        return np.exp(-pk.lam * _distance(x.emb, z.emb) ** pk.nu)
     shape = np.broadcast_shapes(x.at.shape, z.at.shape)
     need = np.broadcast_to(True if need is None else need, shape)
 
@@ -880,34 +906,35 @@ def eval_h(spec: KernelSpec, p: Prediction, y: Target, q: Prediction, z: Target)
 TILE_BYTES = 1 << 20
 
 # The paths of ``route`` whose outer-product tiles take the tile forms of ``h_values``.
-_TILE_PATHS = ("normal GEMM", "normal direct", "discrete GEMM")
+_TILE_PATHS = ("normal GEMM", "discrete GEMM")
 
 
 def route(spec: KernelSpec, columns: Columns) -> tuple:
-    """The path that h of ``columns`` takes under ``spec``, as reports name it, and the floats per
-    pair that its tile temporaries hold, from which ``tile_size`` sets the tile side.
+    """The path that h of ``columns`` takes under ``spec``, as reports name it, the floats per pair
+    that its tile temporaries hold, from which ``tile_size`` sets the tile side, and whether every
+    prediction is an isotropic normal.
 
     The paths are "Monte-Carlo" (4 d S floats over S draws in d dimensions), "MW transport" (p K^2
-    on mixtures of K components with p parameter rows), "normal GEMM" (d > 1 dimensions), "normal
-    direct" (d = 1), "Laplace direct" and "discrete GEMM". Normal GEMM holds the d rows of the
-    squared mean distances when every prediction is isotropic; the others a float per embedding row.
+    on mixtures of K components with p parameter rows), "Laplace direct" (a float per embedding
+    row), "normal GEMM" and "discrete GEMM". The GEMM paths evaluate a tile in place and count the
+    3 T x T arrays that it holds at its peak.
     """
     if isinstance(spec.expectation, MonteCarlo):
-        return "Monte-Carlo", 4 * spec.expectation.samples * _target_dim(columns.family, columns.params)
+        return "Monte-Carlo", 4 * spec.expectation.samples * _target_dim(columns.family, columns.params), False
     width = columns.emb.shape[0]
     if isinstance(spec.prediction_kernel.metric, MW):
         if columns.weights is not None:
             width = columns.params[0].shape[0] * columns.weights.shape[0] ** 2
-        return "MW transport", width
-    if columns.family == "diag_normal" and columns.dim > 1:
-        return "normal GEMM", columns.dim if _isotropic(columns.params[1]) else width
-    path = {"diag_normal": "normal direct", "laplace": "Laplace direct"}.get(columns.family, "discrete GEMM")
-    return path, width
+        return "MW transport", width, False
+    if columns.family == "laplace":
+        return "Laplace direct", width, False
+    var = columns.params[1] if columns.family == "diag_normal" else None
+    return ("discrete GEMM", 3, False) if var is None else ("normal GEMM", 3, bool(np.all(var == var[:1])))
 
 
 def tiling(spec: KernelSpec, columns: Columns) -> dict:
     """The ``path`` and ``tile`` side of the reductions of h over ``columns`` under ``spec``, for their reports."""
-    path, width = route(spec, columns)
+    path, width, _ = route(spec, columns)
     return {"path": path, "tile": _tile_side(width)}
 
 
@@ -937,19 +964,58 @@ def h_values(spec: KernelSpec, columns: Columns, i, j, need=None) -> np.ndarray:
     h asks for one triangle only.
 
     On the normal and discrete paths of the ``route``, an outer-product tile,
-    ``i`` of shape (..., T, 1) and ``j`` of (..., 1, T'), takes the tile forms,
-    and normals share the squared mean distances; where ``j`` is ``i``
-    transposed, E k(Z_j, y_i) is the transpose of E k(Z_i, y_j).
+    ``i`` of shape (..., T, 1) and ``j`` of (..., 1, T'), takes the tile forms
+    in place; where ``j`` is ``i`` transposed, E k(Z_j, y_i) is the transpose
+    of E k(Z_i, y_j).
     """
     pk, tk, x, z = spec.prediction_kernel, spec.target_kernel, columns.take(i), columns.take(j)
-    tile = columns.route[0] in _TILE_PATHS and i.ndim == j.ndim >= 2 and i.shape[-1] == 1 and j.shape[-2] == 1
-    mean_sq = _sq_distance(x.emb[: x.dim], z.emb[: x.dim]) if tile and x.family == "diag_normal" else None
-    first = _expect(tk, x, z.y, tile)
-    diagonal = tile and np.array_equal(i[..., 0], j[..., 0, :])
-    second = first.swapaxes(-1, -2) if diagonal else _expect(tk, z, x.y, tile)
-    return _prediction_kernel(pk, x, z, need, mean_sq) * (
-        _target_kernel(tk, x.y, z.y, tile) - first - second + _double_expect(tk, x, z, tile, mean_sq)
-    )
+    if not (columns.route[0] in _TILE_PATHS and i.ndim == j.ndim >= 2 and i.shape[-1] == 1 and j.shape[-2] == 1):
+        return _prediction_kernel(pk, x, z, need) * (
+            _target_kernel(tk, x.y, z.y) - _expect(tk, x, z.y) - _expect(tk, z, x.y) + _double_expect(tk, x, z)
+        )
+    if x.family == "diag_normal":
+        kp, h = _normal_tile(pk, tk, x, z, columns.route[2])
+    else:
+        kp, h = _kernel_of_sq(pk, _row_sum(x.emb, z.emb)), _discrete_double(tk, x.params[0], z.params[0], True)
+    h += _target_kernel(tk, x.y, z.y, True)
+    first = _expect(tk, x, z.y, True)
+    h -= first
+    if np.array_equal(i[..., 0], j[..., 0, :]):
+        h -= first.swapaxes(-1, -2)
+    else:
+        del first  # so that the tile holds at most three T x T arrays here
+        h -= _expect(tk, z, x.y, True)
+    h *= kp
+    return h
+
+
+def _normal_tile(pk: PredictionKernel, tk: GaussianRBF, x: Columns, z: Columns, isotropic: bool):
+    """k_P and E k_Y(Z, Z') on an outer-product tile of normals, in place.
+
+    With D = 1 + 2 gamma (v + v') the double expectation is exp(-gamma Q) / N, where isotropic
+    normals share the squared mean distances M with the W2 distance, Q = M / D and N = D^(d/2);
+    other normals take Q = sum (m - m')^2 / D and N = prod(D)^(1/2) over the coordinates.
+    """
+    d, gamma, (m1, v1), (m2, v2) = x.dim, tk.gamma, x.params, z.params
+    rows = 1 if isotropic else d
+    a1, a2 = 0.5 + 2.0 * gamma * v1[:rows], 0.5 + 2.0 * gamma * v2[:rows]  # D = a1 + a2
+    if isotropic:  # the standard deviations add d (s - s')^2 to M
+        quad = _row_sum(m1, m2)
+        kp = _row_sum(math.sqrt(d) * x.emb[d : d + 1], math.sqrt(d) * z.emb[d : d + 1])
+        kp += quad
+        kp = _kernel_of_sq(pk, kp)
+        norm = np.add(a1[0], a2[0])
+        quad /= norm
+    else:
+        quad, norm = _row_sum(m1, m2, over=(a1, a2)), _row_prod(a1, a2)
+    norm **= 0.5 * d / rows
+    quad *= -gamma
+    double = np.exp(quad, out=quad)
+    double /= norm
+    if not isotropic:
+        norm = None
+        kp = _kernel_of_sq(pk, _row_sum(x.emb, z.emb))
+    return kp, double
 
 
 def pairwise_h(spec: KernelSpec, predictions, targets, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -964,13 +1030,12 @@ def cme_values(spec: KernelSpec, columns: Columns, sites: Columns) -> np.ndarray
     Rows are the pairs (p_i, y_i) of ``columns``, columns the test locations
     T_j of ``sites``; blocks of rows are evaluated as one tile each.
     """
-    columns, tk = prepare(spec, columns, sites), spec.target_kernel
+    columns, pk, tk = prepare(spec, columns, sites), spec.prediction_kernel, spec.target_kernel
     tile, n, j_count = columns.route[0] in _TILE_PATHS, len(columns), len(sites)
     t, step = sites.take(np.arange(j_count)[None, :]), max(1, tile_size(columns) ** 2 // j_count)
     z = np.empty((n, j_count))
     for lo in range(0, n, step):
         x = columns.take(np.arange(lo, min(lo + step, n))[:, None])
-        z[lo : lo + step] = _prediction_kernel(spec.prediction_kernel, t, x) * (
-            _target_kernel(tk, t.y, x.y, tile) - _expect(tk, x, t.y, tile)
-        )
+        kp = _kernel_of_sq(pk, _row_sum(t.emb, x.emb)) if tile else _prediction_kernel(pk, t, x)
+        z[lo : lo + step] = kp * (_target_kernel(tk, t.y, x.y, tile) - _expect(tk, x, t.y, tile))
     return z

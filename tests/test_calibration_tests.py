@@ -326,7 +326,7 @@ def _spec(metric, tk, expectation=Analytic()):
 @pytest.mark.parametrize(
     "spec, predictions, target, path",
     [
-        (default_kernel_spec(), [DiagNormal(0.0, 1.0)] * 4, RealVector(0.5), "normal direct"),
+        (default_kernel_spec(), [DiagNormal(0.0, 1.0)] * 4, RealVector(0.5), "normal GEMM"),
         (default_kernel_spec(), [DiagNormal([0.0, 1.0], [1.0, 2.0])] * 4, RealVector([0.5, 0.0]), "normal GEMM"),
         (_spec(ParamEuclidean(), LaplacianExp()), [Laplace(0.0, 1.0)] * 4, RealVector(0.5), "Laplace direct"),
         (_spec(ParamEuclidean(), KroneckerDelta()), [Categorical([0.3, 0.7])] * 4, ClassLabel(1), "discrete GEMM"),

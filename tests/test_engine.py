@@ -218,14 +218,20 @@ def _check_stacked_and_diagonal_tiles(case, monkeypatch):
     np.testing.assert_allclose(skce_block(spec, data, 2).block_estimates, etas, rtol=1e-12, atol=1e-12)
     # one diagonal tile over the rows in shuffled order, and the same rows against a shifted copy
     rows, columns = rng.permutation(n), kernels.prepare(spec, data.columns)
+    arrays = [columns.emb, *columns.params, columns.y]
+    before = [a.tobytes() for a in arrays]
     got = kernels.h_values(spec, columns, rows[:, None], rows[None, :])
     np.testing.assert_allclose(got, h[np.ix_(rows, rows)], rtol=1e-12, atol=1e-12)
     shifted = np.roll(rows, 1)
     got = kernels.h_values(spec, columns, rows[:, None], shifted[None, :])
     np.testing.assert_allclose(got, h[np.ix_(rows, shifted)], rtol=1e-12, atol=1e-12)
+    # the in-place forms write only into arrays the tile allocated, never into the prepared columns
+    assert [a.tobytes() for a in arrays] == before
 
 
-@pytest.mark.parametrize("case", ["normal-isotropic-d10", "normal-d10"])
+@pytest.mark.parametrize(
+    "case", ["normal-d1", "normal-d3", "normal-offset-d2", "normal-isotropic-d10", "normal-d10"]
+)
 def test_stacked_and_diagonal_normal_tiles_match_brute_force(case, monkeypatch):
     _check_stacked_and_diagonal_tiles(case, monkeypatch)
 
@@ -248,6 +254,40 @@ def test_discrete_tile_expectations_under_kronecker_delta_are_exact():
     for i, j, want in ((rows, cols, probs[rows, labels[cols]]), (cols, rows, probs[cols, labels[rows]])):
         got = kernels._expect(spec.target_kernel, columns.take(i), columns.take(j).y, tile=True)
         assert np.array_equal(got, want)
+
+
+def _ten_classes(rng, n):
+    return [Categorical(rng.dirichlet(np.ones(10))) for _ in range(n)], [ClassLabel(int(rng.integers(10))) for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "spec, make, d",
+    [
+        (default_kernel_spec(), lambda rng, n: _normals(1)(rng, n)[:2], 1),
+        (default_kernel_spec(), lambda rng, n: _normals(10, isotropic=True)(rng, n)[:2], 10),
+        (CASES["normal-d10"][0], lambda rng, n: _normals(10)(rng, n)[:2], 10),
+        (CASES["categorical-kronecker"][0], _ten_classes, 10),
+        (CASES["categorical-gaussian"][0], _ten_classes, 10),
+    ],
+    ids=["normal-d1", "normal-isotropic-d10", "normal-d10", "categorical-10-kronecker", "categorical-10-gaussian"],
+)
+def test_one_tile_holds_tile_bytes(spec, make, d):
+    # The memory model of the tile route: a tile of side tile_size holds at most TILE_BYTES of
+    # T x T arrays at once, plus its columns and matrix-product factors (16 rows of T floats per
+    # dimension allow for them) and numpy's iteration buffers of two operands.
+    columns = kernels.prepare(spec, Dataset(*make(substream(1, "engine-memory"), 512)).columns)
+    side = kernels.tile_size(columns)
+    allowance = 8 * (2 * np.getbufsize() + 16 * (d + 1) * side)
+    rows = np.arange(side)[:, None]
+    for cols in (rows.T, rows.T + side):  # a diagonal tile and an off-diagonal one
+        kernels.h_values(spec, columns, rows, cols)
+        tracemalloc.start()
+        try:
+            kernels.h_values(spec, columns, rows, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= kernels.TILE_BYTES + allowance, (side, peak / 2**20)
 
 
 def test_mixture_cme_at_normal_locations_matches_brute_force(monkeypatch):

@@ -293,8 +293,8 @@ def test_cli_estimate_json_output(sample_file, tmp_path):
     assert payload["estimator"].startswith("block")
     assert math.isfinite(payload["value"])
     assert payload["diagnostics"]["h_evaluations"] == 8 * 6
-    assert payload["diagnostics"]["path"] == "normal direct"
-    assert payload["diagnostics"]["tile"] == 256  # 2 floats per pair of d = 1 normals
+    assert payload["diagnostics"]["path"] == "normal GEMM"
+    assert payload["diagnostics"]["tile"] == 209  # 3 T x T arrays of isotropic normals
 
 
 def test_cli_test_block_and_bootstrap(sample_file, tmp_path):
@@ -306,7 +306,7 @@ def test_cli_test_block_and_bootstrap(sample_file, tmp_path):
     payload = json.loads(res.stdout)
     assert 0.0 <= payload["p_value"] <= 1.0
     diagnostics = payload["diagnostics"]  # B = 5: 6 blocks of 10 pairs, 2 points dropped
-    assert (diagnostics["path"], diagnostics["h_evaluations"], diagnostics["dropped_points"]) == ("normal direct", 60, 2)
+    assert (diagnostics["path"], diagnostics["h_evaluations"], diagnostics["dropped_points"]) == ("normal GEMM", 60, 2)
 
     res2 = _run(
         ["test", "--data", sample_file, "--method", "bootstrap",
