@@ -174,7 +174,9 @@ def default_kernel_spec() -> KernelSpec:
 # 0, ..., K - 1, E k(Z_i, y_j) is the GEMM P_i^T G_j with G = k_Y(support, y),
 # one-hot under the Kronecker delta (so exact: only zeros are added), and
 # E k(Z_i, Z'_j) is P_i^T (Grid P_j) with Grid the K x K kernel on the support.
-# Tile forms work in place, on T x T arrays that they allocate themselves.
+#
+# Tile forms work in place, on T x T arrays that they allocate themselves, so
+# that ``route`` can count the few such arrays a tile holds at once.
 
 
 def _sq_distance(a, b):

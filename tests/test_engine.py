@@ -257,25 +257,22 @@ def test_discrete_tile_expectations_under_kronecker_delta_are_exact():
 
 
 def _ten_classes(rng, n):
-    return [Categorical(rng.dirichlet(np.ones(10))) for _ in range(n)], [ClassLabel(int(rng.integers(10))) for _ in range(n)]
+    preds = [Categorical(rng.dirichlet(np.ones(10))) for _ in range(n)]
+    return preds, [ClassLabel(int(rng.integers(10))) for _ in range(n)], None, None
 
 
 @pytest.mark.parametrize(
-    "spec, make, d",
-    [
-        (default_kernel_spec(), lambda rng, n: _normals(1)(rng, n)[:2], 1),
-        (default_kernel_spec(), lambda rng, n: _normals(10, isotropic=True)(rng, n)[:2], 10),
-        (CASES["normal-d10"][0], lambda rng, n: _normals(10)(rng, n)[:2], 10),
-        (CASES["categorical-kronecker"][0], _ten_classes, 10),
-        (CASES["categorical-gaussian"][0], _ten_classes, 10),
-    ],
-    ids=["normal-d1", "normal-isotropic-d10", "normal-d10", "categorical-10-kronecker", "categorical-10-gaussian"],
+    "case, d",
+    [("normal-d1", 1), ("normal-isotropic-d10", 10), ("normal-d10", 10), ("categorical-kronecker", 10),
+     ("categorical-gaussian", 10)],
 )
-def test_one_tile_holds_tile_bytes(spec, make, d):
+def test_one_tile_holds_tile_bytes(case, d):
     # The memory model of the tile route: a tile of side tile_size holds at most TILE_BYTES of
     # T x T arrays at once, plus its columns and matrix-product factors (16 rows of T floats per
     # dimension allow for them) and numpy's iteration buffers of two operands.
-    columns = kernels.prepare(spec, Dataset(*make(substream(1, "engine-memory"), 512)).columns)
+    spec, make = CASES[case]
+    make = _ten_classes if case.startswith("categorical") else make  # d = 10 classes
+    columns = kernels.prepare(spec, Dataset(*make(substream(1, "engine-memory"), 512)[:2]).columns)
     side = kernels.tile_size(columns)
     allowance = 8 * (2 * np.getbufsize() + 16 * (d + 1) * side)
     rows = np.arange(side)[:, None]
