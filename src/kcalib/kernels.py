@@ -176,40 +176,20 @@ def default_kernel_spec() -> KernelSpec:
 # E k(Z_i, Z'_j) is P_i^T (Grid P_j) with Grid the K x K kernel on the support.
 #
 # Tile forms work in place, on T x T arrays that they allocate themselves, so
-# that ``route`` can count the few such arrays a tile holds at once.
+# that ``route`` can count the few such arrays a tile holds at once; only the
+# double expectation of anisotropic normals keeps the (d, T, T) pair-list form.
 
 
-def _sq_distance(a, b):
-    return np.sum((a - b) ** 2, axis=0)
-
-
-def _distance(a, b):
-    return np.sqrt(_sq_distance(a, b))
-
-
-def _row_sum(a, b, square: bool = True, over=None):
-    """The sum over the rows k of (a_k - b_k)^2, or of |a_k - b_k|, on a tile, each divided by
-    c_k + e_k given ``over`` = (c, e), accumulated row by row in one array."""
-    total = row = denom = None
+def _row_sum(a, b, square: bool = True):
+    """The sum over the rows k of (a_k - b_k)^2, or of |a_k - b_k|, accumulated row by row in one array."""
+    total = row = None
     for k in range(len(a)):
         row = np.subtract(a[k], b[k], out=row)
         (np.square if square else np.abs)(row, out=row)
-        if over is not None:
-            denom = np.add(over[0][k], over[1][k], out=denom)
-            row /= denom
         if total is None:
             total, row = row, None
         else:
             total += row
-    return total
-
-
-def _row_prod(a, b):
-    """The product over the rows k of a_k + b_k on a tile, accumulated row by row in one array."""
-    total, row = np.add(a[0], b[0]), None
-    for k in range(1, len(a)):
-        row = np.add(a[k], b[k], out=row)
-        total *= row
     return total
 
 
@@ -247,20 +227,14 @@ def _exprel(x):
 
 
 def _target_kernel(tk: TargetKernel, a, b, tile: bool = False):
-    """k_Y(a, b); on a ``tile`` in place, the Gaussian as a centred Gram product."""
+    """k_Y(a, b), in place; on a ``tile`` the Gaussian as a centred Gram product."""
     if tile and isinstance(tk, GaussianRBF):  # the expectation over a normal of zero variance
         return _normal_expect_tile(a, np.zeros_like(a), b, tk.gamma)
-    if tile:  # from the L1 distance
-        out = _row_sum(a, b, square=False)
-        if isinstance(tk, KroneckerDelta):
-            return np.equal(out, 0.0, out=out, casting="unsafe")
-        out *= -tk.gamma
-        return np.exp(out, out=out)
+    out = _row_sum(a, b, square=isinstance(tk, GaussianRBF))
     if isinstance(tk, KroneckerDelta):
-        return np.all(a == b, axis=0).astype(np.float64)
-    if isinstance(tk, GaussianRBF):
-        return np.exp(-tk.gamma * _sq_distance(a, b))
-    return np.exp(-tk.gamma * np.sum(np.abs(a - b), axis=0))
+        return np.equal(out, 0.0, out=out, casting="unsafe")
+    out *= -tk.gamma
+    return np.exp(out, out=out)
 
 
 def _normal_expect(mean, var, y, gamma):
@@ -690,7 +664,7 @@ def _prediction_kernel(pk: PredictionKernel, x: Columns, z: Columns, need=None):
     batched solve, a plain prediction being a mixture of one component.
     """
     if not isinstance(pk.metric, MW):
-        return np.exp(-pk.lam * _distance(x.emb, z.emb) ** pk.nu)
+        return _kernel_of_sq(pk, _row_sum(x.emb, z.emb))
     shape = np.broadcast_shapes(x.at.shape, z.at.shape)
     need = np.broadcast_to(True if need is None else need, shape)
 
@@ -699,7 +673,7 @@ def _prediction_kernel(pk: PredictionKernel, x: Columns, z: Columns, need=None):
         return [np.broadcast_to(a, a.shape[: a.ndim - len(shape)] + shape)[..., need] for a in (emb, w)]
 
     (ea, wa), (eb, wb) = needed(x), needed(z)
-    cost = _distance(ea[:, :, None], eb[:, None]) ** pk.metric.s
+    cost = np.sqrt(_row_sum(ea[:, :, None], eb[:, None])) ** pk.metric.s
     value = _solve_transport(wa.T, wb.T, np.moveaxis(cost, -1, 0))
     dist = np.full(shape, np.inf)
     dist[need] = np.maximum(value, 0.0) ** (1.0 / pk.metric.s)
@@ -769,7 +743,7 @@ def prediction_distance(metric: PredictionMetric, p: Prediction, q: Prediction) 
     a, b = _param_embedding(p), _param_embedding(q)
     if a.shape != b.shape:
         raise DimensionError("parameter embeddings have mismatched dimensions")
-    return float(_distance(a, b))
+    return math.sqrt(_row_sum(a[:, None], b[:, None])[0])
 
 
 def eval_prediction_kernel(pk: PredictionKernel, p: Prediction, q: Prediction) -> float:
@@ -797,7 +771,7 @@ def eval_target_kernel(tk: TargetKernel, y: Target, z: Target) -> float:
         if isinstance(tk, KroneckerDelta):
             return 0.0
         raise DimensionError("target dimensions do not match")
-    return float(_target_kernel(tk, a, b))
+    return float(_target_kernel(tk, a[:, None], b[:, None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -918,8 +892,9 @@ def route(spec: KernelSpec, columns: Columns) -> tuple:
 
     The paths are "Monte-Carlo" (4 d S floats over S draws in d dimensions), "MW transport" (p K^2
     on mixtures of K components with p parameter rows), "Laplace direct" (a float per embedding
-    row), "normal GEMM" and "discrete GEMM". The GEMM paths evaluate a tile in place and count the
-    3 T x T arrays that it holds at its peak.
+    row), "normal GEMM" and "discrete GEMM". The GEMM paths count the 3 T x T arrays that a tile
+    evaluated in place holds at its peak; anisotropic normals 4 d + 4, for the (d, T, T) arrays of
+    ``_normal_expect``.
     """
     if isinstance(spec.expectation, MonteCarlo):
         return "Monte-Carlo", 4 * spec.expectation.samples * _target_dim(columns.family, columns.params), False
@@ -930,8 +905,10 @@ def route(spec: KernelSpec, columns: Columns) -> tuple:
         return "MW transport", width, False
     if columns.family == "laplace":
         return "Laplace direct", width, False
-    var = columns.params[1] if columns.family == "diag_normal" else None
-    return ("discrete GEMM", 3, False) if var is None else ("normal GEMM", 3, bool(np.all(var == var[:1])))
+    if columns.family != "diag_normal":
+        return "discrete GEMM", 3, False
+    isotropic = bool(np.all(columns.params[1] == columns.params[1][:1]))
+    return "normal GEMM", 3 if isotropic else 4 * columns.dim + 4, isotropic
 
 
 def tiling(spec: KernelSpec, columns: Columns) -> dict:
@@ -978,7 +955,7 @@ def h_values(spec: KernelSpec, columns: Columns, i, j, need=None) -> np.ndarray:
     if x.family == "diag_normal":
         kp, h = _normal_tile(pk, tk, x, z, columns.route[2])
     else:
-        kp, h = _kernel_of_sq(pk, _row_sum(x.emb, z.emb)), _discrete_double(tk, x.params[0], z.params[0], True)
+        kp, h = _prediction_kernel(pk, x, z), _discrete_double(tk, x.params[0], z.params[0], True)
     h += _target_kernel(tk, x.y, z.y, True)
     first = _expect(tk, x, z.y, True)
     h -= first
@@ -992,31 +969,24 @@ def h_values(spec: KernelSpec, columns: Columns, i, j, need=None) -> np.ndarray:
 
 
 def _normal_tile(pk: PredictionKernel, tk: GaussianRBF, x: Columns, z: Columns, isotropic: bool):
-    """k_P and E k_Y(Z, Z') on an outer-product tile of normals, in place.
+    """k_P and E k_Y(Z, Z') on an outer-product tile of normals.
 
-    With D = 1 + 2 gamma (v + v') the double expectation is exp(-gamma Q) / N, where isotropic
-    normals share the squared mean distances M with the W2 distance, Q = M / D and N = D^(d/2);
-    other normals take Q = sum (m - m')^2 / D and N = prod(D)^(1/2) over the coordinates.
+    Isotropic normals share the squared mean distances M with the W2 distance and take, in place,
+    exp(-gamma M / D) / D^(d/2) with D = 1 + 2 gamma (v + v'); other normals take ``_normal_expect``.
     """
     d, gamma, (m1, v1), (m2, v2) = x.dim, tk.gamma, x.params, z.params
-    rows = 1 if isotropic else d
-    a1, a2 = 0.5 + 2.0 * gamma * v1[:rows], 0.5 + 2.0 * gamma * v2[:rows]  # D = a1 + a2
-    if isotropic:  # the standard deviations add d (s - s')^2 to M
-        quad = _row_sum(m1, m2)
-        kp = _row_sum(math.sqrt(d) * x.emb[d : d + 1], math.sqrt(d) * z.emb[d : d + 1])
-        kp += quad
-        kp = _kernel_of_sq(pk, kp)
-        norm = np.add(a1[0], a2[0])
-        quad /= norm
-    else:
-        quad, norm = _row_sum(m1, m2, over=(a1, a2)), _row_prod(a1, a2)
-    norm **= 0.5 * d / rows
+    if not isotropic:
+        return _prediction_kernel(pk, x, z), _normal_expect(m1, v1 + v2, m2, gamma)
+    quad = _row_sum(m1, m2)
+    kp = _row_sum(math.sqrt(d) * x.emb[d : d + 1], math.sqrt(d) * z.emb[d : d + 1])  # adds d (s - s')^2
+    kp += quad
+    kp = _kernel_of_sq(pk, kp)
+    norm = np.add(0.5 + 2.0 * gamma * v1[0], 0.5 + 2.0 * gamma * v2[0])
+    quad /= norm
+    norm **= 0.5 * d
     quad *= -gamma
     double = np.exp(quad, out=quad)
     double /= norm
-    if not isotropic:
-        norm = None
-        kp = _kernel_of_sq(pk, _row_sum(x.emb, z.emb))
     return kp, double
 
 
@@ -1032,12 +1002,13 @@ def cme_values(spec: KernelSpec, columns: Columns, sites: Columns) -> np.ndarray
     Rows are the pairs (p_i, y_i) of ``columns``, columns the test locations
     T_j of ``sites``; blocks of rows are evaluated as one tile each.
     """
-    columns, pk, tk = prepare(spec, columns, sites), spec.prediction_kernel, spec.target_kernel
+    columns, tk = prepare(spec, columns, sites), spec.target_kernel
     tile, n, j_count = columns.route[0] in _TILE_PATHS, len(columns), len(sites)
     t, step = sites.take(np.arange(j_count)[None, :]), max(1, tile_size(columns) ** 2 // j_count)
     z = np.empty((n, j_count))
     for lo in range(0, n, step):
         x = columns.take(np.arange(lo, min(lo + step, n))[:, None])
-        kp = _kernel_of_sq(pk, _row_sum(t.emb, x.emb)) if tile else _prediction_kernel(pk, t, x)
-        z[lo : lo + step] = kp * (_target_kernel(tk, t.y, x.y, tile) - _expect(tk, x, t.y, tile))
+        z[lo : lo + step] = _prediction_kernel(spec.prediction_kernel, t, x) * (
+            _target_kernel(tk, t.y, x.y, tile) - _expect(tk, x, t.y, tile)
+        )
     return z

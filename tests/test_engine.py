@@ -263,8 +263,8 @@ def _ten_classes(rng, n):
 
 @pytest.mark.parametrize(
     "case, d",
-    [("normal-d1", 1), ("normal-isotropic-d10", 10), ("normal-d10", 10), ("categorical-kronecker", 10),
-     ("categorical-gaussian", 10)],
+    [("normal-d1", 1), ("normal-d3", 3), ("normal-isotropic-d10", 10), ("normal-d10", 10),
+     ("categorical-kronecker", 10), ("categorical-gaussian", 10)],
 )
 def test_one_tile_holds_tile_bytes(case, d):
     # The memory model of the tile route: a tile of side tile_size holds at most TILE_BYTES of
