@@ -7,44 +7,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Categorical, Prediction, TruncatedCountable
+from .distributions import DISCRETE
 from .estimators import Dataset
 from .exceptions import DimensionError, FamilyError, ParameterError
-from .distributions import DISCRETE
+from .kernels import Columns
 
 DEFAULT_TAU_GRID = tuple(np.round(np.arange(0.05, 0.96, 0.05), 2))
 
 
-def _discrete_probs(p: Prediction, width: int) -> np.ndarray:
-    if isinstance(p, Categorical):
-        probs = p.probs
-    elif isinstance(p, TruncatedCountable):
-        probs = p.probs / p.probs.sum()
-    else:
-        raise FamilyError(
-            f"oracle calibration errors are defined for discrete families, not {p.family!r}"
-        )
-    if probs.shape[0] > width:
-        raise DimensionError("oracle distribution support is narrower than the prediction's")
-    return np.pad(probs, (0, width - probs.shape[0]))
+def _masses(columns: Columns) -> np.ndarray:
+    """The masses of discrete laws on the points 0, 1, ..., (K, n)."""
+    if columns.family not in DISCRETE or columns.weights is not None:
+        family = columns.family if columns.weights is None else "mixture"
+        raise FamilyError(f"oracle calibration errors are defined for discrete families, not {family!r}")
+    return columns.params[0]
 
 
-def _common_width(data: Dataset, oracle) -> int:
-    width = 0
-    for p in data.predictions:
-        if isinstance(p, Categorical):
-            width = max(width, p.n_classes)
-        elif isinstance(p, TruncatedCountable):
-            width = max(width, p.support_size)
-        else:
-            raise FamilyError(
-                f"oracle calibration errors are defined for discrete families, not {p.family!r}"
-            )
-        q = oracle(p)
-        width = max(
-            width, q.n_classes if isinstance(q, Categorical) else q.support_size
-        )
-    return width
+def _gaps(data: Dataset, oracle) -> np.ndarray:
+    """|oracle mass - predicted mass| at each point of the common (truncated) support, (K, n)."""
+    predicted = _masses(data.columns)
+    if not isinstance(oracle, Columns):
+        oracle = Columns.of([oracle(p) for p in data.predictions])
+    true = _masses(oracle)
+    true, predicted = (np.pad(a, ((0, max(len(true), len(predicted)) - len(a)), (0, 0))) for a in (true, predicted))
+    return np.abs(true - predicted)
 
 
 def oracle_ece(data: Dataset, oracle, q: float = 2.0) -> float:
@@ -52,26 +38,17 @@ def oracle_ece(data: Dataset, oracle, q: float = 2.0) -> float:
     the prediction, aligned over the common (truncated) support.
 
     ``oracle`` maps a prediction to the true conditional distribution of the
-    target given that prediction, as a prediction of the same target space.
+    target given that prediction, as a prediction of the same target space;
+    or it is the ``Columns`` of those laws, one per prediction.
     """
     if not (1.0 < q < math.inf):
         raise ParameterError(f"norm order must lie in (1, inf), got {q!r}")
-    width = _common_width(data, oracle)
-    total = 0.0
-    for p in data.predictions:
-        diff = _discrete_probs(oracle(p), width) - _discrete_probs(p, width)
-        total += float(np.sum(np.abs(diff) ** q))
-    return total / len(data)
+    return float(np.mean(np.sum(_gaps(data, oracle) ** q, axis=0)))
 
 
 def oracle_mce(data: Dataset, oracle) -> float:
-    """Maximum sup-norm discrepancy over the dataset's predictions."""
-    width = _common_width(data, oracle)
-    worst = 0.0
-    for p in data.predictions:
-        diff = _discrete_probs(oracle(p), width) - _discrete_probs(p, width)
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+    """Maximum sup-norm discrepancy over the dataset's predictions (``oracle`` as in ``oracle_ece``)."""
+    return float(np.max(_gaps(data, oracle)))
 
 
 def binned_confidence_ece(data: Dataset, num_bins: int = 10) -> float:

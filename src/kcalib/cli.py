@@ -237,9 +237,8 @@ def _cmd_diagnose(args) -> int:
             oracle_data = parse_dataset(args.oracle_data)
             if len(oracle_data) != len(data):
                 raise KcalibError("oracle dataset must match the data length")
-            lookup = {id(p): q for p, q in zip(data.predictions, oracle_data.predictions)}
-            payload["oracle_ece"] = oracle_ece(data, lambda p: lookup[id(p)], q=args.norm_order)
-            payload["oracle_mce"] = oracle_mce(data, lambda p: lookup[id(p)])
+            payload["oracle_ece"] = oracle_ece(data, oracle_data.columns, q=args.norm_order)
+            payload["oracle_mce"] = oracle_mce(data, oracle_data.columns)
         else:
             raise KcalibError(f"unknown diagnostic {metric!r}")
     _emit(payload, args.format)

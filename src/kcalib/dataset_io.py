@@ -23,18 +23,15 @@ import numpy as np
 
 from .distributions import (
     DISCRETE,
+    FAMILIES,
     TARGET_TYPES,
     ClassLabel,
     Count,
     RealVector,
-    _categorical_rules,
     _index_rules,
     _kept_weights,
-    _laplace_rules,
     _mixture_rules,
-    _normal_rules,
     _reals_rules,
-    _truncated_rules,
     check_rows,
     discrete_mixture,
     pair_rules,
@@ -46,14 +43,6 @@ from .kernels import Columns
 
 SCHEMA_VERSION = 1
 
-# Each family's fields, of kind "number" (converted as float() does), "vector"
-# (as np.atleast_1d does) or "array" (as np.asarray does), and its rules.
-_FAMILIES = {
-    "diag_normal": ((("mean", "vector"), ("var", "vector")), _normal_rules),
-    "laplace": ((("loc", "number"), ("scale", "number")), _laplace_rules),
-    "categorical": ((("probs", "array"),), _categorical_rules),
-    "truncated_countable": ((("probs", "array"), ("tail_mass", "number")), _truncated_rules),
-}
 # Each target type's name in files, and its one field.
 _TARGETS = {ClassLabel: ("class", "index"), Count: ("count", "value"), RealVector: ("reals", "values")}
 _TARGET_TYPES = {kind: target_type for target_type, (kind, _) in _TARGETS.items()}
@@ -101,9 +90,9 @@ def _component_family(prediction, line: int, nested: bool = False):
         if len(families) > 1:
             raise DatasetFormatError(f"{_PREDICTION}mixture components must share one family", line)
         return families.pop() if families else None
-    if not isinstance(family, str) or family not in _FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise DatasetFormatError(f"unknown prediction family {family!r}", line)
-    for key, _ in _FAMILIES[family][0]:
+    for key, _ in FAMILIES[family][1]:
         if key not in prediction and key != "tail_mass":  # the only optional field, 0 by default
             raise DatasetFormatError(f"{_PREDICTION}{key!r}", line)
     return family
@@ -212,10 +201,10 @@ def _per_record(checks: list, k: int) -> list:
 
 
 def _columnwise(a: np.ndarray, n: int, k) -> np.ndarray:
-    """Rows of one canonical array, one per record (or per component, record-major), as columns."""
-    if k is None:
-        return np.moveaxis(a, 0, -1)
-    return np.moveaxis(a.reshape((n, k) + a.shape[1:]), (0, 1), (-1, -2))
+    """Rows of one canonical array, one per record (or per component, record-major), as columns
+    (a number as a column of one row)."""
+    a = a.reshape(len(a), -1)
+    return a.T if k is None else np.moveaxis(a.reshape(n, k, -1), (0, 1), (-1, -2))
 
 
 def _columns(family: str, records: list, dimension, single: bool) -> Columns | None:
@@ -236,7 +225,7 @@ def _columns(family: str, records: list, dimension, single: bool) -> Columns | N
             check_rows(_labelled(_PREDICTION, _mixture_rules(weights, 0)[0]))
         predictions = [c for p in predictions for c in p["components"]]
         family = predictions[0]["family"]
-    fields, rules = _FAMILIES[family]
+    _, fields, rules = FAMILIES[family]
     arrays = [
         _floats([p.get(key, 0.0) for p in predictions], kind, _PREDICTION, single)
         for key, kind in fields
@@ -249,7 +238,7 @@ def _columns(family: str, records: list, dimension, single: bool) -> Columns | N
     if records[0][1] is None:
         check_rows(checks)
         return None
-    dim = 1 if family == "laplace" else arrays[0].shape[-1]
+    dim = arrays[0][0].size
     target_type = TARGET_TYPES[family][0]
     values = [t[_TARGETS[target_type][1]] for _, t in records]
     if target_type is RealVector:
@@ -274,8 +263,6 @@ def _columns(family: str, records: list, dimension, single: bool) -> Columns | N
             weights, canonical, k = kept[None], [a[keep] for a in canonical], int(keep.sum())
         weights = weights.T
     canonical = tuple(_columnwise(a, n, k) for a in canonical)
-    if family == "laplace":
-        canonical = (np.stack(canonical),)
     return Columns.build(family, canonical, y, weights)
 
 
@@ -363,10 +350,8 @@ def parse_locations(path: str) -> TestLocations:
 
 
 def _prediction_dicts(family: str, rows: list) -> list:
-    """JSON objects of predictions of ``family`` from the rows of its canonical arrays, as lists."""
-    if family == "laplace":  # one array of location and scale
-        rows = list(zip(*rows[0]))
-    names = [key for key, _ in _FAMILIES[family][0]]
+    """JSON objects of predictions of ``family`` from the rows of its fields, as lists."""
+    names = [key for key, _ in FAMILIES[family][1]]
     return [{"family": family, **dict(zip(names, values))} for values in zip(*rows)]
 
 

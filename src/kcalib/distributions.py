@@ -307,6 +307,11 @@ class Prediction:
 
     family: str
 
+    @property
+    def law(self) -> str:
+        """The family, naming a mixture's component family too ("mixture of laplace")."""
+        return self.family
+
     def sample(self, rng: np.random.Generator) -> Target:
         raise NotImplementedError
 
@@ -320,8 +325,8 @@ class Prediction:
 
     def log_density(self, target: Target) -> float:
         """Log density, or log mass for a discrete law, at ``target`` (``Columns.log_density``)."""
-        family = self.components[0].family if isinstance(self, Mixture) else self.family
-        check_rows(pair_rules(family, _pred_dim(self), [type(target)], [_target_size(target)]))
+        family = self.law.removeprefix("mixture of ")
+        check_rows(pair_rules(family, self.dim, [type(target)], [_target_size(target)]))
         return float(_column(self, [target]).log_density()[0])
 
 
@@ -346,6 +351,8 @@ class Categorical(Prediction):
     @property
     def n_classes(self) -> int:
         return self.probs.shape[0]
+
+    dim = n_classes
 
     def sample(self, rng: np.random.Generator) -> ClassLabel:
         return ClassLabel(int(rng.choice(self.n_classes, p=self.probs)))
@@ -434,17 +441,23 @@ class Mixture(Prediction):
         first = components[0]
         if isinstance(first, Mixture):
             raise FamilyError("mixtures of mixtures are not supported")
+        if getattr(first, "family", None) not in FAMILIES:
+            raise FamilyError(f"unknown prediction type {type(first).__name__}")
         for c in components:
             if not isinstance(c, type(first)):
                 raise FamilyError("mixture components must share one family")
-            if _pred_dim(c) != _pred_dim(first):
+            if c.dim != first.dim:
                 raise DimensionError("mixture components must share one dimension")
         self.weights = _frozen(weights)
         self.components = components
 
     @property
     def dim(self) -> int:
-        return _pred_dim(self.components[0])
+        return self.components[0].dim
+
+    @property
+    def law(self) -> str:
+        return f"mixture of {self.components[0].family}"
 
     def sample(self, rng: np.random.Generator) -> Target:
         idx = int(rng.choice(len(self.components), p=self.weights))
@@ -482,6 +495,8 @@ class TruncatedCountable(Prediction):
     def support_size(self) -> int:
         return self.probs.shape[0]
 
+    dim = support_size
+
     def sample(self, rng: np.random.Generator) -> Count:
         if self.tail_mass > 0:
             raise FamilyError("cannot sample a truncated distribution with undeclared tail support")
@@ -498,14 +513,16 @@ class TruncatedCountable(Prediction):
         return f"TruncatedCountable({self.probs.tolist()}, tail_mass={self.tail_mass})"
 
 
-def _pred_dim(p: Prediction) -> int:
-    if isinstance(p, Categorical):
-        return p.n_classes
-    if isinstance(p, TruncatedCountable):
-        return p.support_size
-    if isinstance(p, (DiagNormal, Laplace, Mixture)):
-        return p.dim
-    raise FamilyError(f"unknown prediction type {type(p).__name__}")
+# Each family's class and fields, as the class and dataset files name them, in the order of the
+# class's slots; a field is of kind "number" (converted as float() does), "vector" (as
+# np.atleast_1d does) or "array" (as np.asarray does). Then the family's rules, which take one
+# row of each field per prediction (a number each for a number field).
+FAMILIES = {
+    "diag_normal": (DiagNormal, (("mean", "vector"), ("var", "vector")), _normal_rules),
+    "laplace": (Laplace, (("loc", "number"), ("scale", "number")), _laplace_rules),
+    "categorical": (Categorical, (("probs", "array"),), _categorical_rules),
+    "truncated_countable": (TruncatedCountable, (("probs", "array"), ("tail_mass", "number")), _truncated_rules),
+}
 
 
 # ---------------------------------------------------------------------------

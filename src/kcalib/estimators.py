@@ -9,9 +9,6 @@ import numpy as np
 
 from .distributions import (
     DISCRETE,
-    Mixture,
-    Prediction,
-    _pred_dim,
     _target_size,
     check_rows,
     checked_index,
@@ -20,13 +17,6 @@ from .distributions import (
 )
 from .exceptions import DimensionError, FamilyError, ParameterError
 from .kernels import Columns, KernelSpec, cme_values, h_values, prepare, tile_size, tiling, upper_tiles
-
-
-def _family(p: Prediction) -> str:
-    """The family of ``p``, naming a mixture's component family too."""
-    if not isinstance(p, Prediction):
-        raise FamilyError(f"unknown prediction type {type(p).__name__}")
-    return f"mixture of {p.components[0].family}" if isinstance(p, Mixture) else p.family
 
 
 def _same_items(a, b) -> bool:
@@ -57,17 +47,19 @@ class Dataset:
             raise ParameterError("predictions and targets must have equal length")
         if len(predictions) == 0:
             raise ParameterError("datasets must contain at least one pair")
-        first = predictions[0]
-        family, dim = _family(first), _pred_dim(first)
-        if isinstance(first, Mixture) and first.components[0].family in DISCRETE:
-            raise FamilyError(discrete_mixture(first.components[0].family))
+        laws = [getattr(p, "law", None) for p in predictions]
+        if None in laws:
+            raise FamilyError(f"unknown prediction type {type(predictions[laws.index(None)]).__name__}")
+        family, dim = laws[0], predictions[0].dim
+        components = family.removeprefix("mixture of ")
+        if components != family and components in DISCRETE:
+            raise FamilyError(discrete_mixture(components))
         check_rows([
-            ([_family(p) != family for p in predictions], FamilyError,
-             lambda r: f"mixed prediction families: {family!r} vs {_family(predictions[r])!r}"),
-            ([_pred_dim(p) != dim for p in predictions], DimensionError,
-             lambda r: f"mixed prediction dimensions: {dim} vs {_pred_dim(predictions[r])}"),
-            *pair_rules(family.removeprefix("mixture of "), dim, [type(y) for y in targets],
-                        [_target_size(y) for y in targets]),
+            ([law != family for law in laws], FamilyError,
+             lambda r: f"mixed prediction families: {family!r} vs {laws[r]!r}"),
+            ([p.dim != dim for p in predictions], DimensionError,
+             lambda r: f"mixed prediction dimensions: {dim} vs {predictions[r].dim}"),
+            *pair_rules(components, dim, [type(y) for y in targets], [_target_size(y) for y in targets]),
         ])
         self._lists = (predictions, targets)
         self._columns = None

@@ -17,19 +17,14 @@ import numpy as np
 
 from .distributions import (
     DISCRETE,
-    Categorical,
+    FAMILIES,
     ClassLabel,
     Count,
-    DiagNormal,
-    Laplace,
     Mixture,
     Prediction,
     RealVector,
     Target,
-    TruncatedCountable,
     _frozen,
-    _laplace_rules,
-    _normal_rules,
     _solve_transport,
     _unchecked,
     check_allocation,
@@ -343,12 +338,13 @@ class Columns:
     ``emb`` is the canonical parameter embedding (for normals and Laplace
     also the W2 embedding), ``params`` holds what the expectations read
     (mean and var, loc and scale, or the masses of a discrete law) and ``y``
-    the target coordinates; the first axis runs over parameters, the last
-    over the predictions. A mixture's ``emb`` and ``params`` hold its
-    components (of ``family``) on an axis before the predictions, ``weights``
-    (K, n) their weights. ``draws`` holds each prediction's Monte-Carlo key and
-    its "single", "pair-left" and "pair-right" samples (or some of these, in
-    this order), (d, S, n) each. Views from ``take`` keep their rows in ``at``.
+    the target coordinates; the first axis runs over the coordinates of a
+    field (one for a number), the last over the predictions. A mixture's
+    ``emb`` and ``params`` hold its components (of ``family``) on an axis
+    before the predictions, ``weights`` (K, n) their weights. ``draws`` holds
+    each prediction's Monte-Carlo key and its "single", "pair-left" and
+    "pair-right" samples (or some of these, in this order), (d, S, n) each.
+    Views from ``take`` keep their rows in ``at``.
     Columns from ``prepare`` hold their ``route``.
     """
 
@@ -363,29 +359,22 @@ class Columns:
 
     @classmethod
     def build(cls, family: str, canonical: tuple, y=None, weights=None) -> "Columns":
-        """Columns of ``family`` from the arrays its predictions hold, the predictions on the last axis.
-
-        Those are mean and var of normals, the stacked loc and scale of Laplace
-        laws, the probabilities of a categorical, and the (rescaled)
-        probabilities and the tail mass of a truncated countable law; for
-        mixtures, those of the components on an axis before the predictions.
+        """Columns of ``family`` from the fields (``distributions.FAMILIES``) its predictions hold,
+        the coordinates of a field on the first axis (one for a number) and the predictions on the
+        last; for mixtures, those of the components on an axis before the predictions.
         The arrays are held C-ordered, so that ``take`` along the last axis is a fast gather.
         """
         canonical = tuple(np.ascontiguousarray(a) for a in canonical)
         y, weights = (None if a is None else np.ascontiguousarray(a) for a in (y, weights))
-        params = canonical
+        params, emb = canonical, canonical[0]
         if family == "diag_normal":
             emb = np.concatenate([canonical[0], np.sqrt(canonical[1])])
         elif family == "laplace":
-            emb = canonical[0] * np.array([1.0, math.sqrt(2.0)]).reshape((2,) + (1,) * (canonical[0].ndim - 1))
-        elif family == "categorical":
-            emb = canonical[0]
-        else:
-            probs, tail = canonical
-            emb = np.concatenate([probs, tail[None]])
+            emb = np.concatenate([canonical[0], math.sqrt(2.0) * canonical[1]])
+        elif family == "truncated_countable":
             # Expectations renormalize over the truncated support; the
             # induced absolute error is bounded by 2 * tail_mass.
-            params = (probs / probs.sum(axis=0),)
+            emb, params = np.concatenate(canonical), (canonical[0] / canonical[0].sum(axis=0),)
         if y is not None and y.shape[0] != _target_dim(family, params):
             raise DimensionError("target dimension does not match the prediction dimension")
         return cls(family, emb, params, y, weights)
@@ -395,24 +384,20 @@ class Columns:
         if len(predictions) == 0:
             raise ParameterError("a batch needs at least one prediction")
         p0 = predictions[0]
+        family = getattr(p0, "family", None)
+        if family != "mixture" and family not in FAMILIES:
+            raise FamilyError(f"unknown prediction type {type(p0).__name__}")
         if any(type(p) is not type(p0) for p in predictions):  # also the components of mixtures
             raise FamilyError("the predictions of one batch must share one family")
         try:
             y = None if targets is None else _stack([_target_coords(t) for t in targets])
-            if isinstance(p0, Mixture):
+            if family == "mixture":
                 parts = cls.of([c for p in predictions for c in p.components])
                 return cls.mixtures(parts.family, parts.canonical(), [p.weights for p in predictions], y)
-            if isinstance(p0, DiagNormal):
-                canonical = (_stack([p.mean for p in predictions]), _stack([p.var for p in predictions]))
-            elif isinstance(p0, Laplace):
-                canonical = (np.array([[p.loc for p in predictions], [p.scale for p in predictions]]),)
-            elif isinstance(p0, Categorical):
-                canonical = (_stack([p.probs for p in predictions]),)
-            else:
-                canonical = (_stack([p.probs for p in predictions]), np.array([p.tail_mass for p in predictions]))
+            canonical = tuple(_stack([getattr(p, name) for p in predictions]) for name, _ in FAMILIES[family][1])
         except ValueError as exc:  # ragged rows
             raise DimensionError("predictions and targets of one batch must share one dimension") from exc
-        return cls.build(p0.family, canonical, y)
+        return cls.build(family, canonical, y)
 
     @classmethod
     def mixtures(cls, family: str, canonical: tuple, weights: list, y=None) -> "Columns":
@@ -434,21 +419,17 @@ class Columns:
     @property
     def dim(self) -> int:
         """The dimension of each prediction: of its law, or the support size of a discrete one."""
-        if self.family == "diag_normal":
-            return self.params[0].shape[0]
-        return 1 if self.family == "laplace" else self.emb.shape[0] - (self.family == "truncated_countable")
+        return self.params[0].shape[0]
 
     def canonical(self) -> tuple:
-        """The arrays ``build`` made these columns from (for a mixture, those of its components)."""
-        if self.family in ("diag_normal", "laplace"):
-            return self.params
-        return (self.emb,) if self.family == "categorical" else (self.emb[:-1], self.emb[-1])
+        """The fields ``build`` made these columns from (for a mixture, those of its components)."""
+        return (self.emb[:-1], self.emb[-1:]) if self.family == "truncated_countable" else self.params
 
     def rows(self) -> list:
-        """The ``canonical`` arrays with one row per prediction; a mixture's with one per component,
-        component-major (component c of prediction i in row c n + i)."""
-        return [np.moveaxis(a if self.weights is None else a.reshape(a.shape[:-2] + (-1,)), -1, 0)
-                for a in self.canonical()]
+        """The ``canonical`` fields with one row per prediction (one float for a number field); a
+        mixture's with one per component, component-major (component c of prediction i in row c n + i)."""
+        rows = [np.moveaxis(a.reshape(len(a), -1), -1, 0) for a in self.canonical()]
+        return [r[:, 0] if kind == "number" else r for r, (_, kind) in zip(rows, FAMILIES[self.family][1])]
 
     def per_prediction(self, items: list, mixture) -> list:
         """``items``, one per row of ``rows``, as one item per prediction: for a mixture,
@@ -464,8 +445,9 @@ class Columns:
 
     def prediction_objects(self) -> list:
         """The predictions as objects, built without checking them again."""
-        rows = [_frozen(r.copy()) for r in self.rows()]
-        return self.per_prediction(_objects(self.family, rows), lambda w, parts: _unchecked(Mixture, w, tuple(parts)))
+        rows = [r.tolist() if r.ndim == 1 else _frozen(r.copy()) for r in self.rows()]
+        laws = [_unchecked(FAMILIES[self.family][0], *values) for values in zip(*rows)]
+        return self.per_prediction(laws, lambda w, parts: _unchecked(Mixture, w, tuple(parts)))
 
     def target_objects(self) -> list:
         """The targets as objects, built without checking them again."""
@@ -496,15 +478,10 @@ class Columns:
         if family == "categorical":  # over the largest mass, so that no row underflows to 0 / 0
             powered = (self.emb / self.emb.max(axis=0)) ** (1.0 / t)
             return Columns.build(family, (powered / powered.sum(axis=0),), self.y)
-        if family == "diag_normal":
-            canonical = (self.params[0], self.params[1] * t)
-            checks = _normal_rules(*(a.T for a in canonical))[0]
-        elif family == "laplace":
-            canonical = (self.params[0] * np.array([[1.0], [t]]),)
-            checks = _laplace_rules(*canonical[0])[0]
-        else:
+        if family not in ("diag_normal", "laplace"):
             raise FamilyError(f"temperature scaling has no closed form for family {family!r}")
-        check_rows(checks)  # a scale may overflow, or a Laplace scale underflow to 0
+        canonical, rules = (self.params[0], self.params[1] * t), FAMILIES[family][2]
+        check_rows(rules(*(a.T for a in canonical))[0])  # a scale may overflow, or underflow to 0
         return Columns.build(family, canonical, self.y)
 
     # Predictive laws, one closed form per family. A mixture's is a weighted sum, or a
@@ -522,7 +499,7 @@ class Columns:
             z = (mean - y) / np.sqrt(2.0 * np.where(point, 1.0, var))
             return np.where(point, 1.0 * (y >= mean), 0.5 * np.asarray(_ERFC(z), dtype=np.float64))
         if self.family == "laplace":
-            loc, scale = self.params[0]
+            loc, scale = (a[0] for a in self.params)
             z = (y - loc) / scale
             half = 0.5 * np.exp(-np.abs(z))
             return np.where(z < 0, half, 1.0 - half)
@@ -554,7 +531,7 @@ class Columns:
                 lo, hi = np.where(open_ & ~above, mid, lo), np.where(open_ & above, mid, hi)
         if self.family == "diag_normal":
             return self.params[0][0] + np.sqrt(self.params[1][0]) * _STANDARD_NORMAL.inv_cdf(tau)
-        loc, scale = self.params[0]
+        loc, scale = (a[0] for a in self.params)
         return loc + scale * math.log(2.0 * tau) if tau < 0.5 else loc - scale * math.log(2.0 * (1.0 - tau))
 
     def log_density(self) -> np.ndarray:
@@ -577,7 +554,7 @@ class Columns:
             value = -0.5 * (np.sum((y - mean) ** 2 / safe, axis=0) + np.sum(np.log(2.0 * math.pi * safe), axis=0))
             return np.where(point.any(axis=0), np.where(atom, np.inf, -np.inf), value)
         if self.family == "laplace":
-            loc, scale = self.params[0]
+            loc, scale = (a[0] for a in self.params)
             return -np.abs(y[0] - loc) / scale - np.log(2.0 * scale)
         probs = self.emb if self.family == "categorical" else self.emb[:-1]
         index = np.broadcast_to(y[0].astype(np.intp), probs.shape[1:])
@@ -592,31 +569,18 @@ class Columns:
         """The mean vector of each prediction, (d, n)."""
         if self.weights is not None:
             return np.sum(self.weights * replace(self, weights=None).mean(), axis=-2)
-        if self.family == "diag_normal":
+        if self.family in ("diag_normal", "laplace"):
             return self.params[0]
-        if self.family == "laplace":
-            return self.params[0][:1]
         raise FamilyError(f"no predictive mean for family {self.family!r}")
 
 
-def _objects(family: str, rows: list) -> list:
-    """Predictions of ``family`` from the rows of its canonical arrays, built without checks."""
-    if family == "diag_normal":
-        return [_unchecked(DiagNormal, m, v) for m, v in zip(*rows)]
-    if family == "laplace":
-        return [_unchecked(Laplace, loc, scale) for loc, scale in rows[0].tolist()]
-    if family == "categorical":
-        return [_unchecked(Categorical, p) for p in rows[0]]
-    return [_unchecked(TruncatedCountable, p, t) for p, t in zip(rows[0], rows[1].tolist())]
-
-
 def _stack(rows) -> np.ndarray:
-    """(dimension, n) array of n equal-length rows."""
-    return np.array(rows, dtype=np.float64).T
+    """(dimension, n) array of n equal-length rows, or (1, n) of n numbers."""
+    return np.array(rows, dtype=np.float64).reshape(len(rows), -1).T
 
 
 def _target_dim(family: str, params: tuple) -> int:
-    return params[0].shape[0] if family == "diag_normal" else 1
+    return 1 if family in DISCRETE else params[0].shape[0]
 
 
 def _expect(tk: TargetKernel, x: Columns, y, tile: bool = False):
@@ -629,7 +593,7 @@ def _expect(tk: TargetKernel, x: Columns, y, tile: bool = False):
     if x.family == "diag_normal":
         return (_normal_expect_tile if tile else _normal_expect)(*x.params, y, tk.gamma)
     if x.family == "laplace":
-        return _laplace_expect(*x.params[0], y[0], tk.gamma)
+        return _laplace_expect(*x.params, y, tk.gamma)[0]
     return _discrete_expect(tk, x.params[0], y, tile)
 
 
@@ -652,7 +616,7 @@ def _double_expect(tk: TargetKernel, x: Columns, z: Columns):
     if x.family == "diag_normal":
         return _normal_expect(x.params[0], x.params[1] + z.params[1], z.params[0], tk.gamma)
     if x.family == "laplace":
-        return _laplace_double(*x.params[0], *z.params[0], tk.gamma)
+        return _laplace_double(*x.params, *z.params, tk.gamma)[0]
     return _discrete_double(tk, x.params[0], z.params[0])
 
 
@@ -686,7 +650,7 @@ def _with_expectations(spec: KernelSpec, columns: Columns, labels=("single", "pa
     if isinstance(mode, MonteCarlo):
         size = len(labels) * mode.samples * _target_dim(columns.family, columns.params) * len(columns)
         check_allocation(8 * size, f"{mode.samples} Monte-Carlo samples of {len(columns)} predictions")
-        return replace(columns, draws=_draws(mode, columns.prediction_objects(), labels))
+        return replace(columns, draws=_draws(mode, columns, labels))
     closed = {"diag_normal": GaussianRBF, "laplace": LaplacianExp}.get(columns.family, TargetKernel)
     if not isinstance(tk, closed):  # discrete laws take every target kernel
         raise ConfigurationError(
@@ -778,50 +742,56 @@ def eval_target_kernel(tk: TargetKernel, y: Target, z: Target) -> float:
 # Monte-Carlo expectations
 
 
-def _pred_key(p: Prediction) -> int:
+def _sample(family: str, fields: list, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` draws, (size, d), from the law of ``family`` with one row of each of its ``fields``."""
+    if family == "diag_normal":
+        return rng.normal(fields[0], np.sqrt(fields[1]), size=(size, len(fields[0])))
+    if family == "laplace":
+        return rng.laplace(fields[0][0], fields[1][0], size=(size, 1))
+    if family == "truncated_countable" and fields[1][0] != 0.0:
+        raise FamilyError(f"cannot sample family {family!r} with undeclared tail support")
+    return rng.choice(len(fields[0]), size=size, p=fields[0]).astype(float).reshape(size, 1)
+
+
+def _digest(*parts) -> bytes:
+    """The 8-byte blake2b digest of the bytes of ``parts`` in turn."""
     h = hashlib.blake2b(digest_size=8)
-    h.update(p.family.encode())
-    if isinstance(p, Categorical):
-        h.update(p.probs.tobytes())
-    elif isinstance(p, DiagNormal):
-        h.update(p.mean.tobytes())
-        h.update(p.var.tobytes())
-    elif isinstance(p, Laplace):
-        h.update(np.array([p.loc, p.scale]).tobytes())
-    elif isinstance(p, TruncatedCountable):
-        h.update(p.probs.tobytes())
-        h.update(np.array([p.tail_mass]).tobytes())
-    elif isinstance(p, Mixture):
-        h.update(p.weights.tobytes())
-        for c in p.components:
-            h.update(_pred_key(c).to_bytes(8, "little"))
-    return int.from_bytes(h.digest(), "little")
+    for part in parts:
+        h.update(part)
+    return h.digest()
 
 
-def _sample_coords(p: Prediction, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n samples as an (n, dim) coordinate array."""
-    if isinstance(p, DiagNormal):
-        return rng.normal(p.mean, np.sqrt(p.var), size=(n, p.dim))
-    if isinstance(p, Laplace):
-        return rng.laplace(p.loc, p.scale, size=(n, 1))
-    if isinstance(p, Categorical):
-        return rng.choice(p.n_classes, size=n, p=p.probs).astype(float).reshape(n, 1)
-    if isinstance(p, TruncatedCountable) and p.tail_mass == 0.0:
-        return rng.choice(p.support_size, size=n, p=p.probs).astype(float).reshape(n, 1)
-    if isinstance(p, Mixture):
-        counts = rng.multinomial(n, p.weights)
-        parts = [_sample_coords(c, rng, int(m)) for c, m in zip(p.components, counts) if m > 0]
-        coords = np.concatenate(parts, axis=0)
-        return coords[rng.permutation(n)]
-    raise FamilyError(f"cannot sample family {p.family!r} with undeclared tail support")
+def _draws(mode: MonteCarlo, columns: Columns, labels) -> tuple:
+    """Keys of the predictions of ``columns`` and their samples of each of ``labels``, ordered as
+    in ``Columns.draws``, each from the substream of its key and the label.
 
+    A key is blake2b over the family and the bytes of the prediction's field rows; a mixture's
+    over its kept weights and the keys of its components, whose draws it shuffles together.
+    """
+    family, size = columns.family, mode.samples
+    fields = [np.moveaxis(a, 0, -1).copy() for a in columns.canonical()]  # C-ordered field rows
 
-def _draws(mode: MonteCarlo, predictions, labels) -> tuple:
-    """Keys of ``predictions`` and their samples of each of ``labels``, ordered as in ``Columns.draws``."""
-    keys = [_pred_key(p) for p in predictions]
-    pairs = list(zip(predictions, keys))
-    return (np.array(keys, dtype=np.uint64),) + tuple(
-        np.stack([_sample_coords(p, substream(mode.seed, k, label), mode.samples).T for p, k in pairs], -1)
+    def key(*at) -> bytes:  # of the law whose field rows are at ``at``
+        return _digest(family.encode(), *(f[at] for f in fields))
+
+    if columns.weights is None:
+        keys = [key(i) for i in range(len(columns))]
+
+        def coords(i, rng):
+            return _sample(family, [f[i] for f in fields], rng, size)
+    else:
+        weights = columns.weights.T.copy()
+        kept = [w[:m] for w, m in zip(weights, np.count_nonzero(weights, axis=1).tolist())]
+        keys = [_digest(b"mixture", w, *(key(c, i) for c in range(len(w)))) for i, w in enumerate(kept)]
+
+        def coords(i, rng):
+            counts = rng.multinomial(size, kept[i])
+            parts = [_sample(family, [f[c, i] for f in fields], rng, int(m)) for c, m in enumerate(counts) if m > 0]
+            return np.concatenate(parts, axis=0)[rng.permutation(size)]
+
+    keys = np.frombuffer(b"".join(keys), dtype="<u8")
+    return (keys,) + tuple(
+        np.stack([coords(i, substream(mode.seed, k, label)).T for i, k in enumerate(keys.tolist())], -1)
         for label in labels
     )
 
@@ -890,21 +860,20 @@ def route(spec: KernelSpec, columns: Columns) -> tuple:
     that its tile temporaries hold, from which ``tile_size`` sets the tile side, and whether every
     prediction is an isotropic normal.
 
-    The paths are "Monte-Carlo" (4 d S floats over S draws in d dimensions), "MW transport" (p K^2
-    on mixtures of K components with p parameter rows), "Laplace direct" (a float per embedding
-    row), "normal GEMM" and "discrete GEMM". The GEMM paths count the 3 T x T arrays that a tile
-    evaluated in place holds at its peak; anisotropic normals 4 d + 4, for the (d, T, T) arrays of
-    ``_normal_expect``.
+    The paths are "Monte-Carlo" (4 d S floats over S draws in d dimensions), "MW transport" (d K^2
+    on mixtures of K components of dimension d), "Laplace direct", "normal GEMM" and "discrete
+    GEMM". "Laplace direct" counts the 21 T x T arrays that its closed forms hold at their peak
+    (20.2 measured, where every location is equal). The GEMM paths count the 3 T x T arrays that a
+    tile evaluated in place holds at its peak; anisotropic normals 4 d + 4, for the (d, T, T)
+    arrays of ``_normal_expect``.
     """
     if isinstance(spec.expectation, MonteCarlo):
         return "Monte-Carlo", 4 * spec.expectation.samples * _target_dim(columns.family, columns.params), False
-    width = columns.emb.shape[0]
     if isinstance(spec.prediction_kernel.metric, MW):
-        if columns.weights is not None:
-            width = columns.params[0].shape[0] * columns.weights.shape[0] ** 2
+        width = columns.emb.shape[0] if columns.weights is None else columns.dim * columns.weights.shape[0] ** 2
         return "MW transport", width, False
     if columns.family == "laplace":
-        return "Laplace direct", width, False
+        return "Laplace direct", 21, False
     if columns.family != "diag_normal":
         return "discrete GEMM", 3, False
     isotropic = bool(np.all(columns.params[1] == columns.params[1][:1]))

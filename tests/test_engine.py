@@ -264,7 +264,7 @@ def _ten_classes(rng, n):
 @pytest.mark.parametrize(
     "case, d",
     [("normal-d1", 1), ("normal-d3", 3), ("normal-isotropic-d10", 10), ("normal-d10", 10),
-     ("categorical-kronecker", 10), ("categorical-gaussian", 10)],
+     ("categorical-kronecker", 10), ("categorical-gaussian", 10), ("laplace-pole", 1)],
 )
 def test_one_tile_holds_tile_bytes(case, d):
     # The memory model of the tile route: a tile of side tile_size holds at most TILE_BYTES of
@@ -368,6 +368,57 @@ def test_monte_carlo_h_is_symmetric():
     ustat = skce_ustat(spec, data).value
     boot = test_bootstrap_ustat(spec, data, 100, seed=0).diagnostics["skce_ustat"]
     assert math.isclose(boot, ustat, rel_tol=1e-12)
+
+
+# The Monte-Carlo key and the first three draws of each coordinate of one prediction of each
+# family, at MonteCarlo(8, seed=5), as recorded when the draws were still made object by object:
+# keys and draws must not move with the representation they are read from.
+MONTE_CARLO_STREAM = {
+    "normal-zero-variance": (
+        DiagNormal([0.5, -1.0], [0.0, 2.0]), 0x36875122AB698E5E,
+        ["0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p-1",
+         "-0x1.1a8d4b89ea00ep+1", "-0x1.f3d4f530ef33ep-2", "-0x1.0c0eead0e5540p+1"],
+    ),
+    "laplace": (
+        Laplace(0.3, 1.5), 0x8257418932F4EF50,
+        ["-0x1.97083d94bcde1p-2", "0x1.c85c9b8560e96p-1", "0x1.abc39aa45a24cp-1"],
+    ),
+    "categorical": (
+        Categorical([0.2, 0.5, 0.3]), 0x391213B88696F2C3,
+        ["0x1.0000000000000p+0", "0x1.0000000000000p+1", "0x1.0000000000000p+0"],
+    ),
+    "truncated-countable": (
+        TruncatedCountable([0.1, 0.6, 0.3]), 0x466041338B9C0A9A,
+        ["0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"],
+    ),
+    "mixture-of-1": (
+        Mixture([1.0], [DiagNormal(0.0, 1.0)]), 0x8099C9FF6D28608B,
+        ["0x1.d34a953522040p-3", "-0x1.9a1e8c490bb95p+0", "0x1.c5bb24b5e553fp-1"],
+    ),
+    "mixture-of-2-laplace": (
+        Mixture([0.3, 0.7], [Laplace(-1.0, 0.5), Laplace(2.0, 1.0)]), 0x12620AECE12A1385,
+        ["-0x1.da61dd70a04a8p+0", "0x1.4ea80f04a72e0p+0", "0x1.cd31093481ab8p+0"],
+    ),
+    "mixture-of-3": (
+        Mixture([0.2, 0.5, 0.3], [DiagNormal(-1.0, 0.5), DiagNormal(0.0, 1.0), DiagNormal(3.0, 0.25)]),
+        0x673D22DB005FEEBF,
+        ["0x1.78dd851b36685p+1", "-0x1.22bbb1dcc2ed7p+0", "-0x1.2b283572ab5dbp-1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MONTE_CARLO_STREAM))
+def test_monte_carlo_keys_and_draws_are_pinned(case):
+    law, key, draws = MONTE_CARLO_STREAM[case]
+    spec = KernelSpec(expectation=MonteCarlo(8, seed=5))
+    keys, single = kernels._with_expectations(spec, kernels.Columns.of([law]), ("single",)).draws
+    assert int(keys[0]) == key
+    assert [float(v).hex() for v in single[:, :3, 0].ravel()] == draws
+
+
+def test_monte_carlo_ustat_is_pinned():
+    data = make_scenario_dataset("uncalibrated", 1, 64, seed=1)
+    assert skce_ustat(KernelSpec(expectation=MonteCarlo(1000)), data).value.hex() == "0x1.e6b960b6ca2f7p-4"
 
 
 def test_monte_carlo_double_expectation_draws_only_the_pair_samples(monkeypatch):

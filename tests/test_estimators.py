@@ -138,11 +138,14 @@ def test_dataset_rejects_mixtures_of_discrete_laws():
         (lambda: pairwise_h(default_kernel_spec(), [DiagNormal(0, 1)], [RealVector(0.0)], [0], [1]), ParameterError),
         (lambda: DiagNormal([], []), DimensionError),
         (lambda: RealVector([]), DimensionError),
+        (lambda: Mixture([1.0], [3.0]), FamilyError),
+        (lambda: Mixture([0.5, 0.5], [DiagNormal(0, 1), "x"]), FamilyError),
     ],
     ids=[
         "dataset-of-a-number", "subset-out-of-range", "subset-of-strings", "normal-of-a-string",
         "laplace-of-a-string", "categorical-of-strings", "target-of-a-string", "pairwise-h-of-nothing",
         "pairwise-h-out-of-range", "zero-dimensional-normal", "zero-dimensional-target",
+        "mixture-of-a-number", "mixture-with-a-string",
     ],
 )
 def test_library_calls_raise_only_kcalib_errors(call, error):

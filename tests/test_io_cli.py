@@ -28,6 +28,7 @@ from kcalib import (
     TestLocations,
     TruncatedCountable,
 )
+from kcalib.classical import oracle_ece, oracle_mce
 from kcalib.dataset_io import (
     parse_dataset,
     parse_locations,
@@ -638,7 +639,12 @@ def test_cli_commands_on_normals_leave_scipy_special_unloaded(tmp_path):
         assert res.stdout.split() == ["0", "False"], argv
 
 
-def test_estimate_and_tests_on_a_parsed_file_build_no_records(sample_file, monkeypatch, capsys):
+def test_estimate_and_tests_on_a_parsed_file_build_no_records(sample_file, tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(5)
+    classes, oracle = str(tmp_path / "classes.jsonl"), str(tmp_path / "oracle.jsonl")
+    labels = [ClassLabel(int(c)) for c in rng.integers(0, 3, 8)]
+    for path in (classes, oracle):
+        write_dataset(path, Dataset([Categorical(p) for p in rng.dirichlet(np.ones(3), 8)], labels))
     built = []
 
     def counting(init):
@@ -648,20 +654,31 @@ def test_estimate_and_tests_on_a_parsed_file_build_no_records(sample_file, monke
 
         return counted
 
-    for cls in (DiagNormal, RealVector):
+    for cls in (DiagNormal, RealVector, Categorical, ClassLabel):
         monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
     unchecked = kernels._unchecked  # how lists read from columns are built
     monkeypatch.setattr(kernels, "_unchecked", lambda cls, *values: built.append(cls) or unchecked(cls, *values))
+    monte_carlo = ["--expectation", "monte-carlo", "--mc-samples", "200"]
     commands = [
         ["estimate"],
+        ["estimate", *monte_carlo],
         ["test", "--method", "sqrt-block"],
         ["test", "--method", "bootstrap", "--bootstrap", "100"],
+        ["test", "--method", "bootstrap", "--bootstrap", "100", *monte_carlo],
         ["test", "--method", "cme"],
         ["diagnose", "--metrics", "quantile-curve,pinball,nll,mse"],
     ]
     for argv in commands:
         assert cli.main([*argv, "--data", sample_file, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert cli.main(["diagnose", "--metrics", "oracle-ece", "--oracle-data", oracle, "--data", classes,
+                     "--format", "json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
     assert built == []
+    data, truth = parse_dataset(classes), parse_dataset(oracle).predictions
+    laws = {id(p): q for p, q in zip(data.predictions, truth)}
+    assert math.isclose(printed["oracle_ece"], oracle_ece(data, lambda p: laws[id(p)]), rel_tol=1e-12)
+    assert printed["oracle_mce"] == oracle_mce(data, lambda p: laws[id(p)])
     # the count sees the objects that reading the lists builds
     assert len(parse_dataset(sample_file).predictions) == 32
     assert built.count(DiagNormal) == built.count(RealVector) == 32
