@@ -11,6 +11,9 @@ offending line number.
 The parser checks each record's structure as it decodes it, gathers each
 field of all records into one array and checks those with the families'
 own rules (``distributions``) at once, so it builds no per-record objects.
+The writer builds none either: it formats each column once, every number by
+the ``repr`` that ``json.dumps`` calls, and fills one line template per
+family, so it writes the bytes that one ``json.dumps`` per record would.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .distributions import (
     DISCRETE,
     FAMILIES,
     TARGET_TYPES,
+    TARGETS,
     ClassLabel,
-    Count,
     RealVector,
     _index_rules,
     _kept_weights,
@@ -42,10 +45,6 @@ from .exceptions import DatasetFormatError, DimensionError, KcalibError, Paramet
 from .kernels import Columns
 
 SCHEMA_VERSION = 1
-
-# Each target type's name in files, and its one field.
-_TARGETS = {ClassLabel: ("class", "index"), Count: ("count", "value"), RealVector: ("reals", "values")}
-_TARGET_TYPES = {kind: target_type for target_type, (kind, _) in _TARGETS.items()}
 _PREDICTION, _TARGET = "invalid prediction: ", "invalid target: "
 
 
@@ -119,9 +118,9 @@ def _record(raw: str, line: int, family, first: list, decode, constants: list):
     components = _component_family(prediction, line)
     try:
         kind = target.get("type") if isinstance(target, dict) else None
-        if not isinstance(kind, str) or kind not in _TARGET_TYPES:
+        if not isinstance(kind, str) or kind not in TARGETS:
             raise DatasetFormatError(f"unknown target type {kind!r}", line)
-        field = _TARGETS[_TARGET_TYPES[kind]][1]
+        field = TARGETS[kind][1]
         if field not in target:
             raise DatasetFormatError(f"{_TARGET}{field!r}", line)
         if prediction["family"] != family:
@@ -137,7 +136,7 @@ def _record(raw: str, line: int, family, first: list, decode, constants: list):
                 raise DatasetFormatError(
                     f"record family 'mixture of {components}' does not match 'mixture of {first[0]}'", line
                 )
-            if _TARGET_TYPES[kind] is not TARGET_TYPES[components][0]:
+            if kind != TARGET_TYPES[components][0]:
                 raise DatasetFormatError(wrong_target(components), line)
     except DatasetFormatError as exc:
         exc.prediction = prediction
@@ -239,8 +238,8 @@ def _columns(family: str, records: list, dimension, single: bool) -> Columns | N
         check_rows(checks)
         return None
     dim = arrays[0][0].size
-    target_type = TARGET_TYPES[family][0]
-    values = [t[_TARGETS[target_type][1]] for _, t in records]
+    target_type, field = TARGETS[TARGET_TYPES[family][0]]
+    values = [t[field] for _, t in records]
     if target_type is RealVector:
         y = _floats(values, "vector", _TARGET, single)
         target_checks, sizes = _reals_rules(y), [y.shape[-1]] * n
@@ -349,28 +348,55 @@ def parse_locations(path: str) -> TestLocations:
     return TestLocations(columns=_parse_records(path))
 
 
-def _prediction_dicts(family: str, rows: list) -> list:
-    """JSON objects of predictions of ``family`` from the rows of its fields, as lists."""
-    names = [key for key, _ in FAMILIES[family][1]]
-    return [{"family": family, **dict(zip(names, values))} for values in zip(*rows)]
+def _texts(a: np.ndarray) -> list:
+    """The JSON text of each row of ``a`` as ``json.dumps`` writes it: a number per row of a 1-D
+    array, the comma-separated numbers of a row of a 2-D one.
+
+    Each number is formatted once, by the ``repr`` that ``json.dumps`` calls,
+    and a non-finite one is spelled as ``json.dumps`` spells it.
+    """
+    if a.ndim == 2 and a.shape[1] == 1:  # rows of one number each, without a list per row
+        a = a[:, 0]
+    text = str(a.tolist())
+    if not np.isfinite(a).all():
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text[1:-1].split(", ") if a.ndim == 1 else text[2:-2].split("], [")
+
+
+def _object(items: list) -> str:
+    """A JSON object of ``(key, text)`` pairs, where a text holds ``%s`` for each value that it takes."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in items) + "}"
 
 
 def write_dataset(path: str, data: Dataset) -> None:
+    """Write ``data`` as a dataset file, in the bytes of one ``json.dumps`` per record.
+
+    Each column is formatted once (``_texts``) and each line fills one
+    template of its family's fields (``distributions.FAMILIES``) and target
+    (``distributions.TARGETS``); a mixture joins its components' texts.
+    """
     columns = data.columns
+    family = columns.family
     header = {"schema": SCHEMA_VERSION, "family": data.family, "dimension": columns.dim}
-    predictions = columns.per_prediction(
-        _prediction_dicts(columns.family, [r.tolist() for r in columns.rows()]),
-        lambda weights, parts: {"family": "mixture", "weights": weights.tolist(), "components": parts},
-    )
-    kind, field = _TARGETS[TARGET_TYPES[columns.family][0]]
+    values = [_texts(r) for r in columns.rows()]
+    prediction = _object([("family", json.dumps(family))] + [
+        (key, "%s" if kind == "number" else "[%s]") for key, kind in FAMILIES[family][1]
+    ])
+    if columns.weights is not None:
+        weights = [row.split(", ") for row in _texts(columns.weights.T)]
+        parts = list(map(prediction.__mod__, zip(*values)))
+        values = list(zip(*columns.per_prediction(parts, lambda w, c: (", ".join(w), ", ".join(c)), weights)))
+        prediction = _object([("family", '"mixture"'), ("weights", "[%s]"), ("components", "[%s]")])
+    kind = TARGET_TYPES[family][0]
     if kind == "reals":
-        targets = [{"type": kind, field: v} for v in columns.y.T.tolist()]
+        targets, target = _texts(columns.y.T), "[%s]"
     else:
-        targets = [{"type": kind, field: int(v)} for v in columns.y[0].tolist()]
-    lines = [json.dumps(header)]
-    lines += [json.dumps({"prediction": p, "target": t}) for p, t in zip(predictions, targets)]
+        targets, target = list(map(str, map(int, columns.y[0].tolist()))), "%s"
+    target = _object([("type", json.dumps(kind)), (TARGETS[kind][1], target)])
+    line = _object([("prediction", prediction), ("target", target)])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(json.dumps(header) + "\n")
+        fh.writelines(map((line + "\n").__mod__, zip(*values, targets)))
 
 
 # Test locations are a dataset and are written like one.

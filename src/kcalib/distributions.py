@@ -250,12 +250,13 @@ class Count:
 
 Target = ClassLabel | RealVector | Count
 
-# The target type each family's pairs take, as named in messages; a mixture's pairs take its components'.
+# The target type each family's pairs take (``TARGETS``), and as named in messages; a mixture's
+# pairs take its components'.
 TARGET_TYPES = {
-    "categorical": (ClassLabel, "class-label"),
-    "truncated_countable": (Count, "count"),
-    "diag_normal": (RealVector, "real-vector"),
-    "laplace": (RealVector, "real-vector"),
+    "categorical": ("class", "class-label"),
+    "truncated_countable": ("count", "count"),
+    "diag_normal": ("reals", "real-vector"),
+    "laplace": ("reals", "real-vector"),
 }
 
 
@@ -263,7 +264,7 @@ def pair_rules(family: str, dim: int, types: list, sizes: list) -> list:
     """Checks of pairs of predictions of ``family`` and dimension ``dim`` (a categorical's number of
     classes) with targets of the classes ``types`` and the ``sizes`` (a class label's index, a real
     vector's dimension), one of each per row."""
-    kind = TARGET_TYPES[family][0]
+    kind = TARGETS[TARGET_TYPES[family][0]][0]
     checks = [([not issubclass(t, kind) for t in types], FamilyError, wrong_target(family))]
     if kind is ClassLabel:
         checks.append(([s >= dim for s in sizes], DimensionError,
@@ -290,8 +291,10 @@ def wrong_target(family: str) -> str:
 
 
 def _target_size(y: Target) -> int:
-    """What ``pair_rules`` checks of a target: a class label's index, a real vector's dimension."""
-    return y.index if isinstance(y, ClassLabel) else y.dim if isinstance(y, RealVector) else 0
+    """What ``pair_rules`` checks of a target: a class label's index, a real vector's dimension
+    (a count's value, which it does not check; 0 for what is no target)."""
+    value = target_value(y)
+    return len(value) if isinstance(value, np.ndarray) else value or 0
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +526,15 @@ FAMILIES = {
     "categorical": (Categorical, (("probs", "array"),), _categorical_rules),
     "truncated_countable": (TruncatedCountable, (("probs", "array"), ("tail_mass", "number")), _truncated_rules),
 }
+
+# Each target type as dataset files name it, with its class and the one field it holds: an
+# integer (a "number" in files) or a vector of reals (a "vector").
+TARGETS = {"class": (ClassLabel, "index"), "count": (Count, "value"), "reals": (RealVector, "values")}
+
+
+def target_value(y):
+    """The field of the target ``y`` (``TARGETS``); None if ``y`` is no target."""
+    return next((getattr(y, field) for cls, field in TARGETS.values() if isinstance(y, cls)), None)
 
 
 # ---------------------------------------------------------------------------

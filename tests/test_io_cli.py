@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kcalib
-from kcalib import cli, distributions, kernels
+from kcalib import cli, distributions, kernels, synthetic
 from kcalib import (
     Categorical,
     ClassLabel,
@@ -38,10 +39,30 @@ from kcalib.dataset_io import (
 from kcalib.exceptions import ConfigurationError, DatasetFormatError
 
 
-def _roundtrip(tmp_path, data):
+def _json_dumps_file(data) -> str:
+    """The file of ``data`` as one ``json.dumps`` of a record object per pair, built from the
+    prediction and target objects: the bytes that ``write_dataset`` must write."""
+
+    def prediction(p):
+        if isinstance(p, Mixture):
+            return {"family": "mixture", "weights": p.weights.tolist(), "components": [prediction(c) for c in p.components]}
+        return {"family": p.family, **{k: np.asarray(getattr(p, k)).tolist() for k, _ in distributions.FAMILIES[p.family][1]}}
+
+    def target(y):
+        if isinstance(y, RealVector):
+            return {"type": "reals", "values": y.values.tolist()}
+        return {"type": "class", "index": y.index} if isinstance(y, ClassLabel) else {"type": "count", "value": y.value}
+
+    header = {"schema": 1, "family": data.family, "dimension": data.columns.dim}
+    records = [{"prediction": prediction(p), "target": target(y)} for p, y in zip(data.predictions, data.targets)]
+    return "".join(json.dumps(r) + "\n" for r in [header, *records])
+
+
+def _roundtrip(tmp_path, data, write=write_dataset, parse=parse_dataset):
     path = tmp_path / "data.jsonl"
-    write_dataset(str(path), data)
-    return parse_dataset(str(path))
+    write(str(path), data)
+    assert path.read_text(encoding="utf-8") == _json_dumps_file(data)
+    return parse(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +112,7 @@ def test_roundtrip_locations(tmp_path):
         predictions=[DiagNormal(0.0, 1.0), DiagNormal(1.0, 2.0)],
         targets=[RealVector(0.0), RealVector(1.0)],
     )
-    path = tmp_path / "locs.jsonl"
-    write_locations(str(path), locs)
-    out = parse_locations(str(path))
+    out = _roundtrip(tmp_path, locs, write_locations, parse_locations)
     assert len(out) == 2
     assert out.predictions[1] == locs.predictions[1]
 
@@ -112,6 +131,72 @@ def test_parse_drops_zero_weight_components_as_the_constructor_does(tmp_path):
         Mixture([0.25, 0.0, 0.75], normals), Mixture([0.5, 0.5], normals[:2]), Mixture([0.5, 0.5, 0.0], normals)
     ]
     assert data.columns.weights.shape == (2, 3)
+
+
+_EXTREMES = [5e-324, -0.0, 1e-05, 1e16, 1e308, 0.1, 1.0 / 3.0]
+
+
+def _mixtures_of(component, rng, n=30):
+    """Mixtures of 1 to 3 components with ragged kept weights: a weight of 0 drops its component."""
+    weights = [[1.0], [0.3, 0.7], [0.2, 0.3, 0.5], [0.25, 0.0, 0.75], [0.0, 1.0]]
+    return Dataset(
+        [Mixture(w, [component(rng) for _ in w]) for w in (weights[i % len(weights)] for i in range(n))],
+        [RealVector(rng.normal()) for _ in range(n)],
+    )
+
+
+def _truncated(rng, tail):
+    return TruncatedCountable(rng.dirichlet(np.ones(5)) * (1.0 - tail), tail_mass=tail)
+
+
+_WRITTEN = {
+    "normal-d1": lambda rng: Dataset([DiagNormal(rng.normal(), rng.gamma(2.0)) for _ in range(40)],
+                                     [RealVector(rng.normal()) for _ in range(40)]),
+    "normal-d10": lambda rng: Dataset([DiagNormal(rng.normal(size=10), rng.gamma(2.0, size=10)) for _ in range(20)],
+                                      [RealVector(rng.normal(size=10)) for _ in range(20)]),
+    "categorical": lambda rng: Dataset([Categorical(rng.dirichlet(np.ones(4))) for _ in range(40)],
+                                       [ClassLabel(int(i)) for i in rng.integers(4, size=40)]),
+    "laplace": lambda rng: Dataset([Laplace(rng.normal(), rng.gamma(2.0)) for _ in range(40)],
+                                   [RealVector(rng.normal()) for _ in range(40)]),
+    "truncated-no-tail": lambda rng: Dataset([_truncated(rng, 0.0) for _ in range(40)],
+                                             [Count(int(i)) for i in rng.integers(9, size=40)]),
+    "truncated-tail": lambda rng: Dataset([_truncated(rng, 0.15) for _ in range(40)],
+                                          [Count(int(i)) for i in rng.integers(9, size=40)]),
+    "mixtures-of-normals": lambda rng: _mixtures_of(lambda r: DiagNormal(r.normal(), r.gamma(2.0)), rng),
+    "mixtures-of-laplace": lambda rng: _mixtures_of(lambda r: Laplace(r.normal(), r.gamma(2.0)), rng),
+    "extreme-floats": lambda rng: Dataset([DiagNormal([a, -b], [abs(b), abs(a)]) for a in _EXTREMES for b in _EXTREMES],
+                                          [RealVector([b, a]) for a in _EXTREMES for b in _EXTREMES]),
+    "extreme-laplace": lambda rng: Dataset([Laplace(-a, a or 1.0) for a in _EXTREMES], [RealVector(a) for a in _EXTREMES]),
+    # columns built by hand need not be finite: written as json.dumps spells them
+    "non-finite-columns": lambda rng: Dataset(columns=kernels.Columns.build(
+        "diag_normal", (np.array([[np.nan, 0.5, -np.inf]]), np.array([[1.0, np.inf, 2.0]])), np.array([[0.0, np.nan, 1.0]])
+    )),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRITTEN))
+def test_written_bytes_are_one_json_dumps_per_record(case, tmp_path):
+    data = _WRITTEN[case](np.random.default_rng(7))
+    if case == "non-finite-columns":  # which the parser rejects
+        path = tmp_path / "data.jsonl"
+        write_dataset(str(path), data)
+        assert path.read_text(encoding="utf-8") == _json_dumps_file(data)
+        assert "NaN" in path.read_text() and "-Infinity" in path.read_text()
+    else:
+        assert len(_roundtrip(tmp_path, data)) == len(data)
+
+
+def test_writing_formats_columns_without_record_objects(tmp_path):
+    # 32,768 d = 1 normals: one dict per record and one json.dumps per record held 36 MiB
+    data = synthetic.make_scenario_dataset("uncalibrated", 1, 32768, seed=4)
+    data.columns
+    tracemalloc.start()
+    try:
+        write_dataset(str(tmp_path / "data.jsonl"), data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak / 2**20
 
 
 def test_file_format_has_header(tmp_path):
