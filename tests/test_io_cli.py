@@ -187,7 +187,7 @@ def test_written_bytes_are_one_json_dumps_per_record(case, tmp_path):
 
 
 def test_writing_formats_columns_without_record_objects(tmp_path):
-    # 32,768 d = 1 normals: one dict per record and one json.dumps per record held 36 MiB
+    # 32,768 d = 1 normals, which a dict and a json.dumps per record would hold in 36 MiB
     data = synthetic.make_scenario_dataset("uncalibrated", 1, 32768, seed=4)
     data.columns
     tracemalloc.start()
