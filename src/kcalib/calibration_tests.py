@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .distributions import check_allocation
+from .distributions import check_allocation, checked_int
 from .estimators import (
     Dataset,
     TestLocations,
@@ -23,7 +23,7 @@ from .estimators import (
     skce_block,
 )
 from .exceptions import ParameterError
-from .kernels import Columns, KernelSpec, h_values, prepare, tile_size, tiling, upper_tiles
+from .kernels import Columns, KernelSpec, tiling, upper_h
 from .rng import substream
 
 
@@ -107,7 +107,7 @@ def test_bootstrap_ustat(
     resampled statistic uses the doubly centered kernel
     h(x*_a, x*_b) - mean_k h(x*_a, x_k) - mean_k h(x_k, x*_b) + mean_kl h.
     """
-    n = len(data)
+    n, num_bootstrap = len(data), checked_int(num_bootstrap, "the number of bootstrap resamples")
     if n < 2:
         raise ParameterError("the bootstrap test needs at least 2 pairs")
     if num_bootstrap < 100:
@@ -122,11 +122,9 @@ def test_bootstrap_ustat(
         counts[lo : lo + size] = rng.multinomial(n, np.full(n, 1.0 / n), size=size)
     # One pass over the upper tiles of the symmetric h collects its row sums,
     # its diagonal and the quadratic forms c^T h c of every resample c.
-    columns = prepare(spec, data.columns)
     row_sums, diag, quad = np.zeros(n), np.zeros(n), np.zeros(num_bootstrap)
-    for rows, cols in upper_tiles(n, tile_size(columns)):
-        i, j = rows[:, None], cols[None, :]
-        h = h_values(spec, columns, i, j, i <= j)
+    for _, rows, cols, h, _ in upper_h(spec, data.columns, n, diagonal=True):
+        h = h[0]
         if rows[0] == cols[0]:  # diagonal tile: the lower triangle mirrors the upper
             h = np.triu(h) + np.triu(h, 1).T
             diag[rows] = np.diagonal(h)

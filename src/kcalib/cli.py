@@ -114,19 +114,10 @@ def _json_default(obj):
     return str(obj)
 
 
-def _test_report_payload(report) -> dict:
-    diagnostics = {
-        k: v for k, v in report.diagnostics.items() if not isinstance(v, np.ndarray)
-    }
-    payload = {
-        "method": report.method,
-        "statistic": report.statistic,
-        "p_value": report.p_value,
-        "diagnostics": diagnostics,
-    }
-    if report.seed is not None:
-        payload["seed"] = report.seed
-    return payload
+def _payload(report, **fields) -> dict:
+    """``fields`` and the ``diagnostics`` of ``report`` that are not arrays."""
+    diagnostics = {k: v for k, v in report.diagnostics.items() if not isinstance(v, np.ndarray)}
+    return {**fields, "diagnostics": diagnostics}
 
 
 def _cme_locations(args, data: Dataset) -> TestLocations:
@@ -165,13 +156,7 @@ def _cmd_estimate(args) -> int:
         report = skce_block(spec, data, args.block_size)
     else:
         report = skce_ustat(spec, data)
-    payload = {
-        "estimator": report.kind,
-        "value": report.value,
-        "diagnostics": {
-            k: v for k, v in report.diagnostics.items() if not isinstance(v, np.ndarray)
-        },
-    }
+    payload = _payload(report, estimator=report.kind, value=report.value)
     if report.sigma_hat_b is not None:
         payload["sigma_hat_b"] = report.sigma_hat_b
     if report.block_estimates is not None and args.show_blocks:
@@ -191,7 +176,10 @@ def _cmd_test(args) -> int:
         report = test_bootstrap_ustat(spec, data, args.bootstrap, seed=args.seed)
     else:
         report = test_cme(spec, data, _cme_locations(args, data))
-    _emit(_test_report_payload(report), args.format)
+    payload = _payload(report, method=report.method, statistic=report.statistic, p_value=report.p_value)
+    if report.seed is not None:
+        payload["seed"] = report.seed
+    _emit(payload, args.format)
     return 0
 
 
@@ -199,14 +187,8 @@ def _cmd_ucme(args) -> int:
     spec = _kernel_spec(args)
     data = parse_dataset(args.data)
     report = ucme_squared(spec, data, _cme_locations(args, data))
-    _emit(
-        {
-            "estimator": report.kind,
-            "value": report.value,
-            "inner_means": report.diagnostics["inner_means"].tolist(),
-        },
-        args.format,
-    )
+    inner_means = report.diagnostics["inner_means"].tolist()
+    _emit(_payload(report, estimator=report.kind, value=report.value, inner_means=inner_means), args.format)
     return 0
 
 

@@ -78,6 +78,13 @@ def checked_index(index, n: int) -> np.ndarray:
     return index.astype(np.intp, copy=False)
 
 
+def checked_int(value, what: str) -> int:
+    """``value`` as an int; a ``ParameterError`` if it is not an integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_allocation(nbytes: int, what: str) -> None:
     """Refuse, before it is allocated, an array of ``nbytes`` larger than ``PHYSICAL_MEMORY``."""
     if nbytes > PHYSICAL_MEMORY:

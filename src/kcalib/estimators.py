@@ -12,11 +12,12 @@ from .distributions import (
     _target_size,
     check_rows,
     checked_index,
+    checked_int,
     discrete_mixture,
     pair_rules,
 )
 from .exceptions import DimensionError, FamilyError, ParameterError
-from .kernels import Columns, KernelSpec, cme_values, h_values, prepare, tile_size, tiling, upper_tiles
+from .kernels import Columns, KernelSpec, cme_values, h_values, prepare, tile_size, tiling, upper_h
 
 
 def _same_items(a, b) -> bool:
@@ -124,7 +125,6 @@ class EstimateReport:
     value: float
     block_estimates: np.ndarray | None = None
     sigma_hat_b: float | None = None
-    h_squared_hat: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -153,23 +153,10 @@ def skce_plug_in(spec: KernelSpec, data: Dataset) -> EstimateReport:
 def _block_sums(
     spec: KernelSpec, data: Dataset, block_size: int, num_blocks: int, square: bool = False
 ) -> np.ndarray:
-    """Sum of h (or h^2) over the pairs i < j of each of the first ``num_blocks`` blocks.
-
-    Each block is cut into square tiles; blocks smaller than a tile are
-    evaluated several at a time, stacked along a leading axis.
-    """
-    columns = prepare(spec, data.columns)
-    size = tile_size(columns)
-    side = min(block_size, size)
-    group = max(1, size**2 // side**2)
+    """Sum of h (or h^2) over the pairs i < j of each of the first ``num_blocks`` blocks."""
     sums = np.zeros(num_blocks)
-    for rows, cols in upper_tiles(block_size, side):
-        for lo in range(0, num_blocks, group):
-            offsets = np.arange(lo, min(lo + group, num_blocks))[:, None, None] * block_size
-            i, j = offsets + rows[:, None], offsets + cols[None, :]
-            upper = i < j
-            h = h_values(spec, columns, i, j, upper)
-            sums[lo : lo + group] += np.sum(h * h if square else h, axis=(1, 2), where=upper)
+    for first, _, _, h, counted in upper_h(spec, data.columns, block_size, num_blocks):
+        sums[first : first + len(h)] += np.sum(h * h if square else h, axis=(1, 2), where=counted)
     return sums
 
 
@@ -178,7 +165,7 @@ def skce_block(spec: KernelSpec, data: Dataset, block_size: int) -> EstimateRepo
 
     Trailing ``n mod B`` points are dropped, as the block formula implies.
     """
-    n = len(data)
+    n, block_size = len(data), checked_int(block_size, "block size")
     if not 2 <= block_size <= n:
         raise ParameterError(f"block size must satisfy 2 <= B <= n, got B={block_size}, n={n}")
     num_blocks = n // block_size

@@ -30,6 +30,7 @@ from .distributions import (
     check_allocation,
     check_rows,
     checked_index,
+    checked_int,
     mixture_wasserstein,
     target_value,
     wasserstein2,
@@ -126,7 +127,7 @@ class MonteCarlo:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 1:
+        if checked_int(self.samples, "the number of Monte-Carlo samples") < 1:
             raise ParameterError("Monte-Carlo expectations need at least 1 sample")
 
 
@@ -661,12 +662,20 @@ def _with_expectations(spec: KernelSpec, columns: Columns, labels=("single", "pa
     return columns
 
 
+# The last (spec, columns, prepared columns) of ``prepare``.
+_prepared = None
+
+
 def prepare(spec: KernelSpec, columns: Columns, sites: Columns | None = None) -> Columns:
-    """``columns`` checked against ``spec`` and given their Monte-Carlo draws.
+    """``columns`` checked against ``spec`` and given their Monte-Carlo draws and ``route``.
 
     Raises, before any tile, what ``eval_h`` raises on a pair of ``columns``
     (given test locations ``sites``, what a CME feature of one raises).
+    The last preparation is returned again for an equal spec and the same
+    ``columns`` object, so the reductions of one dataset share its draws; it
+    is held until the next one, which never overlaps it.
     """
+    global _prepared
     metric, other = spec.prediction_kernel.metric, columns if sites is None else sites
     if isinstance(metric, ParamEuclidean):
         if columns.weights is not None or other.weights is not None:
@@ -682,7 +691,11 @@ def prepare(spec: KernelSpec, columns: Columns, sites: Columns | None = None) ->
         if isinstance(metric, ParamEuclidean) and isinstance(spec.target_kernel, KroneckerDelta):
             _with_expectations(spec, columns)
         raise DimensionError("test locations and data differ in dimension")
-    return replace(_with_expectations(spec, columns), route=route(spec, columns))
+    last = _prepared
+    if last is None or last[1] is not columns or last[0] != spec:
+        _prepared = None
+        last = _prepared = (spec, columns, replace(_with_expectations(spec, columns), route=route(spec, columns)))
+    return last[2]
 
 
 # ---------------------------------------------------------------------------
@@ -885,26 +898,37 @@ def route(spec: KernelSpec, columns: Columns) -> tuple:
 
 def tiling(spec: KernelSpec, columns: Columns) -> dict:
     """The ``path`` and ``tile`` side of the reductions of h over ``columns`` under ``spec``, for their reports."""
-    path, width, _ = route(spec, columns)
-    return {"path": path, "tile": _tile_side(width)}
-
-
-def _tile_side(width: int) -> int:
-    return max(1, math.isqrt(TILE_BYTES // (8 * width)))
+    columns = prepare(spec, columns)
+    return {"path": columns.route[0], "tile": tile_size(columns)}
 
 
 def tile_size(columns: Columns) -> int:
     """Side of the square tiles over which h of ``columns`` from ``prepare`` is evaluated: their
     pairs hold TILE_BYTES of the floats per pair that their ``route`` counts."""
-    return _tile_side(columns.route[1])
+    return max(1, math.isqrt(TILE_BYTES // (8 * columns.route[1])))
 
 
-def upper_tiles(n: int, size: int):
-    """Row and column index vectors of the tiles on and above the diagonal of n x n."""
-    for lo in range(0, n, size):
-        rows = np.arange(lo, min(lo + size, n))
-        for hi in range(lo, n, size):
-            yield rows, np.arange(hi, min(hi + size, n))
+def upper_h(spec: KernelSpec, columns: Columns, block_size: int, num_blocks: int = 1, diagonal: bool = False):
+    """h over the pairs i < j (i <= j with ``diagonal``) of each of the first ``num_blocks`` blocks
+    of ``block_size`` rows of ``columns``, one square tile on or above a block's diagonal at a time.
+
+    Yields the first block of a tile, its ``rows`` and ``cols`` within a block, h and the mask of
+    the pairs counted, the last two (blocks, rows, cols): blocks smaller than a tile are evaluated
+    several at a time, stacked along the leading axis.
+    """
+    columns = prepare(spec, columns)
+    size = tile_size(columns)
+    side = min(block_size, size)
+    group = max(1, size**2 // side**2)
+    for lo in range(0, block_size, side):
+        rows = np.arange(lo, min(lo + side, block_size))
+        for hi in range(lo, block_size, side):
+            cols = np.arange(hi, min(hi + side, block_size))
+            for first in range(0, num_blocks, group):
+                offsets = np.arange(first, min(first + group, num_blocks))[:, None, None] * block_size
+                i, j = offsets + rows[:, None], offsets + cols[None, :]
+                counted = i <= j if diagonal else i < j
+                yield first, rows, cols, h_values(spec, columns, i, j, counted), counted
 
 
 def h_values(spec: KernelSpec, columns: Columns, i, j, need=None) -> np.ndarray:

@@ -12,6 +12,8 @@ import zlib
 
 import numpy as np
 
+from .distributions import checked_int
+
 
 def _key_to_int(key: int | str) -> int:
     if isinstance(key, str):
@@ -21,5 +23,5 @@ def _key_to_int(key: int | str) -> int:
 
 def substream(seed: int, *keys: int | str) -> np.random.Generator:
     """Generator for the substream identified by ``(seed, *keys)``."""
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_key_to_int(k) for k in keys]
+    entropy = [checked_int(seed, "seed") & 0xFFFFFFFFFFFFFFFF] + [_key_to_int(k) for k in keys]
     return np.random.default_rng(np.random.SeedSequence(entropy))

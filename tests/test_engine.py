@@ -5,8 +5,10 @@ datasets span several tiles, and n runs over {2, T - 1, T, T + 1, 2T + 3}
 for tile side T, which covers one tile, a full tile and a ragged last tile.
 """
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -41,7 +43,7 @@ from kcalib import (
     test_bootstrap_ustat,
 )
 from kcalib import kernels
-from kcalib.calibration_tests import default_cme_locations
+from kcalib.calibration_tests import default_cme_locations, test_asymptotic_block, test_cme
 from kcalib.estimators import cme_feature_matrix
 from kcalib.kernels import eval_prediction_kernel, eval_target_kernel, expect_target_kernel
 from kcalib.rng import substream
@@ -428,6 +430,34 @@ def test_monte_carlo_double_expectation_draws_only_the_pair_samples(monkeypatch)
     monkeypatch.setattr(kernels, "substream", lambda seed, key, label: labels.append(label) or original(seed, key, label))
     double_expect_target_kernel(KernelSpec(expectation=MonteCarlo(50)), data[0][0], data[1][0])
     assert sorted(labels) == ["pair-left", "pair-left", "pair-right", "pair-right"]
+
+
+def test_reductions_of_one_dataset_draw_their_samples_once(monkeypatch):
+    spec = KernelSpec(expectation=MonteCarlo(50))
+    data = make_scenario_dataset("uncalibrated", 1, 40, seed=5)
+    calls, original = [], kernels._draws
+    monkeypatch.setattr(kernels, "_draws", lambda *args: calls.append(args) or original(*args))
+    ustat = skce_ustat(spec, data).value
+    test_bootstrap_ustat(spec, data, 100)
+    test_cme(KernelSpec(expectation=MonteCarlo(50)), data, default_cme_locations(1, 3))  # an equal spec
+    test_asymptotic_block(spec, data, 4, variant="h-squared")
+    assert len(calls) == 1
+    # replacing an item of the pair lists prepares again, and gives what a fresh dataset gives
+    data.predictions[3] = make_scenario_dataset("calibrated", 1, 40, seed=6).predictions[3]
+    edited = skce_ustat(spec, data).value
+    assert len(calls) == 2 and edited != ustat
+    assert edited == skce_ustat(spec, Dataset(list(data.predictions), list(data.targets))).value
+
+
+def test_only_the_last_preparation_is_held():
+    spec = KernelSpec(expectation=MonteCarlo(50))
+    first = make_scenario_dataset("uncalibrated", 1, 20, seed=1)
+    draws = weakref.ref(kernels.prepare(spec, first.columns).draws[1])
+    gc.collect()
+    assert draws() is not None
+    kernels.prepare(spec, make_scenario_dataset("uncalibrated", 1, 20, seed=2).columns)
+    gc.collect()
+    assert draws() is None
 
 
 def test_columns_follow_edits_of_the_pair_lists():

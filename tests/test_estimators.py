@@ -25,6 +25,7 @@ from kcalib import (
     ucme_squared,
 )
 from kcalib import kernels
+from kcalib.calibration_tests import test_asymptotic_block, test_bootstrap_ustat
 from kcalib.estimators import cme_feature_matrix
 from kcalib.exceptions import DimensionError, FamilyError, KcalibError, ParameterError
 from kcalib.kernels import (
@@ -140,12 +141,19 @@ def test_dataset_rejects_mixtures_of_discrete_laws():
         (lambda: RealVector([]), DimensionError),
         (lambda: Mixture([1.0], [3.0]), FamilyError),
         (lambda: Mixture([0.5, 0.5], [DiagNormal(0, 1), "x"]), FamilyError),
+        (lambda: skce_block(default_kernel_spec(), _normal_data(6), 2.5), ParameterError),
+        (lambda: test_asymptotic_block(default_kernel_spec(), _normal_data(6), 2.5), ParameterError),
+        (lambda: test_bootstrap_ustat(default_kernel_spec(), _normal_data(6), 150.5), ParameterError),
+        (lambda: test_bootstrap_ustat(default_kernel_spec(), _normal_data(6), 150, seed=1.5), ParameterError),
+        (lambda: KernelSpec(expectation=kernels.MonteCarlo(2.5)), ParameterError),
     ],
     ids=[
         "dataset-of-a-number", "subset-out-of-range", "subset-of-strings", "normal-of-a-string",
         "laplace-of-a-string", "categorical-of-strings", "target-of-a-string", "pairwise-h-of-nothing",
         "pairwise-h-out-of-range", "zero-dimensional-normal", "zero-dimensional-target",
-        "mixture-of-a-number", "mixture-with-a-string",
+        "mixture-of-a-number", "mixture-with-a-string", "block-of-a-fraction",
+        "block-test-of-a-fraction", "bootstrap-of-a-fraction", "bootstrap-seed-of-a-fraction",
+        "monte-carlo-samples-of-a-fraction",
     ],
 )
 def test_library_calls_raise_only_kcalib_errors(call, error):

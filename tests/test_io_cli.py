@@ -436,6 +436,8 @@ def test_cli_ucme(sample_file, tmp_path):
     assert res.returncode == 0, res.stderr
     payload = json.loads(res.stdout)
     assert payload["value"] >= 0.0
+    assert payload["diagnostics"]["path"] == "normal GEMM"
+    assert payload["diagnostics"]["h_evaluations"] == 32 * 4
 
 
 def test_cli_diagnose(sample_file, tmp_path):
