@@ -671,9 +671,9 @@ def prepare(spec: KernelSpec, columns: Columns, sites: Columns | None = None) ->
 
     Raises, before any tile, what ``eval_h`` raises on a pair of ``columns``
     (given test locations ``sites``, what a CME feature of one raises).
-    The last preparation is returned again for an equal spec and the same
-    ``columns`` object, so the reductions of one dataset share its draws; it
-    is held until the next one, which never overlaps it.
+    The last preparation is kept and returned again for an equal spec and
+    the same ``columns`` object, so the reductions of one dataset share its
+    draws; it is dropped before another is made, so at most one is held.
     """
     global _prepared
     metric, other = spec.prediction_kernel.metric, columns if sites is None else sites
