@@ -216,6 +216,7 @@ def default_cme_locations(d: int, j_count: int, seed: int = 0) -> TestLocations:
     Predictions are N(m, 0.1^2 I) with m uniform on the unit hypercube;
     targets are i.i.d. N(0, 0.1^2 I).
     """
+    d, j_count = checked_int(d, "dimension"), checked_int(j_count, "location count")
     if d < 1 or j_count < 1:
         raise ParameterError("need d >= 1 and J >= 1")
     rng = substream(seed, "cme-locations")

@@ -51,7 +51,6 @@ from .synthetic import (
     BenchmarkConfig,
     fit_linear_gaussian,
     gen_friedman1,
-    gen_ols_scenario,
     linear_gaussian_predictions,
     make_scenario_dataset,
     run_estimator_benchmark,
@@ -138,8 +137,6 @@ def _cmd_generate(args) -> int:
         coef, noise_var = fit_linear_gaussian(train_x, train_y)
         val_x, val_y = gen_friedman1(args.n, args.noise_sd, args.seed, replicate=1)
         data = linear_gaussian_predictions(coef, noise_var, val_x, val_y)
-    elif args.scenario == "ols":
-        data = gen_ols_scenario(args.seed).validation
     else:
         data = make_scenario_dataset(args.scenario, args.dim, args.n, args.seed)
     write_dataset(args.out, data)
@@ -279,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic scenario dataset")
     p.add_argument("--scenario", choices=["calibrated", "uncalibrated", "ols", "friedman1"], required=True)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--dim", type=int, default=1, help="dimension d; ignored by ols and friedman1, which write d = 1")
+    p.add_argument("--n", type=int, default=100, help="records; ignored by ols, which always writes its 50 validation pairs")
     p.add_argument("--noise-sd", type=float, default=1.0, help="friedman1 noise level")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

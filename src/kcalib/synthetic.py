@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,10 +22,10 @@ from .calibration_tests import (
     test_bootstrap_ustat,
     test_cme,
 )
-from .distributions import _normal_rules, _reals_rules, check_rows
-from .estimators import Dataset, skce_block, skce_plug_in, skce_ustat
+from .distributions import _normal_rules, _reals_rules, check_rows, checked_int
+from .estimators import Dataset, TestLocations, skce_block, skce_plug_in, skce_ustat
 from .exceptions import ParameterError
-from .kernels import Columns, KernelSpec, default_kernel_spec
+from .kernels import Columns, KernelSpec, default_kernel_spec, prepare
 from .rng import substream
 
 
@@ -35,8 +36,7 @@ from .rng import substream
 def gen_calibrated(d: int, n: int, seed: int, replicate: int = 0) -> Dataset:
     """Calibrated model: predictions N(c 1_d, 0.1^2 I), c ~ U(0, 1), and
     targets drawn from the predictions themselves."""
-    if d < 1 or n < 1:
-        raise ParameterError("need d >= 1 and n >= 1")
+    d, n = _checked_sizes(d, n)
     rng = substream(seed, "calibrated", replicate)
     mean, var = _means_and_variances(rng, d, n)
     return _normal_dataset(mean, var, mean + np.sqrt(var) * rng.standard_normal((n, d)))
@@ -45,13 +45,20 @@ def gen_calibrated(d: int, n: int, seed: int, replicate: int = 0) -> Dataset:
 def gen_uncalibrated(d: int, n: int, seed: int, replicate: int = 0) -> Dataset:
     """Uncalibrated model: as the calibrated setup, except the first target
     coordinate is drawn with mean 0.1 regardless of the predicted mean."""
-    if d < 1 or n < 1:
-        raise ParameterError("need d >= 1 and n >= 1")
+    d, n = _checked_sizes(d, n)
     rng = substream(seed, "uncalibrated", replicate)
     mean, var = _means_and_variances(rng, d, n)
     shifted = mean.copy()
     shifted[:, 0] = 0.1
     return _normal_dataset(mean, var, shifted + np.sqrt(var) * rng.standard_normal((n, d)))
+
+
+def _checked_sizes(d, n) -> tuple[int, int]:
+    """``d`` and ``n`` as ints; a ``ParameterError`` unless both are integers >= 1."""
+    d, n = checked_int(d, "dimension"), checked_int(n, "n")
+    if d < 1 or n < 1:
+        raise ParameterError("need d >= 1 and n >= 1")
+    return d, n
 
 
 def _means_and_variances(rng: np.random.Generator, d: int, n: int):
@@ -122,6 +129,7 @@ def friedman1_response(x: np.ndarray) -> np.ndarray:
 
 def gen_friedman1(n: int, noise_sd: float, seed: int, replicate: int = 0):
     """Friedman-1 inputs uniform on [0, 1]^10 with Gaussian response noise."""
+    n = checked_int(n, "n")
     if n < 1:
         raise ParameterError("need n >= 1")
     if noise_sd < 0:
@@ -151,12 +159,15 @@ def linear_gaussian_predictions(coef: np.ndarray, noise_var: float, x: np.ndarra
 _SCENARIOS = {
     "calibrated": gen_calibrated,
     "uncalibrated": gen_uncalibrated,
+    "ols": lambda d, n, seed, replicate: gen_ols_scenario(seed, replicate).validation,
 }
 
 
 def make_scenario_dataset(scenario: str, d: int, n: int, seed: int, replicate: int = 0) -> Dataset:
-    if scenario == "ols":
-        return gen_ols_scenario(seed, replicate).validation
+    """Replicate ``replicate`` of ``scenario`` at dimension ``d`` and size ``n``.
+
+    ``ols`` ignores ``d`` and ``n``: it always gives its 50 validation pairs at d = 1.
+    """
     if scenario not in _SCENARIOS:
         raise ParameterError(f"unknown scenario {scenario!r}")
     return _SCENARIOS[scenario](d, n, seed, replicate)
@@ -215,12 +226,24 @@ class BenchmarkConfig:
     ground_truth_n: int = 500
 
     def __post_init__(self):
+        self.replicates = checked_int(self.replicates, "replicate count")
         if self.replicates < 1:
             raise ParameterError("need at least one replicate")
+        self.n_grid = tuple(checked_int(n, "n of the grid") for n in self.n_grid)
         if any(n < 1 for n in self.n_grid) or len(self.n_grid) == 0:
             raise ParameterError("invalid n grid")
+        self.cme_locations = checked_int(self.cme_locations, "CME location count")
         if not (0.0 < self.alpha < 1.0):
             raise ParameterError("significance level must lie in (0, 1)")
+        for kind, names, table in (("estimator", self.estimators, ESTIMATORS), ("test", self.tests, TESTS)):
+            for name in names:
+                if name not in table:
+                    raise ParameterError(f"unknown {kind} {name!r}; choose from {', '.join(table)}")
+
+    @cached_property
+    def locations(self) -> TestLocations:
+        """The CME test locations, drawn once and shared by every replicate."""
+        return default_cme_locations(self.d, self.cme_locations, seed=self.seed)
 
 
 @dataclass
@@ -237,114 +260,76 @@ class BenchmarkResult:
             fh.write(",".join(str(row[c]) for c in self.COLUMNS) + "\n")
 
 
-def _estimate_once(name: str, spec: KernelSpec, data: Dataset):
-    n = len(data)
-    if name == "plug-in":
-        return skce_plug_in(spec, data)
-    if name == "block-2":
-        return skce_block(spec, data, 2)
-    if name == "block-sqrt":
-        return skce_block(spec, data, max(2, int(math.isqrt(n))))
-    if name == "u-statistic":
-        return skce_ustat(spec, data)
-    raise ParameterError(f"unknown estimator {name!r}")
+# The methods of a sweep: name -> (smallest n it runs at, as a function of
+# the config; its call (config, data, replicate) -> report).
+ESTIMATORS = {
+    "plug-in": (lambda c: 1, lambda c, data, r: skce_plug_in(c.spec, data)),
+    "block-2": (lambda c: 2, lambda c, data, r: skce_block(c.spec, data, 2)),
+    "block-sqrt": (lambda c: 2, lambda c, data, r: skce_block(c.spec, data, max(2, math.isqrt(len(data))))),
+    "u-statistic": (lambda c: 2, lambda c, data, r: skce_ustat(c.spec, data)),
+}
+TESTS = {
+    "block-2": (lambda c: 4, lambda c, data, r: test_asymptotic_block(c.spec, data, 2)),
+    "sqrt-block": (lambda c: 8, lambda c, data, r: test_asymptotic_sqrt_block(c.spec, data)),
+    "bootstrap": (
+        lambda c: 2,
+        lambda c, data, r: test_bootstrap_ustat(c.spec, data, c.num_bootstrap, seed=c.seed * 7919 + r),
+    ),
+    "cme": (lambda c: c.cme_locations + 1, lambda c, data, r: test_cme(c.spec, data, c.locations)),
+}
+
+
+def _sweep(config: BenchmarkConfig, table: dict, names: tuple, cell) -> BenchmarkResult:
+    """Rows of each (n, method) cell, every method of ``names`` run on the same replicates.
+
+    Each replicate's dataset is made and prepared once, before any method is
+    timed, and only one is alive at a time. ``cell(reports)`` gives a
+    method's (metric, value, stderr) rows from its reports in replicate
+    order; ``wall_time_s`` is the mean time of its own calls.
+    """
+    rows = []
+    for n in config.n_grid:
+        methods = [name for name in names if n >= table[name][0](config)]
+        reports, seconds = {name: [] for name in methods}, dict.fromkeys(methods, 0.0)
+        for r in range(config.replicates):
+            data = make_scenario_dataset(config.scenario, config.d, n, config.seed, replicate=r)
+            prepare(config.spec, data.columns)
+            for name in methods:
+                start = time.perf_counter()
+                reports[name].append(table[name][1](config, data, r))
+                seconds[name] += time.perf_counter() - start
+        for name in methods:
+            base = {"scenario": config.scenario, "d": config.d, "n": n, "method": name}
+            cells = cell(reports[name]) + [("wall_time_s", seconds[name] / config.replicates, "")]
+            rows += [base | {"metric": metric, "value": value, "stderr": stderr} for metric, value, stderr in cells]
+    return BenchmarkResult(rows)
 
 
 def run_estimator_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
     """Mean absolute error and variance of SKCE estimates versus the
     scenario's ground truth, per (n, estimator) cell."""
-    if config.scenario == "calibrated":
-        truth = 0.0
-    else:
-        truth = estimate_ground_truth(
-            config.spec,
-            config.scenario,
-            config.d,
-            config.ground_truth_datasets,
-            config.ground_truth_n,
-            seed=config.seed + 1_000_003,
-        ).value
-    rows = []
-    for n in config.n_grid:
-        datasets = [
-            make_scenario_dataset(config.scenario, config.d, n, config.seed, replicate=r)
-            for r in range(config.replicates)
+    truth = 0.0 if config.scenario == "calibrated" else estimate_ground_truth(
+        config.spec, config.scenario, config.d, config.ground_truth_datasets, config.ground_truth_n,
+        seed=config.seed + 1_000_003,
+    ).value
+
+    def cell(reports):
+        estimates = np.array([report.value for report in reports])
+        abs_err = np.abs(estimates - truth)
+        return [
+            ("mean_abs_error", float(abs_err.mean()), float(abs_err.std(ddof=1) / math.sqrt(config.replicates))),
+            ("variance", float(estimates.var(ddof=1)), ""),
+            ("h_evaluations", reports[-1].diagnostics["h_evaluations"], ""),
         ]
-        for name in config.estimators:
-            if name != "plug-in" and n < 2:
-                continue
-            estimates = np.empty(config.replicates)
-            h_evals = 0
-            start = time.perf_counter()
-            for r, data in enumerate(datasets):
-                report = _estimate_once(name, config.spec, data)
-                estimates[r] = report.value
-                h_evals = report.diagnostics["h_evaluations"]
-            elapsed = time.perf_counter() - start
-            abs_err = np.abs(estimates - truth)
-            base = {"scenario": config.scenario, "d": config.d, "n": n, "method": name}
-            rows.append(
-                base | {
-                    "metric": "mean_abs_error",
-                    "value": float(abs_err.mean()),
-                    "stderr": float(abs_err.std(ddof=1) / math.sqrt(config.replicates)),
-                }
-            )
-            rows.append(
-                base | {"metric": "variance", "value": float(estimates.var(ddof=1)), "stderr": ""}
-            )
-            rows.append(base | {"metric": "h_evaluations", "value": h_evals, "stderr": ""})
-            rows.append(
-                base | {"metric": "wall_time_s", "value": elapsed / config.replicates, "stderr": ""}
-            )
-    return BenchmarkResult(rows)
 
-
-def _test_once(name: str, config: BenchmarkConfig, data: Dataset, replicate: int):
-    n = len(data)
-    if name == "block-2":
-        return test_asymptotic_block(config.spec, data, 2)
-    if name == "sqrt-block":
-        return test_asymptotic_sqrt_block(config.spec, data)
-    if name == "bootstrap":
-        return test_bootstrap_ustat(
-            config.spec, data, config.num_bootstrap, seed=config.seed * 7919 + replicate
-        )
-    if name == "cme":
-        locs = default_cme_locations(config.d, config.cme_locations, seed=config.seed)
-        return test_cme(config.spec, data, locs)
-    raise ParameterError(f"unknown test {name!r}")
+    return _sweep(config, ESTIMATORS, config.estimators, cell)
 
 
 def run_test_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
     """Rejection rates at the configured significance level per (n, test)."""
-    rows = []
-    for n in config.n_grid:
-        datasets = [
-            make_scenario_dataset(config.scenario, config.d, n, config.seed, replicate=r)
-            for r in range(config.replicates)
-        ]
-        for name in config.tests:
-            if name in ("block-2",) and n < 4:
-                continue
-            if name == "sqrt-block" and n < 8:
-                continue
-            if name == "cme" and n <= config.cme_locations:
-                continue
-            rejections = 0
-            start = time.perf_counter()
-            for r, data in enumerate(datasets):
-                report = _test_once(name, config, data, r)
-                if report.p_value < config.alpha:
-                    rejections += 1
-            elapsed = time.perf_counter() - start
-            rate = rejections / config.replicates
-            stderr = math.sqrt(rate * (1.0 - rate) / config.replicates)
-            base = {"scenario": config.scenario, "d": config.d, "n": n, "method": name}
-            rows.append(
-                base | {"metric": "rejection_rate", "value": rate, "stderr": stderr}
-            )
-            rows.append(
-                base | {"metric": "wall_time_s", "value": elapsed / config.replicates, "stderr": ""}
-            )
-    return BenchmarkResult(rows)
+
+    def cell(reports):
+        rate = sum(report.p_value < config.alpha for report in reports) / config.replicates
+        return [("rejection_rate", rate, math.sqrt(rate * (1.0 - rate) / config.replicates))]
+
+    return _sweep(config, TESTS, config.tests, cell)

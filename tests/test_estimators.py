@@ -25,7 +25,7 @@ from kcalib import (
     ucme_squared,
 )
 from kcalib import kernels
-from kcalib.calibration_tests import test_asymptotic_block, test_bootstrap_ustat
+from kcalib.calibration_tests import default_cme_locations, test_asymptotic_block, test_bootstrap_ustat
 from kcalib.estimators import cme_feature_matrix
 from kcalib.exceptions import DimensionError, FamilyError, KcalibError, ParameterError
 from kcalib.kernels import (
@@ -40,6 +40,7 @@ from kcalib.kernels import (
     eval_target_kernel,
 )
 from kcalib.rng import substream
+from kcalib.synthetic import BenchmarkConfig, make_scenario_dataset, run_test_benchmark
 
 
 def _normal_data(n, d=1, seed=0):
@@ -146,6 +147,12 @@ def test_dataset_rejects_mixtures_of_discrete_laws():
         (lambda: test_bootstrap_ustat(default_kernel_spec(), _normal_data(6), 150.5), ParameterError),
         (lambda: test_bootstrap_ustat(default_kernel_spec(), _normal_data(6), 150, seed=1.5), ParameterError),
         (lambda: KernelSpec(expectation=kernels.MonteCarlo(2.5)), ParameterError),
+        (lambda: make_scenario_dataset("uncalibrated", 1, 2.5, seed=0), ParameterError),
+        (lambda: make_scenario_dataset("uncalibrated", 1.5, 4, seed=0), ParameterError),
+        (lambda: default_cme_locations(1, 2.5), ParameterError),
+        (lambda: run_test_benchmark(BenchmarkConfig(replicates=2.5)), ParameterError),
+        (lambda: run_test_benchmark(BenchmarkConfig(n_grid=(16.5,))), ParameterError),
+        (lambda: run_test_benchmark(BenchmarkConfig(cme_locations=2.5)), ParameterError),
     ],
     ids=[
         "dataset-of-a-number", "subset-out-of-range", "subset-of-strings", "normal-of-a-string",
@@ -153,7 +160,9 @@ def test_dataset_rejects_mixtures_of_discrete_laws():
         "pairwise-h-out-of-range", "zero-dimensional-normal", "zero-dimensional-target",
         "mixture-of-a-number", "mixture-with-a-string", "block-of-a-fraction",
         "block-test-of-a-fraction", "bootstrap-of-a-fraction", "bootstrap-seed-of-a-fraction",
-        "monte-carlo-samples-of-a-fraction",
+        "monte-carlo-samples-of-a-fraction", "scenario-size-of-a-fraction", "scenario-dimension-of-a-fraction",
+        "cme-location-count-of-a-fraction", "sweep-replicates-of-a-fraction", "sweep-n-of-a-fraction",
+        "sweep-cme-locations-of-a-fraction",
     ],
 )
 def test_library_calls_raise_only_kcalib_errors(call, error):

@@ -368,6 +368,17 @@ def test_cli_generate_creates_parseable_file(sample_file):
     assert data.family == "diag_normal"
 
 
+def test_cli_generate_ols_ignores_n_and_dim(tmp_path, capsys):
+    out = tmp_path / "ols.jsonl"
+    assert cli.main(["generate", "--scenario", "ols", "--n", "500", "--dim", "3", "--seed", "2", "--out", str(out)]) == 0
+    data = parse_dataset(str(out))
+    assert np.array_equal(data.columns.y, synthetic.gen_ols_scenario(2).validation.columns.y)
+    assert data.columns.y.shape == (1, 50)
+    with pytest.raises(SystemExit):
+        cli.main(["generate", "--help"])
+    assert "ignored by ols" in capsys.readouterr().out
+
+
 def test_cli_estimate_json_output(sample_file, tmp_path):
     res = _run(
         ["estimate", "--data", sample_file, "--estimator", "block",

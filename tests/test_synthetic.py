@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from kcalib import DiagNormal, RealVector, default_cme_locations, default_kernel_spec
+from kcalib import DiagNormal, RealVector, default_cme_locations, default_kernel_spec, kernels
 from kcalib.exceptions import ParameterError
+from kcalib.kernels import KernelSpec, MonteCarlo
 from kcalib.rng import substream
 from kcalib.synthetic import (
     BenchmarkConfig,
@@ -191,6 +192,10 @@ def test_linear_gaussian_fit_and_predictions():
 def test_make_scenario_dataset_dispatch():
     assert len(make_scenario_dataset("calibrated", 1, 5, seed=0)) == 5
     assert len(make_scenario_dataset("ols", 1, 50, seed=0)) == 50
+    # ols ignores d and n: its 50 validation pairs at d = 1
+    ols = make_scenario_dataset("ols", 3, 500, seed=4, replicate=2)
+    assert ols.columns.y.shape == (1, 50)
+    assert np.array_equal(ols.columns.y, gen_ols_scenario(4, replicate=2).validation.columns.y)
     with pytest.raises(ParameterError):
         make_scenario_dataset("nope", 1, 5, seed=0)
 
@@ -270,3 +275,29 @@ def test_benchmark_csv_output(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == ",".join(BenchmarkResult.COLUMNS)
     assert len(lines) > 1
+
+
+def test_bootstrap_skips_an_n_below_two():
+    config = BenchmarkConfig(n_grid=(1, 16), tests=("bootstrap",), replicates=3, num_bootstrap=100)
+    rows = run_test_benchmark(config).rows
+    assert [(row["n"], row["metric"]) for row in rows] == [(16, "rejection_rate"), (16, "wall_time_s")]
+
+
+@pytest.mark.parametrize("names", [{"tests": ("nope",)}, {"estimators": ("plug-in", "nope")}])
+def test_config_rejects_unknown_methods(names):
+    with pytest.raises(ParameterError, match="unknown (test|estimator) 'nope'"):
+        BenchmarkConfig(**names)
+
+
+@pytest.mark.parametrize("run", [run_estimator_benchmark, run_test_benchmark])
+def test_sweeps_make_and_prepare_each_replicate_once(run, monkeypatch):
+    calls, original = [], kernels._draws
+    monkeypatch.setattr(kernels, "_draws", lambda *args: calls.append(args) or original(*args))
+    config = BenchmarkConfig(
+        n_grid=(12, 16), replicates=3, num_bootstrap=100, spec=KernelSpec(expectation=MonteCarlo(50))
+    )
+    rows = run(config).rows
+    # every method of the config runs at both sizes (cme needs n > 10), on shared draws
+    methods = config.estimators if run is run_estimator_benchmark else config.tests
+    assert {(row["n"], row["method"]) for row in rows} == {(n, m) for n in (12, 16) for m in methods}
+    assert len(calls) == len(config.n_grid) * config.replicates
