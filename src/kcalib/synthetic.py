@@ -194,6 +194,7 @@ def estimate_ground_truth(
     seed: int,
 ) -> GroundTruthEstimate:
     """Mean of the U-statistic estimator over independent datasets."""
+    num_datasets = checked_int(num_datasets, "dataset count")
     if num_datasets < 1:
         raise ParameterError("need at least one dataset")
     values = np.empty(num_datasets)

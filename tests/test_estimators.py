@@ -40,7 +40,7 @@ from kcalib.kernels import (
     eval_target_kernel,
 )
 from kcalib.rng import substream
-from kcalib.synthetic import BenchmarkConfig, make_scenario_dataset, run_test_benchmark
+from kcalib.synthetic import BenchmarkConfig, estimate_ground_truth, make_scenario_dataset, run_test_benchmark
 
 
 def _normal_data(n, d=1, seed=0):
@@ -153,6 +153,7 @@ def test_dataset_rejects_mixtures_of_discrete_laws():
         (lambda: run_test_benchmark(BenchmarkConfig(replicates=2.5)), ParameterError),
         (lambda: run_test_benchmark(BenchmarkConfig(n_grid=(16.5,))), ParameterError),
         (lambda: run_test_benchmark(BenchmarkConfig(cme_locations=2.5)), ParameterError),
+        (lambda: estimate_ground_truth(default_kernel_spec(), "uncalibrated", 1, 2.5, 8, seed=0), ParameterError),
     ],
     ids=[
         "dataset-of-a-number", "subset-out-of-range", "subset-of-strings", "normal-of-a-string",
@@ -162,7 +163,7 @@ def test_dataset_rejects_mixtures_of_discrete_laws():
         "block-test-of-a-fraction", "bootstrap-of-a-fraction", "bootstrap-seed-of-a-fraction",
         "monte-carlo-samples-of-a-fraction", "scenario-size-of-a-fraction", "scenario-dimension-of-a-fraction",
         "cme-location-count-of-a-fraction", "sweep-replicates-of-a-fraction", "sweep-n-of-a-fraction",
-        "sweep-cme-locations-of-a-fraction",
+        "sweep-cme-locations-of-a-fraction", "ground-truth-datasets-of-a-fraction",
     ],
 )
 def test_library_calls_raise_only_kcalib_errors(call, error):
