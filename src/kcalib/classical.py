@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DISCRETE
+from .distributions import DISCRETE, _real, checked_int
 from .estimators import Dataset
 from .exceptions import DimensionError, FamilyError, ParameterError
 from .kernels import Columns
@@ -53,7 +53,7 @@ def oracle_mce(data: Dataset, oracle) -> float:
 
 def binned_confidence_ece(data: Dataset, num_bins: int = 10) -> float:
     """Standard confidence-binned ECE baseline (biased; no debiasing)."""
-    if num_bins < 1:
+    if checked_int(num_bins, "the number of bins") < 1:
         raise ParameterError("need at least one bin")
     columns = data.columns
     if columns.family != "categorical" or columns.weights is not None:
@@ -92,9 +92,9 @@ def quantile_curve(data: Dataset, taus=DEFAULT_TAU_GRID) -> QuantileCurve:
 
     A quantile-calibrated model yields a curve close to the diagonal.
     """
-    taus = np.asarray(taus, dtype=np.float64)
-    if np.any(taus <= 0) or np.any(taus > 1):
-        raise ParameterError("quantile levels must lie in (0, 1]")
+    taus = _real(taus, "quantile levels")
+    if taus.ndim != 1 or taus.size == 0 or not np.all((taus > 0) & (taus <= 1)):
+        raise ParameterError(f"quantile levels must be a nonempty list of numbers in (0, 1], got {taus.tolist()!r}")
     columns = data.columns
     if columns.family in DISCRETE or columns.y.shape[0] != 1:
         raise DimensionError("quantile diagnostics require univariate real targets")

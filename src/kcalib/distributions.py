@@ -9,7 +9,6 @@ and it mutates nothing but the caller-owned generator.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -313,6 +312,9 @@ class Prediction:
 
     ``cdf``, ``quantile`` and ``log_density`` evaluate the prediction's
     one-column ``kernels.Columns``, where each is written once per family.
+    A plain family's fields are its ``__slots__``, in ``FAMILIES`` order;
+    ``sample`` draws from them with the sampler of the Monte-Carlo
+    expectations (``_sample``), and ``==`` compares them.
     """
 
     family: str
@@ -323,7 +325,15 @@ class Prediction:
         return self.family
 
     def sample(self, rng: np.random.Generator) -> Target:
-        raise NotImplementedError
+        """A target drawn from this prediction with ``rng`` (``_sample``)."""
+        draw = _sample(self.family, [np.atleast_1d(getattr(self, name)) for name in self.__slots__], rng, 1)[0]
+        kind = TARGETS[TARGET_TYPES[self.family][0]][0]
+        return kind(draw) if kind is RealVector else kind(int(draw[0]))
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.__slots__
+        )
 
     def cdf(self, y: float) -> float:
         """P(Z <= y) for Z ~ this univariate prediction (``Columns.cdf``)."""
@@ -340,11 +350,16 @@ class Prediction:
         return float(_column(self, [target]).log_density()[0])
 
 
+def _kernels():
+    """The ``kernels`` module, imported on use: it builds on this one."""
+    from . import kernels
+
+    return kernels
+
+
 def _column(p: Prediction, targets=None):
     """The one-column ``Columns`` of ``p``, with ``targets`` if given."""
-    from .kernels import Columns  # the kernels module builds on this one
-
-    return Columns.of([p], targets)
+    return _kernels().Columns.of([p], targets)
 
 
 class Categorical(Prediction):
@@ -363,12 +378,6 @@ class Categorical(Prediction):
         return self.probs.shape[0]
 
     dim = n_classes
-
-    def sample(self, rng: np.random.Generator) -> ClassLabel:
-        return ClassLabel(int(rng.choice(self.n_classes, p=self.probs)))
-
-    def __eq__(self, other):
-        return isinstance(other, Categorical) and np.array_equal(self.probs, other.probs)
 
     def __repr__(self):
         return f"Categorical({self.probs.tolist()})"
@@ -391,16 +400,6 @@ class DiagNormal(Prediction):
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def sample(self, rng: np.random.Generator) -> RealVector:
-        return RealVector(self.mean + np.sqrt(self.var) * rng.standard_normal(self.dim))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DiagNormal)
-            and np.array_equal(self.mean, other.mean)
-            and np.array_equal(self.var, other.var)
-        )
-
     def __repr__(self):
         return f"DiagNormal(mean={self.mean.tolist()}, var={self.var.tolist()})"
 
@@ -421,12 +420,6 @@ class Laplace(Prediction):
     @property
     def dim(self) -> int:
         return 1
-
-    def sample(self, rng: np.random.Generator) -> RealVector:
-        return RealVector([rng.laplace(self.loc, self.scale)])
-
-    def __eq__(self, other):
-        return isinstance(other, Laplace) and (self.loc, self.scale) == (other.loc, other.scale)
 
     def __repr__(self):
         return f"Laplace(loc={self.loc}, scale={self.scale})"
@@ -507,18 +500,6 @@ class TruncatedCountable(Prediction):
 
     dim = support_size
 
-    def sample(self, rng: np.random.Generator) -> Count:
-        if self.tail_mass > 0:
-            raise FamilyError("cannot sample a truncated distribution with undeclared tail support")
-        return Count(int(rng.choice(self.support_size, p=self.probs / self.probs.sum())))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedCountable)
-            and np.array_equal(self.probs, other.probs)
-            and self.tail_mass == other.tail_mass
-        )
-
     def __repr__(self):
         return f"TruncatedCountable({self.probs.tolist()}, tail_mass={self.tail_mass})"
 
@@ -539,32 +520,31 @@ FAMILIES = {
 TARGETS = {"class": (ClassLabel, "index"), "count": (Count, "value"), "reals": (RealVector, "values")}
 
 
+def _sample(family: str, fields: list, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` draws, (size, d), from the law of ``family`` with one row of each of its ``fields``."""
+    if family == "diag_normal":
+        return rng.normal(fields[0], np.sqrt(fields[1]), size=(size, len(fields[0])))
+    if family == "laplace":
+        return rng.laplace(fields[0][0], fields[1][0], size=(size, 1))
+    if family == "truncated_countable" and fields[1][0] != 0.0:
+        raise FamilyError(f"cannot sample family {family!r} with undeclared tail support")
+    return rng.choice(len(fields[0]), size=size, p=fields[0]).astype(float).reshape(size, 1)
+
+
 def target_value(y):
     """The field of the target ``y`` (``TARGETS``); None if ``y`` is no target."""
     return next((getattr(y, field) for cls, field in TARGETS.values() if isinstance(y, cls)), None)
 
 
 # ---------------------------------------------------------------------------
-# Distances between predictions
+# Distances between predictions (``kernels.prediction_distance`` on one-column views)
 
 
 def wasserstein2(p: Prediction, q: Prediction) -> float:
-    """2-Wasserstein distance in closed form.
-
-    Supported for pairs of diagonal normals of equal dimension (diagonal
-    covariances commute) and pairs of Laplace distributions.
-    """
-    if isinstance(p, DiagNormal) and isinstance(q, DiagNormal):
-        if p.dim != q.dim:
-            raise DimensionError(f"dimension mismatch: {p.dim} vs {q.dim}")
-        sq = np.sum((p.mean - q.mean) ** 2) + np.sum((np.sqrt(p.var) - np.sqrt(q.var)) ** 2)
-        return float(math.sqrt(sq))
-    if isinstance(p, Laplace) and isinstance(q, Laplace):
-        sq = (p.loc - q.loc) ** 2 + 2.0 * (p.scale - q.scale) ** 2
-        return math.sqrt(sq)
-    raise FamilyError(
-        f"wasserstein2 is not defined between {type(p).__name__} and {type(q).__name__}"
-    )
+    """2-Wasserstein distance in closed form, between diagonal normals of one dimension (diagonal
+    covariances commute) or between Laplace laws: the Euclidean distance of their W2 embeddings."""
+    kernels = _kernels()
+    return kernels.prediction_distance(kernels.W2(), p, q)
 
 
 def _solve_transport(weights_a: np.ndarray, weights_b: np.ndarray, cost: np.ndarray) -> np.ndarray:
@@ -596,22 +576,14 @@ def _solve_transport(weights_a: np.ndarray, weights_b: np.ndarray, cost: np.ndar
 
 
 def mixture_wasserstein(p: Mixture, q: Mixture, s: float = 2.0) -> float:
-    """Transport distance between mixtures with ``wasserstein2`` ground cost.
+    """Transport distance of order ``s`` >= 1 between mixtures with ``wasserstein2`` ground cost;
+    a plain prediction is a mixture of one component.
 
     Solves min over couplings of the component weights of
     sum_ij w_ij d(p_i, q_j)^s, then takes the 1/s power.
     """
-    if not isinstance(p, Mixture) or not isinstance(q, Mixture):
-        raise FamilyError("mixture_wasserstein requires mixture predictions")
-    s = float(s)
-    if s < 1.0:
-        raise ParameterError(f"transport order must satisfy s >= 1, got {s!r}")
-    cost = np.empty((len(p.components), len(q.components)))
-    for i, ci in enumerate(p.components):
-        for j, cj in enumerate(q.components):
-            cost[i, j] = wasserstein2(ci, cj) ** s
-    value = _solve_transport(p.weights[None], q.weights[None], cost[None])[0]
-    return max(value, 0.0) ** (1.0 / s)
+    kernels = _kernels()
+    return kernels.prediction_distance(kernels.MW(_real(s, "transport order", scalar=True)), p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,15 @@ from .distributions import (
     RealVector,
     Target,
     _frozen,
+    _real,
+    _sample,
     _solve_transport,
     _unchecked,
     check_allocation,
     check_rows,
     checked_index,
     checked_int,
-    mixture_wasserstein,
     target_value,
-    wasserstein2,
 )
 from .exceptions import ConfigurationError, DimensionError, FamilyError, ParameterError
 from .rng import substream
@@ -190,13 +190,12 @@ def _row_sum(a, b, square: bool = True):
     return total
 
 
-def _kernel_of_sq(pk: PredictionKernel, sq):
-    """exp(-lam d^nu) from the squared distances ``sq``, in place."""
-    np.sqrt(sq, out=sq)
+def _kernel_of(pk: PredictionKernel, d):
+    """exp(-lam d^nu) from the distances ``d``, in place."""
     if pk.nu != 1.0:
-        sq **= pk.nu
-    sq *= -pk.lam
-    return np.exp(sq, out=sq)
+        d **= pk.nu
+    d *= -pk.lam
+    return np.exp(d, out=d)
 
 
 def _points(a):
@@ -474,7 +473,7 @@ class Columns:
         normal variances and Laplace scales are multiplied by t. Means and
         locations are unchanged, so point predictions keep their accuracy.
         """
-        t, family = float(t), self.family if self.weights is None else "mixture"
+        t, family = _real(t, "temperature", scalar=True), self.family if self.weights is None else "mixture"
         if not math.isfinite(t) or t <= 0:
             raise ParameterError(f"temperature must be finite and positive, got {t!r}")
         if family == "categorical":  # over the largest mass, so that no row underflows to 0 / 0
@@ -515,7 +514,7 @@ class Columns:
 
         A mixture's is found by bisection to 1e-12, bracketed by the quantiles of its components.
         """
-        tau = float(tau)
+        tau = _real(tau, "quantile level", scalar=True)
         if not 0.0 < tau < 1.0:
             raise ParameterError(f"quantile level must lie in (0, 1), got {tau!r}")
         if self.family in DISCRETE or self.dim != 1:
@@ -622,15 +621,40 @@ def _double_expect(tk: TargetKernel, x: Columns, z: Columns):
     return _discrete_double(tk, x.params[0], z.params[0])
 
 
-def _prediction_kernel(pk: PredictionKernel, x: Columns, z: Columns, need=None):
-    """k_P between the predictions of the views ``x`` and ``z``, broadcast together.
+def _check_metric(metric: PredictionMetric, x: Columns, z: Columns) -> None:
+    """Raise what ``metric`` raises between the predictions of ``x`` and ``z``.
 
-    MW is evaluated where the boolean ``need`` is true (everywhere when it is
-    None) and is 0 elsewhere; the transport problems of those pairs go to one
-    batched solve, a plain prediction being a mixture of one component.
+    ParamEuclidean embeds no mixture. W2 compares normals, or Laplace laws,
+    with each other; MW also their mixtures, a plain prediction being a
+    mixture of one component. Each compares embeddings of one size only.
     """
-    if not isinstance(pk.metric, MW):
-        return _kernel_of_sq(pk, _row_sum(x.emb, z.emb))
+    laws = [c.family if c.weights is None else "mixture" for c in (x, z)]
+    if isinstance(metric, ParamEuclidean):
+        if "mixture" in laws:
+            raise ConfigurationError("no canonical parameter embedding for family 'mixture'")
+    elif x.family != z.family or x.family not in ("diag_normal", "laplace") or (
+        isinstance(metric, W2) and "mixture" in laws
+    ):
+        raise FamilyError(f"no {type(metric).__name__} between {laws[0]!r} and {laws[1]!r}")
+    if x.emb.shape[0] != z.emb.shape[0]:
+        raise DimensionError(
+            f"no {type(metric).__name__} between predictions of mismatched dimensions "
+            f"(parameter embeddings of {x.emb.shape[0]} and {z.emb.shape[0]} coordinates)"
+        )
+
+
+def _distance(metric: PredictionMetric, x: Columns, z: Columns, need=None):
+    """d between the predictions of the views ``x`` and ``z``, broadcast together.
+
+    W2 and ParamEuclidean are the Euclidean distance of the embeddings
+    ``emb``. MW is evaluated where the boolean ``need`` is true (everywhere
+    when it is None) and is inf elsewhere; the transport problems of those
+    pairs go to one batched solve, a plain prediction being a mixture of one
+    component.
+    """
+    if not isinstance(metric, MW):
+        sq = _row_sum(x.emb, z.emb)
+        return np.sqrt(sq, out=sq)
     shape = np.broadcast_shapes(x.at.shape, z.at.shape)
     need = np.broadcast_to(True if need is None else need, shape)
 
@@ -639,11 +663,17 @@ def _prediction_kernel(pk: PredictionKernel, x: Columns, z: Columns, need=None):
         return [np.broadcast_to(a, a.shape[: a.ndim - len(shape)] + shape)[..., need] for a in (emb, w)]
 
     (ea, wa), (eb, wb) = needed(x), needed(z)
-    cost = np.sqrt(_row_sum(ea[:, :, None], eb[:, None])) ** pk.metric.s
+    cost = np.sqrt(_row_sum(ea[:, :, None], eb[:, None])) ** metric.s
     value = _solve_transport(wa.T, wb.T, np.moveaxis(cost, -1, 0))
     dist = np.full(shape, np.inf)
-    dist[need] = np.maximum(value, 0.0) ** (1.0 / pk.metric.s)
-    return np.exp(-pk.lam * dist**pk.nu)
+    dist[need] = np.maximum(value, 0.0) ** (1.0 / metric.s)
+    return dist
+
+
+def _prediction_kernel(pk: PredictionKernel, x: Columns, z: Columns, need=None):
+    """k_P between the predictions of the views ``x`` and ``z``: exp(-lam d^nu) of ``_distance``,
+    so 0 under MW where ``need`` is false."""
+    return _kernel_of(pk, _distance(pk.metric, x, z, need))
 
 
 def _with_expectations(spec: KernelSpec, columns: Columns, labels=("single", "pair-left", "pair-right")):
@@ -670,27 +700,20 @@ def prepare(spec: KernelSpec, columns: Columns, sites: Columns | None = None) ->
     """``columns`` checked against ``spec`` and given their Monte-Carlo draws and ``route``.
 
     Raises, before any tile, what ``eval_h`` raises on a pair of ``columns``
-    (given test locations ``sites``, what a CME feature of one raises).
-    The last preparation is kept and returned again for an equal spec and
-    the same ``columns`` object, so the reductions of one dataset share its
-    draws; it is dropped before another is made, so at most one is held.
+    (given test locations ``sites``, a ``FamilyError`` if they take another
+    type of target, else what a CME feature of one raises). The last
+    preparation is kept and returned again for an equal spec and the same
+    ``columns`` object, so the reductions of one dataset share its draws; it
+    is dropped before another is made, so at most one is held.
     """
     global _prepared
-    metric, other = spec.prediction_kernel.metric, columns if sites is None else sites
-    if isinstance(metric, ParamEuclidean):
-        if columns.weights is not None or other.weights is not None:
-            raise ConfigurationError("no canonical parameter embedding for family 'mixture'")
-        if columns.emb.shape[0] != other.emb.shape[0]:
-            raise DimensionError("parameter embeddings have mismatched dimensions")
-    elif columns.family != other.family or columns.family not in ("diag_normal", "laplace") or (
-        isinstance(metric, W2) and (columns.weights is not None or other.weights is not None)
-    ):
-        raise FamilyError(f"no {type(metric).__name__} between {other.family!r} and {columns.family!r}")
-    if columns.y.shape[0] != other.y.shape[0]:
-        # the target kernel fails before the expectations, but delta is 0 across dimensions
-        if isinstance(metric, ParamEuclidean) and isinstance(spec.target_kernel, KroneckerDelta):
-            _with_expectations(spec, columns)
-        raise DimensionError("test locations and data differ in dimension")
+    if sites is not None and TARGET_TYPES[sites.family][0] != TARGET_TYPES[columns.family][0]:
+        raise FamilyError(
+            f"test locations take {TARGET_TYPES[sites.family][1]} targets, "
+            f"the data {TARGET_TYPES[columns.family][1]} targets"
+        )
+    # with one type of target, embeddings of one size have targets of one dimension
+    _check_metric(spec.prediction_kernel.metric, columns if sites is None else sites, columns)
     last = _prepared
     if last is None or last[1] is not columns or last[0] != spec:
         _prepared = None
@@ -702,26 +725,11 @@ def prepare(spec: KernelSpec, columns: Columns, sites: Columns | None = None) ->
 # Prediction-space metric and kernel
 
 
-def _param_embedding(p: Prediction) -> np.ndarray:
-    columns = Columns.of([p])
-    if columns.weights is not None:
-        raise ConfigurationError(f"no canonical parameter embedding for family {p.family!r}")
-    return columns.emb[:, 0]
-
-
 def prediction_distance(metric: PredictionMetric, p: Prediction, q: Prediction) -> float:
-    if isinstance(metric, W2):
-        return wasserstein2(p, q)
-    if isinstance(metric, MW):
-        if not isinstance(p, Mixture):
-            p = Mixture([1.0], [p])
-        if not isinstance(q, Mixture):
-            q = Mixture([1.0], [q])
-        return mixture_wasserstein(p, q, metric.s)
-    a, b = _param_embedding(p), _param_embedding(q)
-    if a.shape != b.shape:
-        raise DimensionError("parameter embeddings have mismatched dimensions")
-    return math.sqrt(_row_sum(a[:, None], b[:, None])[0])
+    """d(p, q): ``_distance`` between the one-column views of ``p`` and ``q``."""
+    x, z = (Columns.of([r]).take(np.zeros(1, dtype=np.intp)) for r in (p, q))
+    _check_metric(metric, x, z)
+    return float(_distance(metric, x, z)[0])
 
 
 def eval_prediction_kernel(pk: PredictionKernel, p: Prediction, q: Prediction) -> float:
@@ -751,17 +759,6 @@ def eval_target_kernel(tk: TargetKernel, y: Target, z: Target) -> float:
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo expectations
-
-
-def _sample(family: str, fields: list, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` draws, (size, d), from the law of ``family`` with one row of each of its ``fields``."""
-    if family == "diag_normal":
-        return rng.normal(fields[0], np.sqrt(fields[1]), size=(size, len(fields[0])))
-    if family == "laplace":
-        return rng.laplace(fields[0][0], fields[1][0], size=(size, 1))
-    if family == "truncated_countable" and fields[1][0] != 0.0:
-        raise FamilyError(f"cannot sample family {family!r} with undeclared tail support")
-    return rng.choice(len(fields[0]), size=size, p=fields[0]).astype(float).reshape(size, 1)
 
 
 def _digest(*parts) -> bytes:
@@ -976,7 +973,7 @@ def _normal_tile(pk: PredictionKernel, tk: GaussianRBF, x: Columns, z: Columns, 
     quad = _row_sum(m1, m2)
     kp = _row_sum(math.sqrt(d) * x.emb[d : d + 1], math.sqrt(d) * z.emb[d : d + 1])  # adds d (s - s')^2
     kp += quad
-    kp = _kernel_of_sq(pk, kp)
+    kp = _kernel_of(pk, np.sqrt(kp, out=kp))
     norm = np.add(0.5 + 2.0 * gamma * v1[0], 0.5 + 2.0 * gamma * v2[0])
     quad /= norm
     norm **= 0.5 * d

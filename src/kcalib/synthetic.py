@@ -22,7 +22,7 @@ from .calibration_tests import (
     test_bootstrap_ustat,
     test_cme,
 )
-from .distributions import _normal_rules, _reals_rules, check_rows, checked_int
+from .distributions import _normal_rules, _real, _reals_rules, check_rows, checked_int
 from .estimators import Dataset, TestLocations, skce_block, skce_plug_in, skce_ustat
 from .exceptions import ParameterError
 from .kernels import Columns, KernelSpec, default_kernel_spec, prepare
@@ -132,8 +132,9 @@ def gen_friedman1(n: int, noise_sd: float, seed: int, replicate: int = 0):
     n = checked_int(n, "n")
     if n < 1:
         raise ParameterError("need n >= 1")
-    if noise_sd < 0:
-        raise ParameterError("noise standard deviation must be nonnegative")
+    noise_sd = _real(noise_sd, "noise standard deviation", scalar=True)
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise ParameterError(f"noise standard deviation must be finite and nonnegative, got {noise_sd!r}")
     rng = substream(seed, "friedman1", replicate)
     x = rng.uniform(0.0, 1.0, size=(n, 10))
     y = friedman1_response(x) + noise_sd * rng.standard_normal(n)
@@ -227,6 +228,8 @@ class BenchmarkConfig:
     ground_truth_n: int = 500
 
     def __post_init__(self):
+        if self.scenario not in ("calibrated", "uncalibrated"):
+            raise ParameterError(f"sweeps run the calibrated or uncalibrated scenario, not {self.scenario!r}")
         self.replicates = checked_int(self.replicates, "replicate count")
         if self.replicates < 1:
             raise ParameterError("need at least one replicate")
@@ -234,6 +237,7 @@ class BenchmarkConfig:
         if any(n < 1 for n in self.n_grid) or len(self.n_grid) == 0:
             raise ParameterError("invalid n grid")
         self.cme_locations = checked_int(self.cme_locations, "CME location count")
+        self.alpha = _real(self.alpha, "significance level", scalar=True)
         if not (0.0 < self.alpha < 1.0):
             raise ParameterError("significance level must lie in (0, 1)")
         for kind, names, table in (("estimator", self.estimators, ESTIMATORS), ("test", self.tests, TESTS)):

@@ -8,6 +8,7 @@ from scipy import stats
 
 from kcalib import (
     MW,
+    W2,
     Analytic,
     Categorical,
     ClassLabel,
@@ -23,9 +24,12 @@ from kcalib import (
     ParamEuclidean,
     PredictionKernel,
     RealVector,
+    TestLocations,
     default_cme_locations,
     default_kernel_spec,
+    eval_h,
     h_squared_hat,
+    mixture_wasserstein,
     skce_block,
     skce_plug_in,
     skce_ustat,
@@ -34,11 +38,13 @@ from kcalib import (
     test_bootstrap_ustat,
     test_cme,
     ucme_squared,
+    wasserstein2,
 )
 from kcalib import kernels
 from kcalib.calibration_tests import _chi2_sf
 from kcalib.estimators import h_matrix
-from kcalib.exceptions import ParameterError
+from kcalib.exceptions import ConfigurationError, DimensionError, FamilyError, KcalibError, ParameterError
+from kcalib.kernels import eval_prediction_kernel, prediction_distance
 from kcalib.rng import substream
 from kcalib.synthetic import gen_calibrated, gen_uncalibrated
 
@@ -233,6 +239,64 @@ def test_cme_requires_more_data_than_locations():
     locs = default_cme_locations(1, 10, seed=0)
     with pytest.raises(ParameterError):
         test_cme(spec, data, locs)
+
+
+def test_cme_refuses_locations_of_another_target_type():
+    # 2-class categoricals embed in as many coordinates as d = 1 normals, so ParamEuclidean
+    # would compare them
+    spec = KernelSpec(prediction_kernel=PredictionKernel(ParamEuclidean()))
+    data = gen_uncalibrated(1, 50, seed=0)
+    locs = TestLocations([Categorical([0.2 + 0.3 * j, 0.8 - 0.3 * j]) for j in range(3)], [ClassLabel(j % 2) for j in range(3)])
+    for call in (test_cme, ucme_squared):
+        with pytest.raises(FamilyError, match="test locations take class-label targets, the data real-vector"):
+            call(spec, data, locs)
+
+
+def _target(p):
+    return ClassLabel(0) if isinstance(p, Categorical) else RealVector(np.zeros(p.dim))
+
+
+def _two_normals(shift):
+    return Mixture([0.4, 0.6], [DiagNormal(shift, 1.0), DiagNormal(shift + 1.0, 0.5)])
+
+
+_NORMALS = [DiagNormal(0.1 * i, 1.0 + 0.1 * i) for i in range(6)]
+_MIXTURES = [_two_normals(0.1 * i) for i in range(6)]
+
+# metric, data predictions, location predictions, the error of every pair of one of each
+METRIC_RULES = {
+    "w2-on-mixtures": (W2(), _MIXTURES, [_two_normals(1.0), _two_normals(2.0)], FamilyError),
+    "w2-normal-laplace": (W2(), _NORMALS, [Laplace(0.0, 1.0), Laplace(1.0, 2.0)], FamilyError),
+    "mw-normal-laplace": (MW(1.5), _MIXTURES, [Laplace(0.0, 1.0), Mixture([1.0], [Laplace(1.0, 2.0)])], FamilyError),
+    "w2-across-dimensions": (W2(), _NORMALS, [DiagNormal([0.0, 1.0], [1.0, 1.0])] * 2, DimensionError),
+    "mw-across-dimensions": (MW(), _MIXTURES, [DiagNormal([0.0, 1.0], [1.0, 1.0])] * 2, DimensionError),
+    "param-euclidean-on-mixtures": (ParamEuclidean(), _MIXTURES, _NORMALS[:2], ConfigurationError),
+    "param-euclidean-across-embedding-sizes": (
+        ParamEuclidean(), [Categorical([0.2, 0.3, 0.5])] * 6, [Categorical([0.25] * 4)] * 2, DimensionError,
+    ),
+    "param-euclidean-normals-across-dimensions": (ParamEuclidean(), _NORMALS, [DiagNormal([0.0, 1.0], [1.0, 1.0])] * 2, DimensionError),
+}
+
+
+@pytest.mark.parametrize("case", list(METRIC_RULES))
+def test_pair_functions_and_cme_locations_share_one_metric_rule_set(case):
+    metric, preds, sites, error = METRIC_RULES[case]
+    spec = KernelSpec(prediction_kernel=PredictionKernel(metric))
+    p, q = preds[0], sites[0]
+    calls = [
+        lambda: prediction_distance(metric, p, q),
+        lambda: eval_prediction_kernel(spec.prediction_kernel, p, q),
+        lambda: eval_h(spec, p, _target(p), q, _target(q)),
+        lambda: test_cme(spec, Dataset(preds, [_target(r) for r in preds]), TestLocations(sites, [_target(r) for r in sites])),
+    ]
+    if isinstance(metric, W2):
+        calls.append(lambda: wasserstein2(p, q))
+    if isinstance(metric, MW):
+        calls.append(lambda: mixture_wasserstein(p, q, metric.s))
+    for call in calls:
+        with pytest.raises(KcalibError) as exc:
+            call()
+        assert type(exc.value) is error
 
 
 def test_cme_ridge_on_singular_covariance():

@@ -282,6 +282,34 @@ def test_truncated_countable_sampling():
     assert np.all(np.abs(freq - [0.1, 0.6, 0.3]) < 0.02)
 
 
+# One law per plain family, with the formula its class sampled by before every family sampled
+# through ``distributions._sample``, the sampler of the Monte-Carlo expectations.
+PER_CLASS_SAMPLES = {
+    "categorical": (
+        Categorical([0.1, 0.2, 0.3, 0.4]),
+        lambda p, rng: ClassLabel(int(rng.choice(p.n_classes, p=p.probs))),
+    ),
+    "diag_normal": (
+        DiagNormal([0.3, -1.0, 2.0], [0.5, 0.0, 2.0]),
+        lambda p, rng: RealVector(p.mean + np.sqrt(p.var) * rng.standard_normal(p.dim)),
+    ),
+    "laplace": (Laplace(0.4, 1.3), lambda p, rng: RealVector([rng.laplace(p.loc, p.scale)])),
+    "truncated_countable": (
+        TruncatedCountable([0.05, 0.5, 0.25, 0.2]),
+        lambda p, rng: Count(int(rng.choice(p.support_size, p=p.probs / p.probs.sum()))),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(PER_CLASS_SAMPLES))
+def test_sample_draws_what_the_per_class_formula_drew(family):
+    p, formula = PER_CLASS_SAMPLES[family]
+    for seed in range(300):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert p.sample(rng) == formula(p, reference)
+        assert rng.random() == reference.random()  # and used up as many draws
+
+
 # ---------------------------------------------------------------------------
 # wasserstein distances
 

@@ -26,6 +26,8 @@ from kcalib import (
 )
 from kcalib import kernels
 from kcalib.calibration_tests import default_cme_locations, test_asymptotic_block, test_bootstrap_ustat
+from kcalib.classical import binned_confidence_ece, pinball_loss, quantile_curve
+from kcalib.distributions import temperature_scale
 from kcalib.estimators import cme_feature_matrix
 from kcalib.exceptions import DimensionError, FamilyError, KcalibError, ParameterError
 from kcalib.kernels import (
@@ -40,7 +42,13 @@ from kcalib.kernels import (
     eval_target_kernel,
 )
 from kcalib.rng import substream
-from kcalib.synthetic import BenchmarkConfig, estimate_ground_truth, make_scenario_dataset, run_test_benchmark
+from kcalib.synthetic import (
+    BenchmarkConfig,
+    estimate_ground_truth,
+    gen_friedman1,
+    make_scenario_dataset,
+    run_test_benchmark,
+)
 
 
 def _normal_data(n, d=1, seed=0):
@@ -154,6 +162,13 @@ def test_dataset_rejects_mixtures_of_discrete_laws():
         (lambda: run_test_benchmark(BenchmarkConfig(n_grid=(16.5,))), ParameterError),
         (lambda: run_test_benchmark(BenchmarkConfig(cme_locations=2.5)), ParameterError),
         (lambda: estimate_ground_truth(default_kernel_spec(), "uncalibrated", 1, 2.5, 8, seed=0), ParameterError),
+        (lambda: binned_confidence_ece(Dataset([Categorical([0.3, 0.7])], [ClassLabel(1)]), 2.5), ParameterError),
+        (lambda: quantile_curve(_normal_data(4), []), ParameterError),
+        (lambda: quantile_curve(_normal_data(4), [float("nan")]), ParameterError),
+        (lambda: gen_friedman1(10, float("nan"), 0), ParameterError),
+        (lambda: temperature_scale(DiagNormal(0, 1), "x"), ParameterError),
+        (lambda: pinball_loss(_normal_data(4), "a"), ParameterError),
+        (lambda: BenchmarkConfig(alpha="x"), ParameterError),
     ],
     ids=[
         "dataset-of-a-number", "subset-out-of-range", "subset-of-strings", "normal-of-a-string",
@@ -164,6 +179,8 @@ def test_dataset_rejects_mixtures_of_discrete_laws():
         "monte-carlo-samples-of-a-fraction", "scenario-size-of-a-fraction", "scenario-dimension-of-a-fraction",
         "cme-location-count-of-a-fraction", "sweep-replicates-of-a-fraction", "sweep-n-of-a-fraction",
         "sweep-cme-locations-of-a-fraction", "ground-truth-datasets-of-a-fraction",
+        "binned-ece-bins-of-a-fraction", "quantile-curve-of-no-levels", "quantile-curve-of-nan",
+        "friedman1-noise-of-nan", "temperature-of-a-string", "pinball-level-of-a-string", "sweep-alpha-of-a-string",
     ],
 )
 def test_library_calls_raise_only_kcalib_errors(call, error):

@@ -289,6 +289,13 @@ def test_config_rejects_unknown_methods(names):
         BenchmarkConfig(**names)
 
 
+@pytest.mark.parametrize("scenario", ["ols", "nope"])
+def test_config_rejects_scenarios_other_than_calibrated_and_uncalibrated(scenario):
+    # ols ignores n, so a sweep over it would label one 50-pair dataset with every n of the grid
+    with pytest.raises(ParameterError, match="calibrated or uncalibrated"):
+        BenchmarkConfig(scenario=scenario)
+
+
 @pytest.mark.parametrize("run", [run_estimator_benchmark, run_test_benchmark])
 def test_sweeps_make_and_prepare_each_replicate_once(run, monkeypatch):
     calls, original = [], kernels._draws
