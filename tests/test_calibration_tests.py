@@ -246,7 +246,9 @@ def test_cme_refuses_locations_of_another_target_type():
     # would compare them
     spec = KernelSpec(prediction_kernel=PredictionKernel(ParamEuclidean()))
     data = gen_uncalibrated(1, 50, seed=0)
-    locs = TestLocations([Categorical([0.2 + 0.3 * j, 0.8 - 0.3 * j]) for j in range(3)], [ClassLabel(j % 2) for j in range(3)])
+    locs = TestLocations(
+        [Categorical([0.2 + 0.3 * j, 0.8 - 0.3 * j]) for j in range(3)], [ClassLabel(j % 2) for j in range(3)]
+    )
     for call in (test_cme, ucme_squared):
         with pytest.raises(FamilyError, match="test locations take class-label targets, the data real-vector"):
             call(spec, data, locs)
@@ -274,7 +276,9 @@ METRIC_RULES = {
     "param-euclidean-across-embedding-sizes": (
         ParamEuclidean(), [Categorical([0.2, 0.3, 0.5])] * 6, [Categorical([0.25] * 4)] * 2, DimensionError,
     ),
-    "param-euclidean-normals-across-dimensions": (ParamEuclidean(), _NORMALS, [DiagNormal([0.0, 1.0], [1.0, 1.0])] * 2, DimensionError),
+    "param-euclidean-normals-across-dimensions": (
+        ParamEuclidean(), _NORMALS, [DiagNormal([0.0, 1.0], [1.0, 1.0])] * 2, DimensionError,
+    ),
 }
 
 
@@ -287,7 +291,9 @@ def test_pair_functions_and_cme_locations_share_one_metric_rule_set(case):
         lambda: prediction_distance(metric, p, q),
         lambda: eval_prediction_kernel(spec.prediction_kernel, p, q),
         lambda: eval_h(spec, p, _target(p), q, _target(q)),
-        lambda: test_cme(spec, Dataset(preds, [_target(r) for r in preds]), TestLocations(sites, [_target(r) for r in sites])),
+        lambda: test_cme(
+            spec, Dataset(preds, [_target(r) for r in preds]), TestLocations(sites, [_target(r) for r in sites])
+        ),
     ]
     if isinstance(metric, W2):
         calls.append(lambda: wasserstein2(p, q))

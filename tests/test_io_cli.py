@@ -443,7 +443,9 @@ def test_cli_cme_refuses_locations_of_another_target_type(tmp_path, capsys):
     data_path, loc_path = str(tmp_path / "data.jsonl"), str(tmp_path / "locs.jsonl")
     argv = ["generate", "--scenario", "uncalibrated", "--dim", "1", "--n", "50", "--seed", "0", "--out", data_path]
     assert cli.main(argv) == 0
-    locs = TestLocations([Categorical([0.2 + 0.3 * j, 0.8 - 0.3 * j]) for j in range(3)], [ClassLabel(j % 2) for j in range(3)])
+    locs = TestLocations(
+        [Categorical([0.2 + 0.3 * j, 0.8 - 0.3 * j]) for j in range(3)], [ClassLabel(j % 2) for j in range(3)]
+    )
     write_locations(loc_path, locs)
     for command in (["test", "--method", "cme"], ["ucme"]):
         argv = [*command, "--metric", "param-euclidean", "--data", data_path, "--locations", loc_path]
