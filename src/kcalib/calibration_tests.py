@@ -146,7 +146,8 @@ def test_bootstrap_ustat(
         - 2.0 * (n - 1) / n * (counts @ row_sums)
         + total * (n - 1) / n
     ) / n
-    p_value = (1.0 + np.count_nonzero(draws >= statistic)) / (num_bootstrap + 1.0)
+    # a NaN statistic (h overflowed) is compared with no draw: its p-value is NaN, not 1 / (R + 1)
+    p_value = math.nan if math.isnan(statistic) else (1.0 + np.count_nonzero(draws >= statistic)) / (num_bootstrap + 1.0)
     return TestReport(
         method=f"bootstrap-ustat(resamples={num_bootstrap})",
         statistic=float(statistic),

@@ -11,6 +11,10 @@ offending line number.
 The parser checks each record's structure as it decodes it, gathers each
 field of all records into one array and checks those with the families'
 own rules (``distributions``) at once, so it builds no per-record objects.
+Records whose fields do not stack into arrays (vectors of several lengths,
+mixtures of several sizes or with zero weights) are built one at a time by
+the constructors and checked as ``Dataset(predictions, targets)`` checks
+them.
 The writer builds none either: it formats each column once, every number by
 the ``repr`` that ``json.dumps`` calls, and fills one line template per
 family, so it writes the bytes that one ``json.dumps`` per record would.
@@ -25,23 +29,26 @@ from functools import partial
 import numpy as np
 
 from .distributions import (
+    DEFAULTS,
     DISCRETE,
     FAMILIES,
     TARGET_TYPES,
     TARGETS,
     ClassLabel,
+    Mixture,
+    Prediction,
     RealVector,
     _index_rules,
-    _kept_weights,
     _mixture_rules,
     _reals_rules,
+    _target_size,
     check_rows,
     discrete_mixture,
     pair_rules,
     wrong_target,
 )
 from .estimators import Dataset, TestLocations
-from .exceptions import DatasetFormatError, DimensionError, KcalibError, ParameterError
+from .exceptions import DatasetFormatError, DimensionError, KcalibError
 from .kernels import Columns
 
 SCHEMA_VERSION = 1
@@ -49,7 +56,7 @@ _PREDICTION, _TARGET = "invalid prediction: ", "invalid target: "
 
 
 class _Ragged(Exception):
-    """The records' fields do not stack into arrays: they are checked one record at a time."""
+    """The records' fields do not stack into arrays: they are built one record at a time."""
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +99,7 @@ def _component_family(prediction, line: int, nested: bool = False):
     if not isinstance(family, str) or family not in FAMILIES:
         raise DatasetFormatError(f"unknown prediction family {family!r}", line)
     for key, _ in FAMILIES[family][1]:
-        if key not in prediction and key != "tail_mass":  # the only optional field, 0 by default
+        if key not in prediction and key not in DEFAULTS:
             raise DatasetFormatError(f"{_PREDICTION}{key!r}", line)
     return family
 
@@ -108,7 +115,7 @@ def _record(raw: str, line: int, family, first: list, decode, constants: list):
     """
     try:
         record = decode(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer of more digits than Python converts
         raise DatasetFormatError(f"invalid record JSON: {exc}", line) from exc
     if not isinstance(record, dict) or "prediction" not in record or "target" not in record:
         raise DatasetFormatError("record must have 'prediction' and 'target'", line)
@@ -148,25 +155,13 @@ def _record(raw: str, line: int, family, first: list, decode, constants: list):
 # Fields of many records, checked at once
 
 
-def _floats(values: list, kind: str, label: str, single: bool) -> np.ndarray:
-    """One field of each item as floats: (n,) numbers, or (n, d) vectors or arrays.
-
-    Several records' fields go to one array, or raise ``_Ragged``; a single
-    record's values are converted one by one, as its constructor would.
-    """
-    convert = {"number": float, "vector": np.atleast_1d, "array": np.asarray}[kind]
+def _floats(values: list, kind: str) -> np.ndarray:
+    """One field of each record as floats, (n,) numbers or (n, d) vectors or arrays; ``_Ragged``
+    if the fields do not stack so."""
     try:
-        if single:
-            if kind == "number":
-                return np.array([float(v) for v in values])
-            return np.array([convert(np.asarray(v, dtype=np.float64)) for v in values])
         arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
-        if not single:
-            raise _Ragged from exc
-        error = ParameterError(label + str(exc))
-        error.row = 0
-        raise error from exc
+        raise _Ragged from exc
     if kind == "vector" and arr.ndim == 1:  # numbers stand for vectors of one coordinate
         arr = arr[:, None]
     # (float() rejects what np.array turns into NaN, such as null)
@@ -206,42 +201,31 @@ def _columnwise(a: np.ndarray, n: int, k) -> np.ndarray:
     return a.T if k is None else np.moveaxis(a.reshape(n, k, -1), (0, 1), (-1, -2))
 
 
-def _columns(family: str, records: list, dimension, single: bool) -> Columns | None:
+def _columns(family: str, records: list, dimension) -> Columns:
     """The checked columns of ``records``; raises the first bad record's error, its index in ``row``.
 
-    Raises ``_Ragged`` when the fields of several records do not stack. A
-    record without target has only its prediction checked, and gives None.
+    Raises ``_Ragged`` when the fields of the records do not stack, or when
+    a mixture has no component or one of weight 0, which it drops.
     """
     n, predictions, k, weights = len(records), [p for p, _ in records], None, None
     if family == "mixture":
-        k = len(predictions[0]["components"])
-        if any(len(p["components"]) != k for p in predictions):
+        k, weights = len(predictions[0]["components"]), _floats([p["weights"] for p in predictions], "array")
+        if k == 0 or any(len(p["components"]) != k for p in predictions) or not np.all(weights > 0):
             raise _Ragged
-        weights = _floats([p["weights"] for p in predictions], "array", _PREDICTION, single)
-        if not single and (k == 0 or not np.all(weights > 0)):  # zero weights drop components
-            raise _Ragged
-        if k == 0:  # no components to check: the weights fail their rules
-            check_rows(_labelled(_PREDICTION, _mixture_rules(weights, 0)[0]))
         predictions = [c for p in predictions for c in p["components"]]
         family = predictions[0]["family"]
     _, fields, rules = FAMILIES[family]
-    arrays = [
-        _floats([p.get(key, 0.0) for p in predictions], kind, _PREDICTION, single)
-        for key, kind in fields
-    ]
+    arrays = [_floats([p.get(key, DEFAULTS.get(key)) for p in predictions], kind) for key, kind in fields]
     checks, canonical = rules(*arrays)
     checks = _labelled(_PREDICTION, checks)
     if k is not None:
         weight_checks, normalized = _mixture_rules(weights, k)
         checks = _per_record(checks, k) + _labelled(_PREDICTION, weight_checks)
-    if records[0][1] is None:
-        check_rows(checks)
-        return None
     dim = arrays[0][0].size
     target_type, field = TARGETS[TARGET_TYPES[family][0]]
     values = [t[field] for _, t in records]
     if target_type is RealVector:
-        y = _floats(values, "vector", _TARGET, single)
+        y = _floats(values, "vector")
         target_checks, sizes = _reals_rules(y), [y.shape[-1]] * n
     else:  # an index that is no integer fails its own check first
         target_checks = _index_rules(values, "class index" if target_type is ClassLabel else "count")
@@ -249,47 +233,60 @@ def _columns(family: str, records: list, dimension, single: bool) -> Columns | N
     check_rows(
         checks
         + _labelled(_TARGET, target_checks)
-        + [(dimension is not None and dim != dimension, DimensionError,
-            f"record dimension {dim} does not match dataset dimension {dimension}")]
+        + [_dimension_check(dim, dimension)]
         + pair_rules(family, dim, [target_type] * n, sizes)
     )
-    y = y.T if target_type is RealVector else _floats(values, "number", _TARGET, single)[None]
-    canonical = canonical()
-    if k is not None:
-        weights = normalized()
-        if single:
-            kept, keep = _kept_weights(weights[0])
-            weights, canonical, k = kept[None], [a[keep] for a in canonical], int(keep.sum())
-        weights = weights.T
-    canonical = tuple(_columnwise(a, n, k) for a in canonical)
-    return Columns.build(family, canonical, y, weights)
+    y = y.T if target_type is RealVector else _floats(values, "number")[None]
+    canonical = tuple(_columnwise(a, n, k) for a in canonical())
+    return Columns.build(family, canonical, y, None if k is None else normalized().T)
 
 
-def _checked_columns(family, records: list, dimension) -> Columns | None:
-    """The columns of all ``records``, checked; the first bad record's error carries its index in ``row``."""
+def _dimension_check(dim: int, dimension) -> tuple:
+    """The check that a record of dimension ``dim`` has the dataset's ``dimension`` (if not None)."""
+    return (dimension is not None and dim != dimension, DimensionError,
+            f"record dimension {dim} does not match dataset dimension {dimension}")
+
+
+def _prediction(prediction: dict) -> Prediction:
+    """The object of a record's ``prediction``, whose structure ``_record`` has checked."""
+    if prediction["family"] == "mixture":
+        return Mixture(prediction["weights"], [_prediction(c) for c in prediction["components"]])
+    cls, fields, _ = FAMILIES[prediction["family"]]
+    return cls(*[prediction.get(key, DEFAULTS.get(key)) for key, _ in fields])
+
+
+def _built(label: str, build, *args):
+    """``build(*args)``; its ``KcalibError`` with ``label`` before the message."""
     try:
-        return _columns(family, records, dimension, single=len(records) == 1)
-    except _Ragged:  # one record at a time
+        return build(*args)
+    except KcalibError as exc:
+        exc.args = (label + str(exc),)
+        raise
+
+
+def _checked_columns(family, records: list, dimension) -> Columns:
+    """The columns of all ``records``, checked as arrays or, where they do not stack, one record at a
+    time as ``Dataset(predictions, targets)`` checks them; the first bad record's error carries its
+    index in ``row``."""
+    try:
+        return _columns(family, records, dimension)
+    except _Ragged:
         pass
-    parts = []
-    for row, record in enumerate(records):
+    predictions, targets = [], []
+    for row, (prediction, target) in enumerate(records):
         try:
-            parts.append(_columns(family, [record], dimension, single=True))
+            p = _built(_PREDICTION, _prediction, prediction)
+            kind, field = TARGETS[target["type"]]
+            y = _built(_TARGET, kind, target[field])
+            dimension = p.dim if dimension is None else dimension  # the first record fixes it
+            check_rows([_dimension_check(p.dim, dimension)]
+                       + pair_rules(p.law.removeprefix("mixture of "), p.dim, [kind], [_target_size(y)]))
         except KcalibError as exc:
             exc.row = row
             raise
-        if dimension is None:  # the first record fixes it
-            dimension = parts[0].dim
-    return _concat(parts)
-
-
-def _concat(parts: list) -> Columns:
-    """One ``Columns`` of the single-record ``parts``."""
-    canonical, y = zip(*(c.canonical() for c in parts)), np.concatenate([c.y for c in parts], axis=-1)
-    if parts[0].weights is None:
-        return Columns.build(parts[0].family, tuple(np.concatenate(a, axis=-1) for a in canonical), y)
-    canonical = tuple(np.concatenate([a[..., 0] for a in arrays], axis=-1) for arrays in canonical)
-    return Columns.mixtures(parts[0].family, canonical, [c.weights[:, 0] for c in parts], y)
+        predictions.append(p)
+        targets.append(y)
+    return Columns.of(predictions, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +294,18 @@ def _concat(parts: list) -> Columns:
 
 
 def _parse_records(path: str) -> Columns:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:  # named at the line of its first bad byte
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise DatasetFormatError(f"not UTF-8 text: byte {data[exc.start]:#04x} ({exc.reason})", line) from exc
     if not lines:
         raise DatasetFormatError("missing header line", 1)
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise DatasetFormatError(f"invalid header JSON: {exc}", 1) from exc
     if not isinstance(header, dict) or header.get("schema") != SCHEMA_VERSION:
         raise DatasetFormatError(f"unsupported schema {header!r}", 1)
@@ -326,7 +328,7 @@ def _parse_records(path: str) -> Columns:
         columns = _at_lines(lambda: _checked_columns(family, records, dimension), line_of) if records else None
         prediction = getattr(failure, "prediction", None)
         if prediction is not None:  # the numbers of its prediction are checked first
-            _at_lines(lambda: _checked_columns(prediction["family"], [(prediction, None)], None), [failure.line])
+            _at_lines(lambda: _built(_PREDICTION, _prediction, prediction), [failure.line])
     if failure is not None:
         raise failure
     return columns

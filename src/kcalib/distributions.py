@@ -10,7 +10,9 @@ and it mutates nothing but the caller-owned generator.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
+from inspect import Parameter, Signature
 
 import numpy as np
 
@@ -30,8 +32,8 @@ PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 # target, and return (bad, error class, message) checks in the order in which
 # a single value meets them, and a function that gives the canonical rows
 # (normalized, say) once the checks have passed. A constructor checks its one
-# row; the dataset parser checks all rows of a file at once and reports the
-# first bad one.
+# row; the dataset parser checks all rows of a file at once (where they stack)
+# and reports the first bad one.
 
 
 def check_rows(checks) -> None:
@@ -140,7 +142,7 @@ def _normal_rules(mean: np.ndarray, var: np.ndarray):
 
 
 def _laplace_rules(loc, scale):
-    """Checks of Laplace parameters, one location and scale per row (or a number each)."""
+    """Checks of Laplace parameters, one location and scale per row."""
     return [
         (lambda: ~(np.isfinite(loc) & np.isfinite(scale)), ParameterError, "Laplace parameters must be finite"),
         (lambda: scale <= 0, ParameterError, "Laplace scale must be strictly positive"),
@@ -175,21 +177,11 @@ def _mixture_rules(weights: np.ndarray, count: int):
     return checks, normalized
 
 
-def _kept_weights(weights: np.ndarray):
-    """The positive entries of one mixture's normalized ``weights``, normalized again, and their mask."""
-    keep = weights > 0
-    if np.all(keep):
-        return weights, keep
-    kept = weights[keep] / weights[keep].sum()
-    checks, normalized = _simplex_rules(kept[None], "mixture weights")
-    check_rows(checks)
-    return normalized()[0], keep
-
-
-def _real(value, what: str, scalar: bool = False):
-    """``value`` as a float (``scalar``) or an array of floats; a ``ParameterError`` if it holds other things."""
+def _real(value, what: str, scalar: bool = False, ndmin: int = 0):
+    """``value`` as a float (``scalar``) or a new array of floats of at least ``ndmin`` dimensions;
+    a ``ParameterError`` if it holds other things."""
     try:
-        return float(value) if scalar else np.asarray(value, dtype=np.float64)
+        return float(value) if scalar else np.array(value, dtype=np.float64, ndmin=ndmin)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"{what} must be real numbers, got {value!r}") from exc
 
@@ -228,7 +220,7 @@ class RealVector:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        arr = np.atleast_1d(_real(values, "real targets"))
+        arr = _real(values, "real targets", ndmin=1)
         check_rows(_reals_rules(arr[None]))
         self.values = _frozen(arr)
 
@@ -269,7 +261,7 @@ TARGET_TYPES = {
 def pair_rules(family: str, dim: int, types: list, sizes: list) -> list:
     """Checks of pairs of predictions of ``family`` and dimension ``dim`` (a categorical's number of
     classes) with targets of the classes ``types`` and the ``sizes`` (a class label's index, a real
-    vector's dimension), one of each per row."""
+    vector's dimension, a count's value), one of each per row."""
     kind = TARGETS[TARGET_TYPES[family][0]][0]
     checks = [([not issubclass(t, kind) for t in types], FamilyError, wrong_target(family))]
     if kind is ClassLabel:
@@ -278,6 +270,8 @@ def pair_rules(family: str, dim: int, types: list, sizes: list) -> list:
     elif kind is RealVector:
         checks.append(([s != dim for s in sizes], DimensionError,
                        lambda r: f"target dimension {sizes[r]} != prediction dimension {dim}"))
+    else:  # a count is held as a float
+        checks.append(([s > sys.float_info.max for s in sizes], ParameterError, "count is too large to hold as a float"))
     return checks
 
 
@@ -297,8 +291,8 @@ def wrong_target(family: str) -> str:
 
 
 def _target_size(y: Target) -> int:
-    """What ``pair_rules`` checks of a target: a class label's index, a real vector's dimension
-    (a count's value, which it does not check; 0 for what is no target)."""
+    """What ``pair_rules`` checks of a target: a class label's index, a real vector's dimension or
+    a count's value (0 for what is no target)."""
     value = target_value(y)
     return len(value) if isinstance(value, np.ndarray) else value or 0
 
@@ -310,14 +304,36 @@ def _target_size(y: Target) -> int:
 class Prediction:
     """Base class of all prediction families.
 
+    A plain family's constructor is this class's: it takes the family's
+    fields (``FAMILIES``), by position or by name (``DEFAULTS`` gives those
+    that may be left out), converts each by its kind, checks them with the
+    family's rules and keeps their canonical rows in its ``__slots__``, in
+    ``FAMILIES`` order. ``dim`` is the size of the first field, and
+    ``sample`` draws from the fields with the sampler of the Monte-Carlo
+    expectations (``_sample``). ``==`` compares the slots of any prediction,
+    a mixture's too, and ``repr`` names them.
     ``cdf``, ``quantile`` and ``log_density`` evaluate the prediction's
     one-column ``kernels.Columns``, where each is written once per family.
-    A plain family's fields are its ``__slots__``, in ``FAMILIES`` order;
-    ``sample`` draws from them with the sampler of the Monte-Carlo
-    expectations (``_sample``), and ``==`` compares them.
     """
 
     family: str
+
+    def __init__(self, *args, **kwargs):
+        _, fields, rules = FAMILIES[self.family]
+        if kwargs or len(args) != len(fields):
+            bound = self.__signature__.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        checks, canonical = rules(*[_field_row(value, name, kind) for value, (name, kind) in zip(args, fields)])
+        check_rows(checks)
+        for (name, kind), row in zip(fields, canonical()):
+            setattr(self, name, float(row) if kind == "number" else _frozen(row[0]))
+
+    @property
+    def dim(self) -> int:
+        """The dimension of the law, or the support size of a discrete one."""
+        field = getattr(self, self.__slots__[0])
+        return 1 if isinstance(field, float) else len(field)
 
     @property
     def law(self) -> str:
@@ -335,6 +351,10 @@ class Prediction:
             np.array_equal(getattr(self, name), getattr(other, name)) for name in self.__slots__
         )
 
+    def __repr__(self):
+        fields = (f"{name}={np.asarray(getattr(self, name)).tolist()!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
     def cdf(self, y: float) -> float:
         """P(Z <= y) for Z ~ this univariate prediction (``Columns.cdf``)."""
         return float(_column(self).cdf(_real(y, "y", scalar=True))[0])
@@ -350,6 +370,15 @@ class Prediction:
         return float(_column(self, [target]).log_density()[0])
 
 
+def _field_row(value, name: str, kind: str):
+    """One prediction's ``value`` of the field ``name`` of ``kind`` (``FAMILIES``) as the family's
+    rules take it: a number as a float, a vector or an array as a new array of one row, so that no
+    stored field is a view of the caller's array."""
+    if kind == "number":
+        return _real(value, name, scalar=True)
+    return _real(value, name, ndmin=1 if kind == "vector" else 0)[None]
+
+
 def _kernels():
     """The ``kernels`` module, imported on use: it builds on this one."""
     from . import kernels
@@ -363,66 +392,25 @@ def _column(p: Prediction, targets=None):
 
 
 class Categorical(Prediction):
-    """Distribution over a finite set of class labels."""
+    """Distribution over a finite set of class labels: ``Categorical(probs)``."""
 
     family = "categorical"
     __slots__ = ("probs",)
-
-    def __init__(self, probs):
-        checks, canonical = _categorical_rules(_real(probs, "class probabilities")[None])
-        check_rows(checks)
-        self.probs = _frozen(canonical()[0][0])
-
-    @property
-    def n_classes(self) -> int:
-        return self.probs.shape[0]
-
-    dim = n_classes
-
-    def __repr__(self):
-        return f"Categorical({self.probs.tolist()})"
+    n_classes = Prediction.dim
 
 
 class DiagNormal(Prediction):
-    """Multivariate normal with diagonal covariance; zero variance allowed."""
+    """Multivariate normal with diagonal covariance, ``DiagNormal(mean, var)``; zero variance allowed."""
 
     family = "diag_normal"
     __slots__ = ("mean", "var")
 
-    def __init__(self, mean, var):
-        mean = np.atleast_1d(_real(mean, "normal parameters"))
-        var = np.atleast_1d(_real(var, "normal parameters"))
-        check_rows(_normal_rules(mean[None], var[None])[0])
-        self.mean = _frozen(mean)
-        self.var = _frozen(var)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    def __repr__(self):
-        return f"DiagNormal(mean={self.mean.tolist()}, var={self.var.tolist()})"
-
 
 class Laplace(Prediction):
-    """Univariate Laplace distribution with strictly positive scale."""
+    """Univariate Laplace distribution with strictly positive scale: ``Laplace(loc, scale)``."""
 
     family = "laplace"
     __slots__ = ("loc", "scale")
-
-    def __init__(self, loc: float, scale: float):
-        loc = _real(loc, "Laplace parameters", scalar=True)
-        scale = _real(scale, "Laplace parameters", scalar=True)
-        check_rows(_laplace_rules(loc, scale)[0])
-        self.loc = loc
-        self.scale = scale
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def __repr__(self):
-        return f"Laplace(loc={self.loc}, scale={self.scale})"
 
 
 class Mixture(Prediction):
@@ -439,7 +427,12 @@ class Mixture(Prediction):
         components = tuple(components)
         checks, normalized = _mixture_rules(_real(weights, "mixture weights")[None], len(components))
         check_rows(checks)
-        weights, keep = _kept_weights(normalized()[0])
+        weights = normalized()[0]
+        keep = weights > 0
+        if not np.all(keep):  # the kept weights, normalized again
+            checks, normalized = _simplex_rules(weights[keep][None] / weights[keep].sum(), "mixture weights")
+            check_rows(checks)
+            weights = normalized()[0]
         components = tuple(c for c, k in zip(components, keep) if k)
         first = components[0]
         if isinstance(first, Mixture):
@@ -466,19 +459,10 @@ class Mixture(Prediction):
         idx = int(rng.choice(len(self.components), p=self.weights))
         return self.components[idx].sample(rng)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mixture)
-            and np.array_equal(self.weights, other.weights)
-            and self.components == other.components
-        )
-
-    def __repr__(self):
-        return f"Mixture(weights={self.weights.tolist()}, components={list(self.components)})"
-
 
 class TruncatedCountable(Prediction):
-    """Distribution over counts {0, ..., K} with a declared tail mass.
+    """Distribution over counts {0, ..., K} with a declared tail mass:
+    ``TruncatedCountable(probs, tail_mass=0.0)``.
 
     The library never auto-truncates: the caller supplies the truncated
     probabilities and the mass assigned beyond the cutoff.
@@ -486,34 +470,27 @@ class TruncatedCountable(Prediction):
 
     family = "truncated_countable"
     __slots__ = ("probs", "tail_mass")
-
-    def __init__(self, probs, tail_mass: float = 0.0):
-        tail_mass = _real(tail_mass, "tail mass", scalar=True)
-        checks, canonical = _truncated_rules(_real(probs, "truncated probabilities")[None], np.array([tail_mass]))
-        check_rows(checks)
-        self.probs = _frozen(canonical()[0][0])
-        self.tail_mass = tail_mass
-
-    @property
-    def support_size(self) -> int:
-        return self.probs.shape[0]
-
-    dim = support_size
-
-    def __repr__(self):
-        return f"TruncatedCountable({self.probs.tolist()}, tail_mass={self.tail_mass})"
+    support_size = Prediction.dim
 
 
-# Each family's class and fields, as the class and dataset files name them, in the order of the
-# class's slots; a field is of kind "number" (converted as float() does), "vector" (as
-# np.atleast_1d does) or "array" (as np.asarray does). Then the family's rules, which take one
-# row of each field per prediction (a number each for a number field).
+# Each family's class and fields, as the class's constructor and dataset files name them, in the
+# order of the class's slots; a field is of kind "number" (converted as float() does), "vector"
+# (as np.atleast_1d does) or "array" (as np.asarray does). Then the family's rules, which take
+# one row of each field per prediction (a number each for a number field).
 FAMILIES = {
     "diag_normal": (DiagNormal, (("mean", "vector"), ("var", "vector")), _normal_rules),
     "laplace": (Laplace, (("loc", "number"), ("scale", "number")), _laplace_rules),
     "categorical": (Categorical, (("probs", "array"),), _categorical_rules),
     "truncated_countable": (TruncatedCountable, (("probs", "array"), ("tail_mass", "number")), _truncated_rules),
 }
+
+# The fields that a constructor call or a dataset record may leave out, with the value they take.
+DEFAULTS = {"tail_mass": 0.0}
+
+for _cls, _fields, _ in FAMILIES.values():  # the constructors' signatures, as help() shows them
+    _cls.__signature__ = Signature([
+        Parameter(key, Parameter.POSITIONAL_OR_KEYWORD, default=DEFAULTS.get(key, Parameter.empty)) for key, _ in _fields
+    ])
 
 # Each target type as dataset files name it, with its class and the one field it holds: an
 # integer (a "number" in files) or a vector of reals (a "vector").

@@ -97,14 +97,8 @@ def gen_ols_scenario(seed: int, replicate: int = 0) -> OlsScenario:
     predictions from the fitted model."""
     rng = substream(seed, "ols", replicate)
     train_x, train_y = _draw_sine_pairs(rng, 100)
-    design = np.column_stack([np.ones_like(train_x), train_x])
-    coef, *_ = np.linalg.lstsq(design, train_y, rcond=None)
-    residuals = train_y - design @ coef
-    noise_var = float(residuals @ residuals / (len(train_x) - 2))
+    coef, noise_var = fit_linear_gaussian(train_x, train_y)
     val_x, val_y = _draw_sine_pairs(rng, 50)
-    validation = _normal_dataset(
-        (coef[0] + coef[1] * val_x)[:, None], np.full((len(val_x), 1), noise_var), val_y[:, None]
-    )
     return OlsScenario(
         train_x=train_x,
         train_y=train_y,
@@ -112,7 +106,7 @@ def gen_ols_scenario(seed: int, replicate: int = 0) -> OlsScenario:
         slope=float(coef[1]),
         noise_var=noise_var,
         validation_x=val_x,
-        validation=validation,
+        validation=linear_gaussian_predictions(coef, noise_var, val_x, val_y),
     )
 
 

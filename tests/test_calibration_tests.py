@@ -158,6 +158,19 @@ def test_bootstrap_p_value_add_one_rule():
     assert 0 < report.p_value <= 1
 
 
+def test_bootstrap_nan_statistic_has_nan_p_value():
+    # 2 * gamma overflows the normal expectations at gamma = 1e308: h is NaN, and a NaN
+    # statistic must not reject the null with p = 1 / (R + 1)
+    spec = KernelSpec(target_kernel=GaussianRBF(1e308))
+    data = gen_uncalibrated(1, 20, 1, 0)
+    with np.errstate(all="ignore"):
+        report = test_bootstrap_ustat(spec, data, num_bootstrap=200)
+        block = test_asymptotic_sqrt_block(spec, data)
+    assert math.isnan(report.statistic)
+    assert math.isnan(report.p_value)
+    assert math.isnan(block.p_value)
+
+
 def test_bootstrap_is_deterministic_in_seed():
     spec = default_kernel_spec()
     data = _calibrated(16, seed=8)

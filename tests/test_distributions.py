@@ -310,6 +310,40 @@ def test_sample_draws_what_the_per_class_formula_drew(family):
         assert rng.random() == reference.random()  # and used up as many draws
 
 
+def _laws(rng):
+    """One law of each family, mixtures included. Probabilities and weights are dyadic, so that
+    normalizing them again leaves every bit in place."""
+    probs = (rng.multinomial(12, np.full(4, 0.25)) + 1) / 16.0
+    normals = [DiagNormal(rng.normal(size=3), rng.gamma(2.0, size=3)) for _ in range(2)]
+    return [
+        DiagNormal(rng.normal(size=3), rng.gamma(2.0, size=3)),
+        DiagNormal(rng.normal(), 0.0),
+        Laplace(rng.normal(), rng.gamma(2.0)),
+        Categorical(probs),
+        TruncatedCountable(probs * 0.75, tail_mass=0.25),
+        TruncatedCountable([0.5, 0.5]),
+        Mixture([0.25, 0.75], normals),
+        Mixture([0.5, 0.0, 0.5], [Laplace(rng.normal(), 1.0) for _ in range(3)]),
+    ]
+
+
+def test_repr_evaluates_to_an_equal_prediction():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        for p in _laws(rng):
+            assert eval(repr(p)) == p, repr(p)
+
+
+def test_repr_of_normalized_probabilities_evaluates_within_a_few_ulps():
+    # Normalizing is not idempotent in floating point: probabilities that a constructor has
+    # normalized once may move by a few ulps when normalized again.
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        for p in (Categorical(rng.dirichlet(np.ones(5))), TruncatedCountable(rng.dirichlet(np.ones(5)) * 0.9, 0.1)):
+            q = eval(repr(p))
+            assert type(q) is type(p) and np.allclose(q.probs, p.probs, rtol=2e-15, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # wasserstein distances
 

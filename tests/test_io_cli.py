@@ -36,7 +36,7 @@ from kcalib.dataset_io import (
     write_dataset,
     write_locations,
 )
-from kcalib.exceptions import ConfigurationError, DatasetFormatError
+from kcalib.exceptions import ConfigurationError, DatasetFormatError, KcalibError, ParameterError
 
 
 def _json_dumps_file(data) -> str:
@@ -305,6 +305,62 @@ def test_parse_rejects_nested_mixture(tmp_path):
     path = _write(tmp_path, ['{"schema": 1, "family": "mixture", "dimension": 1}', rec])
     with pytest.raises(DatasetFormatError, match="line 2"):
         parse_dataset(path)
+
+
+# ---------------------------------------------------------------------------
+# a one-record file builds what the constructor builds
+
+
+# Per plain family: valid fields and a target for them, then values that are valid too and values
+# out of their field's range, each put in place of one field.
+_ONE_RECORD = {
+    "diag_normal": ({"mean": [0.5, -1.0], "var": [1.0, 0.25]}, {"type": "reals", "values": [0.0, 1.0]},
+                    [("var", [0.0, 1e300])], [("var", [-1.0, 0.25]), ("var", [1.0])]),
+    "laplace": ({"loc": 0.5, "scale": 2.0}, {"type": "reals", "values": [0.0]},
+                [("loc", "-1.5"), ("scale", 5e-324)], [("scale", 0.0), ("scale", -1.0)]),
+    "categorical": ({"probs": [0.2, 0.3, 0.5]}, {"type": "class", "index": 1},
+                    [("probs", [0.2, 0.3, 0.5 + 1e-12])], [("probs", [1.2, -0.1, -0.1]), ("probs", [0.2, 0.2]), ("probs", [1.0])]),
+    "truncated_countable": ({"probs": [0.5, 0.3], "tail_mass": 0.2}, {"type": "count", "value": 1},
+                            [("probs", [0.25, 0.55])], [("tail_mass", -0.2), ("tail_mass", 0.5), ("probs", [0.0, 0.0])]),
+}
+
+
+def _field_cases(family):
+    """(case, fields) pairs: the valid fields, then one field at a time replaced by a value that is
+    valid too, not real, of the wrong shape, not finite, null or out of range."""
+    good, _, valid, out_of_range = _ONE_RECORD[family]
+    yield "valid", good
+    for key, value in good.items():
+        number = not isinstance(value, list)
+        yield f"{key} not real", {**good, key: "x" if number else ["x"] * len(value)}
+        yield f"{key} wrong shape", {**good, key: [value]}
+        yield f"{key} not finite", {**good, key: math.inf if number else [math.nan] * len(value)}
+        yield f"{key} null", {**good, key: None if number else [None] * len(value)}
+    for case, replaced in (("valid", valid), ("out of range", out_of_range)):
+        for key, value in replaced:
+            yield f"{key} {case} {value!r}", {**good, key: value}
+    if family == "truncated_countable":
+        yield "tail_mass left out", {"probs": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("family", sorted(_ONE_RECORD))
+def test_one_record_file_builds_what_the_constructor_builds(family, tmp_path):
+    cls, target = distributions.FAMILIES[family][0], _ONE_RECORD[family][1]
+    for case, fields in _field_cases(family):
+        record = json.dumps({"prediction": {"family": family, **fields}, "target": target})
+        path = _write(tmp_path, [json.dumps({"schema": 1, "family": family}), record])
+        try:
+            expected = cls(**fields)
+        except KcalibError as exc:
+            with pytest.raises(DatasetFormatError, match="line 2: ") as parsed:
+                parse_dataset(path)
+            cause = parsed.value.__cause__
+            if cause is None:  # the decoder refuses NaN and Infinity before any field is checked
+                assert "non-finite parameter" in str(parsed.value), case
+            else:
+                assert type(cause) is type(exc), (case, cause, exc)
+        else:
+            assert parse_dataset(path).predictions == [expected], case
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +747,39 @@ def test_cli_error_exit_codes(tmp_path):
         assert res.returncode == 2, res.stderr
         assert "--locations" in res.stderr
         assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("flag", ["--data", "--locations", "--oracle-data"])
+def test_files_that_are_not_utf8_are_rejected_with_line_number(tmp_path, flag):
+    good = tmp_path / "good.jsonl"
+    good.write_text("\n".join([CAT_HEADER, CAT_RECORD, CAT_RECORD.replace('"index": 1', '"index": 2')]) + "\n")
+    bad = tmp_path / "bad.jsonl"
+    # a UTF-16 byte order mark at the start of the third line
+    bad.write_bytes(b"\n".join([CAT_HEADER.encode(), CAT_RECORD.encode(), b"\xff\xfe" + CAT_RECORD.encode()]) + b"\n")
+    with pytest.raises(DatasetFormatError, match="line 3: not UTF-8"):
+        parse_dataset(str(bad))
+    kernel = ["--metric", "param-euclidean", "--target-kernel", "kronecker"]
+    command = {
+        "--data": ["estimate", "--data", str(bad), *kernel],
+        "--locations": ["test", "--method", "cme", "--data", str(good), "--locations", str(bad), *kernel],
+        "--oracle-data": ["diagnose", "--metrics", "oracle-ece", "--data", str(good), "--oracle-data", str(bad)],
+    }[flag]
+    res = _run(command, cwd=str(tmp_path))
+    assert res.returncode == 2, res.stderr
+    assert "line 3: not UTF-8" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_integers_that_no_float_holds_are_rejected_with_line_number(tmp_path):
+    header = '{"schema": 1, "family": "truncated_countable", "dimension": 2}'
+    record = '{"prediction": {"family": "truncated_countable", "probs": [0.5, 0.5]}, "target": {"type": "count", "value": %s}}'
+    # more digits than a float holds (checked as a count), and more than Python converts (as JSON)
+    for digits, message in ((400, "count is too large"), (5000, "invalid record JSON")):
+        path = _write(tmp_path, [header, record % 1, record % ("1" + "0" * digits)])
+        with pytest.raises(DatasetFormatError, match=f"line 3: .*{message}"):
+            parse_dataset(path)
+    with pytest.raises(ParameterError, match="too large"):
+        Dataset([TruncatedCountable([0.5, 0.5])], [Count(10**400)])
 
 
 def test_cli_import_leaves_scipy_stats_and_optimize_unloaded(tmp_path):
