@@ -23,7 +23,7 @@ from .estimators import (
     skce_block,
 )
 from .exceptions import ParameterError
-from .kernels import Columns, KernelSpec, tiling, upper_h
+from .kernels import Columns, KernelSpec, h_tiles, tiling
 from .rng import substream
 
 
@@ -67,7 +67,7 @@ def test_asymptotic_block(
     else:
         hsq = h_squared_hat(spec, data)
         diagnostics["h_evaluations"] += n * (n - 1) // 2
-        sigma = math.sqrt(2.0 * hsq) if hsq > 0 else 0.0
+        sigma = math.sqrt(2.0 * hsq)  # NaN when h is: the statistic and p-value are NaN then
         scale = math.sqrt(num_blocks * block_size * (block_size - 1))
         diagnostics["h_squared_hat"] = hsq
     if sigma == 0.0 or sigma is None:
@@ -123,7 +123,7 @@ def test_bootstrap_ustat(
     # One pass over the upper tiles of the symmetric h collects its row sums,
     # its diagonal and the quadratic forms c^T h c of every resample c.
     row_sums, diag, quad = np.zeros(n), np.zeros(n), np.zeros(num_bootstrap)
-    for _, rows, cols, h, _ in upper_h(spec, data.columns, n, diagonal=True):
+    for _, rows, cols, h, _ in h_tiles(spec, data.columns, n, pairs=np.less_equal):
         h = h[0]
         if rows[0] == cols[0]:  # diagonal tile: the lower triangle mirrors the upper
             h = np.triu(h) + np.triu(h, 1).T

@@ -109,17 +109,22 @@ def _reals_rules(values: np.ndarray) -> list:
     ]
 
 
+# Rows of K terms summing to within 2 K ulps of 1, twice the rounding of one normalization, are
+# canonical and kept as they are; a row the rules normalize lands in this band, so it stays as it is.
+_BAND = 2.0**-51  # per term
+
+
 def _simplex_rules(probs: np.ndarray, what: str):
-    """Checks of probability vectors, rows of ``probs``; the rows normalized."""
+    """Checks of probability vectors, rows of ``probs``; the rows normalized (kept if canonical, ``_BAND``)."""
     total = probs.sum(axis=-1)
+    off = np.abs(total - 1.0)
     checks = [
         (probs.ndim != 2, ParameterError, f"{what} must be a vector"),
         (lambda: ~np.isfinite(probs).all(axis=1), ParameterError, f"{what} must be finite"),
         (lambda: (probs < 0).any(axis=1), ParameterError, f"{what} must be nonnegative"),
-        (lambda: np.abs(total - 1.0) > SIMPLEX_TOL, ParameterError,
-         lambda r: f"{what} must sum to 1 (got {float(total[r])!r})"),
+        (lambda: off > SIMPLEX_TOL, ParameterError, lambda r: f"{what} must sum to 1 (got {float(total[r])!r})"),
     ]
-    return checks, lambda: probs / total[..., None]
+    return checks, lambda: probs / np.where(off <= _BAND * probs.shape[-1], 1.0, total)[..., None]
 
 
 def _categorical_rules(probs: np.ndarray):
@@ -151,18 +156,19 @@ def _laplace_rules(loc, scale):
 
 def _truncated_rules(probs: np.ndarray, tail: np.ndarray):
     """Checks of truncated countable laws, rows of ``probs`` with a tail mass each; the rows
-    with the probabilities rescaled to carry 1 - tail mass."""
+    with the probabilities rescaled to carry 1 - tail mass unless canonical (``_BAND``)."""
     mass = probs.sum(axis=-1)
     total = mass + tail
+    off = np.abs(total - 1.0)
     return [
         (probs.ndim != 2 or probs.shape[-1] < 1, ParameterError, "truncated probabilities must be a nonempty vector"),
         (lambda: ~(np.isfinite(probs).all(axis=1) & np.isfinite(tail)), ParameterError,
          "truncated parameters must be finite"),
         (lambda: (probs < 0).any(axis=1) | (tail < 0), ParameterError, "probabilities and tail mass must be nonnegative"),
-        (lambda: np.abs(total - 1.0) > SIMPLEX_TOL, ParameterError,
+        (lambda: off > SIMPLEX_TOL, ParameterError,
          lambda r: f"probs plus tail mass must sum to 1 (got {float(total[r])!r})"),
         (lambda: mass <= 0, ParameterError, "truncated support must carry positive mass"),
-    ], lambda: (probs * ((1.0 - tail) / mass)[..., None], tail)
+    ], lambda: (probs * np.where(off <= _BAND * (probs.shape[-1] + 1), 1.0, (1.0 - tail) / mass)[..., None], tail)
 
 
 def _mixture_rules(weights: np.ndarray, count: int):
@@ -430,9 +436,7 @@ class Mixture(Prediction):
         weights = normalized()[0]
         keep = weights > 0
         if not np.all(keep):  # the kept weights, normalized again
-            checks, normalized = _simplex_rules(weights[keep][None] / weights[keep].sum(), "mixture weights")
-            check_rows(checks)
-            weights = normalized()[0]
+            weights = _simplex_rules(weights[keep][None], "mixture weights")[1]()[0]
         components = tuple(c for c, k in zip(components, keep) if k)
         first = components[0]
         if isinstance(first, Mixture):

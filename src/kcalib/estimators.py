@@ -10,6 +10,7 @@ import numpy as np
 from .distributions import (
     DISCRETE,
     _target_size,
+    check_allocation,
     check_rows,
     checked_index,
     checked_int,
@@ -17,7 +18,7 @@ from .distributions import (
     pair_rules,
 )
 from .exceptions import DimensionError, FamilyError, ParameterError
-from .kernels import Columns, KernelSpec, cme_values, h_values, prepare, tile_size, tiling, upper_h
+from .kernels import Columns, KernelSpec, cme_values, h_tiles, tiling
 
 
 def _same_items(a, b) -> bool:
@@ -130,19 +131,18 @@ class EstimateReport:
 
 def h_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
     """Full n x n matrix of h values, diagonal included (n^2 evaluations)."""
-    n, columns = len(data), prepare(spec, data.columns)
-    size, idx, h = tile_size(columns), np.arange(n), np.empty((n, n))
-    for lo in range(0, n, size):
-        for hi in range(0, n, size):
-            i, j = idx[lo : lo + size, None], idx[None, hi : hi + size]
-            h[lo : lo + size, hi : hi + size] = h_values(spec, columns, i, j)
+    n = len(data)
+    check_allocation(8 * n * n, f"the {n} x {n} matrix of h")
+    h = np.empty((n, n))
+    for _, rows, cols, tile, _ in h_tiles(spec, data.columns, n, pairs=None):
+        h[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1] = tile[0]
     return h
 
 
 def skce_plug_in(spec: KernelSpec, data: Dataset) -> EstimateReport:
     """Biased plug-in estimator: n^-2 sum over all ordered pairs of h."""
     n = len(data)
-    raw = float(np.sum(h_matrix(spec, data))) / (n * n)
+    raw = float(_block_sums(spec, data, n, 1, pairs=None)[0]) / (n * n)
     return EstimateReport(
         kind="plug-in",
         value=max(raw, 0.0),
@@ -150,12 +150,10 @@ def skce_plug_in(spec: KernelSpec, data: Dataset) -> EstimateReport:
     )
 
 
-def _block_sums(
-    spec: KernelSpec, data: Dataset, block_size: int, num_blocks: int, square: bool = False
-) -> np.ndarray:
-    """Sum of h (or h^2) over the pairs i < j of each of the first ``num_blocks`` blocks."""
+def _block_sums(spec: KernelSpec, data: Dataset, block_size: int, num_blocks: int, square=False, pairs=np.less):
+    """Sum of h (or h^2) over the pairs that ``pairs`` counts (``h_tiles``) of each of the first ``num_blocks`` blocks."""
     sums = np.zeros(num_blocks)
-    for first, _, _, h, counted in upper_h(spec, data.columns, block_size, num_blocks):
+    for first, _, _, h, counted in h_tiles(spec, data.columns, block_size, num_blocks, pairs):
         sums[first : first + len(h)] += np.sum(h * h if square else h, axis=(1, 2), where=counted)
     return sums
 

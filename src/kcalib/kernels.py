@@ -905,13 +905,14 @@ def tile_size(columns: Columns) -> int:
     return max(1, math.isqrt(TILE_BYTES // (8 * columns.route[1])))
 
 
-def upper_h(spec: KernelSpec, columns: Columns, block_size: int, num_blocks: int = 1, diagonal: bool = False):
-    """h over the pairs i < j (i <= j with ``diagonal``) of each of the first ``num_blocks`` blocks
-    of ``block_size`` rows of ``columns``, one square tile on or above a block's diagonal at a time.
+def h_tiles(spec: KernelSpec, columns: Columns, block_size: int, num_blocks: int = 1, pairs=np.less):
+    """The one walk over h tiles: h over the pairs (i, j) with ``pairs(i, j)`` of each of the first
+    ``num_blocks`` blocks of ``block_size`` rows of ``columns``, one square tile at a time, those on
+    or above a block's diagonal for ``np.less`` or ``np.less_equal`` and every tile for None.
 
     Yields the first block of a tile, its ``rows`` and ``cols`` within a block, h and the mask of
-    the pairs counted, the last two (blocks, rows, cols): blocks smaller than a tile are evaluated
-    several at a time, stacked along the leading axis.
+    the pairs counted (True, all, for None), the last two (blocks, rows, cols): blocks smaller than
+    a tile are evaluated several at a time, stacked along the leading axis.
     """
     columns = prepare(spec, columns)
     size = tile_size(columns)
@@ -919,12 +920,12 @@ def upper_h(spec: KernelSpec, columns: Columns, block_size: int, num_blocks: int
     group = max(1, size**2 // side**2)
     for lo in range(0, block_size, side):
         rows = np.arange(lo, min(lo + side, block_size))
-        for hi in range(lo, block_size, side):
+        for hi in range(0 if pairs is None else lo, block_size, side):
             cols = np.arange(hi, min(hi + side, block_size))
             for first in range(0, num_blocks, group):
                 offsets = np.arange(first, min(first + group, num_blocks))[:, None, None] * block_size
                 i, j = offsets + rows[:, None], offsets + cols[None, :]
-                counted = i <= j if diagonal else i < j
+                counted = True if pairs is None else pairs(i, j)
                 yield first, rows, cols, h_values(spec, columns, i, j, counted), counted
 
 

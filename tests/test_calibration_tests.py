@@ -166,9 +166,13 @@ def test_bootstrap_nan_statistic_has_nan_p_value():
     with np.errstate(all="ignore"):
         report = test_bootstrap_ustat(spec, data, num_bootstrap=200)
         block = test_asymptotic_sqrt_block(spec, data)
+        h_squared = test_asymptotic_block(spec, data, 2, variant="h-squared")
     assert math.isnan(report.statistic)
     assert math.isnan(report.p_value)
     assert math.isnan(block.p_value)
+    # a NaN estimate of E h^2 is no degenerate variance
+    assert math.isnan(h_squared.statistic) and math.isnan(h_squared.p_value)
+    assert "degenerate_variance" not in h_squared.diagnostics
 
 
 def test_bootstrap_is_deterministic_in_seed():

@@ -39,12 +39,14 @@ from kcalib import (
     eval_h,
     h_squared_hat,
     skce_block,
+    skce_plug_in,
     skce_ustat,
     test_bootstrap_ustat,
 )
-from kcalib import kernels
+from kcalib import distributions, kernels
 from kcalib.calibration_tests import default_cme_locations, test_asymptotic_block, test_cme
-from kcalib.estimators import cme_feature_matrix
+from kcalib.estimators import cme_feature_matrix, h_matrix
+from kcalib.exceptions import ConfigurationError
 from kcalib.kernels import eval_prediction_kernel, eval_target_kernel, expect_target_kernel
 from kcalib.rng import substream
 from kcalib.synthetic import make_scenario_dataset
@@ -347,6 +349,7 @@ def test_tiled_reductions_stay_small():
     # an untiled (S, n, n) array of the Monte-Carlo runs alone would take 524 MB
     for run in (
         lambda: skce_ustat(spec, data),
+        lambda: skce_plug_in(spec, data),  # the n^2 square, one tile at a time
         lambda: test_bootstrap_ustat(spec, data, 500),
         lambda: skce_ustat(mc, mc_data),
         lambda: test_bootstrap_ustat(mc, mc_data, 500),
@@ -358,6 +361,18 @@ def test_tiled_reductions_stay_small():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, peak / 2**20
+
+
+def test_h_matrix_is_refused_above_physical_memory(monkeypatch):
+    # 8 n^2 = 8,192 bytes at n = 32: refused before allocation, while the plug-in holds no square
+    data = make_scenario_dataset("uncalibrated", 1, 32, seed=3)
+    spec = default_kernel_spec()
+    monkeypatch.setattr(distributions, "PHYSICAL_MEMORY", 8_191)
+    with pytest.raises(ConfigurationError, match="8,192 bytes"):
+        h_matrix(spec, data)
+    plug_in = skce_plug_in(spec, data).diagnostics["raw_value"]
+    monkeypatch.setattr(distributions, "PHYSICAL_MEMORY", 8_192)
+    assert plug_in == pytest.approx(float(np.sum(h_matrix(spec, data))) / 32**2, rel=1e-14)
 
 
 def test_monte_carlo_h_is_symmetric():

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -184,6 +185,56 @@ def test_written_bytes_are_one_json_dumps_per_record(case, tmp_path):
         assert "NaN" in path.read_text() and "-Infinity" in path.read_text()
     else:
         assert len(_roundtrip(tmp_path, data)) == len(data)
+
+
+def _simplex_row(rng, k, alpha, zeros):
+    """``k`` probabilities, each 0 with probability ``zeros`` (not all), summing to 1 within a
+    few ulps, or for half the draws to 1 + 1e-12, off the canonical band."""
+    row = rng.dirichlet(np.full(k, alpha)) * (rng.random(k) >= zeros)
+    row = row / row.sum() if row.sum() > 0 else np.eye(k)[0]
+    return row * (1.0 + 1e-12) if rng.random() < 0.5 else row
+
+
+def _truncated_law(rng, k, alpha, zeros, tail):
+    return TruncatedCountable((1.0 - tail) * _simplex_row(rng, k, alpha, zeros), tail)
+
+
+# Each family's predictions of dimension (or support size) k, drawn with the rng, alpha and zeros
+# of ``_simplex_row``, and a target of dimension k that they take.
+_CANONICAL = {
+    "categorical": (lambda rng, k, a, z: Categorical(_simplex_row(rng, k + 1, a, z)), lambda k: ClassLabel(0)),
+    "diag_normal": (lambda rng, k, a, z: DiagNormal(rng.normal(size=k) / a, rng.gamma(a, size=k) * (rng.random(k) >= z)),
+                    lambda k: RealVector(np.zeros(k))),
+    "laplace": (lambda rng, k, a, z: Laplace(rng.normal() / a, max(rng.gamma(a), 5e-324)), lambda k: RealVector(0.5)),
+    "truncated": (lambda rng, k, a, z: _truncated_law(rng, k, a, z, 0.0), lambda k: Count(k)),
+    "truncated-tail": (lambda rng, k, a, z: _truncated_law(rng, k, a, z, rng.uniform(0.0, 0.5)), lambda k: Count(0)),
+}
+
+
+@given(
+    family=st.sampled_from(sorted(_CANONICAL)), mixture=st.booleans(), k=st.integers(1, 6), n=st.integers(1, 8),
+    alpha=st.floats(0.01, 5.0), zeros=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_canonical_predictions_are_fixed_points(family, mixture, k, n, alpha, zeros, seed):
+    # write -> parse, eval(repr(p)) and the constructor given p's own canonical fields all give p
+    rng = np.random.default_rng(seed)
+    draw, target = _CANONICAL[family]
+    k = 1 if family == "laplace" else k
+    if mixture:  # of 1 to 4 components, ragged, some of weight 0 (dropped)
+        predictions = [Mixture(_simplex_row(rng, m, alpha, zeros), [draw(rng, k, alpha, zeros) for _ in range(m)])
+                       for m in rng.integers(1, 5, size=n)]
+    else:
+        predictions = [draw(rng, k, alpha, zeros) for _ in range(n)]
+    for p in predictions:
+        assert eval(repr(p)) == p
+        assert type(p)(*(getattr(p, name) for name in p.__slots__)) == p
+    if mixture and family not in ("diag_normal", "laplace"):
+        return  # no dataset holds mixtures of discrete laws
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.jsonl")
+        write_dataset(path, Dataset(predictions, [target(k) for _ in predictions]))
+        assert parse_dataset(path).predictions == predictions
 
 
 def test_writing_formats_columns_without_record_objects(tmp_path):
