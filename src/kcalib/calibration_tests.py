@@ -112,40 +112,41 @@ def test_bootstrap_ustat(
         raise ParameterError("the bootstrap test needs at least 2 pairs")
     if num_bootstrap < 100:
         raise ParameterError("need at least 100 bootstrap resamples for stable tail quantiles")
-    check_allocation(8 * num_bootstrap * n, f"the counts of {num_bootstrap} bootstrap resamples of {n} pairs")
+    dtype = np.min_scalar_type(n)  # counts are integers <= n: exact in 1, 2 or 4 bytes
+    check_allocation(dtype.itemsize * num_bootstrap * n, f"the counts of {num_bootstrap} bootstrap resamples of {n} pairs")
     rng = substream(seed, "bootstrap-ustat")
     # multiplicity counts of n draws with replacement, one resample per row,
-    # drawn in chunks of rows so that no (R, n) array of integers is held
-    counts, chunk = np.empty((num_bootstrap, n)), max(1, kernels.TILE_BYTES // (8 * n))
+    # drawn in chunks of rows so that no (R, n) array of int64 is held
+    counts, chunk, p = np.empty((num_bootstrap, n), dtype), max(1, kernels.TILE_BYTES // (8 * n)), np.full(n, 1.0 / n)
     for lo in range(0, num_bootstrap, chunk):
         size = min(chunk, num_bootstrap - lo)
-        counts[lo : lo + size] = rng.multinomial(n, np.full(n, 1.0 / n), size=size)
+        counts[lo : lo + size] = rng.multinomial(n, p, size=size)
     # One pass over the upper tiles of the symmetric h collects its row sums,
     # its diagonal and the quadratic forms c^T h c of every resample c.
     row_sums, diag, quad = np.zeros(n), np.zeros(n), np.zeros(num_bootstrap)
     for _, rows, cols, h, _ in h_tiles(spec, data.columns, n, pairs=np.less_equal):
-        h = h[0]
-        if rows[0] == cols[0]:  # diagonal tile: the lower triangle mirrors the upper
+        h, b = h[0], counts[:, cols[0] : cols[-1] + 1].astype(float)  # tiles are ranges; float64 for the GEMM
+        if rows[0] == cols[0]:  # diagonal tile, the first of its tile row: the lower triangle mirrors the upper
             h = np.triu(h) + np.triu(h, 1).T
             diag[rows] = np.diagonal(h)
-            weight = 1.0
+            weight, a = 1.0, b  # the row slice, converted once per tile row
         else:
             row_sums[cols] += h.sum(axis=0)
             weight = 2.0
         row_sums[rows] += h.sum(axis=1)
-        a, b = counts[:, rows[0] : rows[-1] + 1], counts[:, cols[0] : cols[-1] + 1]  # views: tiles are ranges
         quad += weight * np.sum((a @ h) * b, axis=1)
     total = float(row_sums.sum())
     statistic = (total - diag.sum()) / (n - 1)  # n * U-statistic
     # Each resample's statistic under the doubly centered kernel
     # h_c = h - rowmean_a - rowmean_b + mean, expanded so h_c is never formed:
     # c^T h_c c - c . diag(h_c) with sum(c) = n.
-    draws = (
-        quad
-        - counts @ diag
-        - 2.0 * (n - 1) / n * (counts @ row_sums)
-        + total * (n - 1) / n
-    ) / n
+    # The GEMVs take float64 chunks of a multiple of 16 rows: OpenBLAS on one thread sums those rows
+    # as one GEMV over all R rows does, and remainder rows in another kernel.
+    centring, step = np.empty((2, num_bootstrap)), 16 * max(1, kernels.TILE_BYTES // (128 * n))
+    for lo in range(0, num_bootstrap, step):
+        c = counts[lo : lo + step].astype(float)
+        centring[:, lo : lo + step] = c @ diag, c @ row_sums
+    draws = (quad - centring[0] - 2.0 * (n - 1) / n * centring[1] + total * (n - 1) / n) / n
     # a NaN statistic (h overflowed) is compared with no draw: its p-value is NaN, not 1 / (R + 1)
     p_value = math.nan if math.isnan(statistic) else (1.0 + np.count_nonzero(draws >= statistic)) / (num_bootstrap + 1.0)
     return TestReport(

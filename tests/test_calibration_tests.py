@@ -1,6 +1,10 @@
 """Tests for the calibration hypothesis tests."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +226,64 @@ def test_bootstrap_counts_drawn_in_chunks_equal_one_draw(rows, monkeypatch):
     _, draws, p_value = _dense_bootstrap(spec, data, num_bootstrap, seed=rows)
     np.testing.assert_allclose(report.diagnostics["null_draws"], draws, rtol=1e-12, atol=1e-12)
     assert report.p_value == p_value
+
+
+def _float64_count_bootstrap(spec, data, num_bootstrap, seed):
+    """Statistic, null draws and p-value of the bootstrap with its counts held as float64: the same
+    draws and tile pass, each tile reading its count columns as slices, and each centring term one
+    GEMV over all resamples."""
+    n = len(data)
+    rng, chunk = substream(seed, "bootstrap-ustat"), max(1, kernels.TILE_BYTES // (8 * n))
+    counts = np.concatenate([
+        rng.multinomial(n, np.full(n, 1.0 / n), size=min(chunk, num_bootstrap - lo))
+        for lo in range(0, num_bootstrap, chunk)
+    ]).astype(float)
+    row_sums, diag, quad = np.zeros(n), np.zeros(n), np.zeros(num_bootstrap)
+    for _, rows, cols, h, _ in kernels.h_tiles(spec, data.columns, n, pairs=np.less_equal):
+        h, weight = h[0], 2.0
+        if rows[0] == cols[0]:
+            h, weight = np.triu(h) + np.triu(h, 1).T, 1.0
+            diag[rows] = np.diagonal(h)
+        else:
+            row_sums[cols] += h.sum(axis=0)
+        row_sums[rows] += h.sum(axis=1)
+        a, b = counts[:, rows[0] : rows[-1] + 1], counts[:, cols[0] : cols[-1] + 1]
+        quad += weight * np.sum((a @ h) * b, axis=1)
+    total = row_sums.sum()
+    draws = (quad - counts @ diag - 2.0 * (n - 1) / n * (counts @ row_sums) + total * (n - 1) / n) / n
+    statistic = (total - diag.sum()) / (n - 1)
+    return statistic, draws, (1.0 + np.count_nonzero(draws >= statistic)) / (num_bootstrap + 1.0)
+
+
+def test_bootstrap_small_integer_counts_match_float64_counts_bit_for_bit(monkeypatch):
+    # The counts are held as uint8 up to n = 255 and uint16 from 256, and each GEMV takes them in
+    # float64 chunks of a multiple of 16 rows. A multithreaded BLAS splits one GEMV over all rows
+    # by its thread count, so the comparison runs with BLAS on one thread.
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(kernels.__file__).parents[1]), env.get("PYTHONPATH")]))
+        node = f"{__file__}::test_bootstrap_small_integer_counts_match_float64_counts_bit_for_bit"
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stdout + run.stderr
+        return
+    empty, dtypes = np.empty, {}
+
+    def spy(shape, *args, **kwargs):
+        array = empty(shape, *args, **kwargs)
+        dtypes[array.shape] = array.dtype
+        return array
+
+    monkeypatch.setattr(np, "empty", spy)
+    spec = default_kernel_spec()
+    # at n = 600 resamples are drawn 218 at a time, not a multiple of 16
+    for n, dtype in [(7, np.uint8), (255, np.uint8), (256, np.uint16), (600, np.uint16), (1024, np.uint16)]:
+        data = gen_uncalibrated(1, n, seed=14, replicate=n)
+        report = test_bootstrap_ustat(spec, data, num_bootstrap=500, seed=n)
+        statistic, draws, p_value = _float64_count_bootstrap(spec, data, 500, seed=n)
+        assert dtypes[(500, n)] == dtype
+        assert np.array_equal(report.diagnostics["null_draws"], draws), n
+        assert report.statistic == statistic and report.p_value == p_value, n
 
 
 def test_bootstrap_validation():

@@ -363,6 +363,20 @@ def test_tiled_reductions_stay_small():
         assert peak < 64 * 2**20, peak / 2**20
 
 
+def test_bootstrap_counts_take_two_bytes_each():
+    # At n = 4,096 the counts are uint16: 2 R n bytes (7.8 MiB at R = 1,000; float64 counts alone
+    # would take 31.25 MiB), plus about 4 (R, T) float64 tile temporaries (the two converted count slices,
+    # a @ h and its product with b) and TILE_BYTES for the tile itself.
+    data = make_scenario_dataset("uncalibrated", 1, 4096, seed=2)
+    tracemalloc.start()
+    try:
+        test_bootstrap_ustat(default_kernel_spec(), data, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
+
+
 def test_h_matrix_is_refused_above_physical_memory(monkeypatch):
     # 8 n^2 = 8,192 bytes at n = 32: refused before allocation, while the plug-in holds no square
     data = make_scenario_dataset("uncalibrated", 1, 32, seed=3)
