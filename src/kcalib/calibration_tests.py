@@ -97,6 +97,20 @@ def test_asymptotic_sqrt_block(spec: KernelSpec, data: Dataset) -> TestReport:
     return report
 
 
+def _resample_counts(seed: int, n: int, num_bootstrap: int) -> np.ndarray:
+    """Multiplicity counts of ``num_bootstrap`` resamples of n pairs with replacement, one per row, as exact
+    ``np.min_scalar_type(n)`` integers. A row tallies n uniform indices, i.e. is multinomial(n, 1/n); a call
+    draws 2**16 indices (one row when n > 2**16), so the stream depends on (seed, n, num_bootstrap) only."""
+    rng, rows = substream(seed, "bootstrap-ustat"), max(1, 2**16 // n)
+    counts = np.empty((num_bootstrap, n), np.min_scalar_type(n))
+    for lo in range(0, num_bootstrap, rows):
+        size = min(rows, num_bootstrap - lo)
+        indices = rng.integers(0, n, size=(size, n))
+        indices += np.arange(0, size * n, n)[:, None]  # row r tallies into bins r n to r n + n - 1
+        counts[lo : lo + size] = np.bincount(indices.ravel(), minlength=size * n).reshape(size, n)
+    return counts
+
+
 def test_bootstrap_ustat(
     spec: KernelSpec, data: Dataset, num_bootstrap: int = 1000, seed: int = 0
 ) -> TestReport:
@@ -112,15 +126,10 @@ def test_bootstrap_ustat(
         raise ParameterError("the bootstrap test needs at least 2 pairs")
     if num_bootstrap < 100:
         raise ParameterError("need at least 100 bootstrap resamples for stable tail quantiles")
-    dtype = np.min_scalar_type(n)  # counts are integers <= n: exact in 1, 2 or 4 bytes
-    check_allocation(dtype.itemsize * num_bootstrap * n, f"the counts of {num_bootstrap} bootstrap resamples of {n} pairs")
-    rng = substream(seed, "bootstrap-ustat")
-    # multiplicity counts of n draws with replacement, one resample per row,
-    # drawn in chunks of rows so that no (R, n) array of int64 is held
-    counts, chunk, p = np.empty((num_bootstrap, n), dtype), max(1, kernels.TILE_BYTES // (8 * n)), np.full(n, 1.0 / n)
-    for lo in range(0, num_bootstrap, chunk):
-        size = min(chunk, num_bootstrap - lo)
-        counts[lo : lo + size] = rng.multinomial(n, p, size=size)
+    # the counts, and the tile pass's 4 (R, T) float64 temporaries: converted slices, a @ h and its product with b
+    nbytes, tiles = np.min_scalar_type(n).itemsize * num_bootstrap * n, tiling(spec, data.columns)
+    check_allocation(nbytes + 32 * num_bootstrap * min(n, tiles["tile"]), f"{num_bootstrap} bootstrap resamples of {n} pairs")
+    counts = _resample_counts(seed, n, num_bootstrap)
     # One pass over the upper tiles of the symmetric h collects its row sums,
     # its diagonal and the quadratic forms c^T h c of every resample c.
     row_sums, diag, quad = np.zeros(n), np.zeros(n), np.zeros(num_bootstrap)
@@ -155,8 +164,7 @@ def test_bootstrap_ustat(
         p_value=float(p_value),
         seed=seed,
         diagnostics={
-            "skce_ustat": float(statistic) / n, "null_draws": draws, "h_evaluations": n * (n + 1) // 2,
-            **tiling(spec, data.columns),
+            "skce_ustat": float(statistic) / n, "null_draws": draws, "h_evaluations": n * (n + 1) // 2, **tiles,
         },
     )
 

@@ -1,4 +1,5 @@
-"""Shared pytest hooks: per-criterion summary lines for the acceptance suite."""
+"""Shared pytest hooks: per-criterion summary lines for the acceptance suite, each followed by the
+measurements its test recorded with ``record_property`` (how close a statistical gate is)."""
 
 import re
 
@@ -20,12 +21,13 @@ _NODE_RE = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    outcomes = {}
+    outcomes, measured = {}, {}
     for status in ("passed", "failed", "error"):
         for report in terminalreporter.stats.get(status, []):
             match = _NODE_RE.search(getattr(report, "nodeid", ""))
             if match:
                 outcomes[int(match.group(1))] = status
+                measured[int(match.group(1))] = getattr(report, "user_properties", [])
     if not outcomes:
         return
     terminalreporter.section("acceptance criteria")
@@ -40,3 +42,5 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             f"criterion {number:2d}: {verdict:7s} {ACCEPTANCE_CRITERIA[number]}"
         )
+        for name, value in measured.get(number, []):
+            terminalreporter.write_line(f"{'':22s}{name}: {value}")

@@ -422,6 +422,10 @@ def test_criterion_05_mixture_transport_matches_vertex_enumeration():
 # synthetic benchmark scenarios.
 
 
+def _rates(rates):
+    return ", ".join(f"{name} {rate:.3f}" for name, rate in rates.items())
+
+
 def _rejection_rates(generator, d, n, seed, reps, runners):
     counts = {name: 0 for name in runners}
     for r in range(reps):
@@ -432,7 +436,7 @@ def _rejection_rates(generator, d, n, seed, reps, runners):
     return {name: c / reps for name, c in counts.items()}
 
 
-def test_criterion_06_type_i_error_in_binomial_band():
+def test_criterion_06_type_i_error_in_binomial_band(record_property):
     start = time.perf_counter()
     spec = default_kernel_spec()
     runners = {
@@ -444,13 +448,14 @@ def test_criterion_06_type_i_error_in_binomial_band():
     }
     for d, seed in ((1, 7), (10, 11)):
         rates = _rejection_rates(gen_calibrated, d, 1024, seed, 200, runners)
+        record_property(f"type-I rates at d={d} (band 0.02-0.09)", _rates(rates))
         for name, rate in rates.items():
             assert 0.02 <= rate <= 0.09, f"d={d} {name}: type-I rate {rate}"
     elapsed = time.perf_counter() - start
     assert elapsed < 900.0, f"type-I pass took {elapsed:.1f}s (budget 900s)"
 
 
-def test_criterion_07_power_and_block_size_ordering():
+def test_criterion_07_power_and_block_size_ordering(record_property):
     spec = default_kernel_spec()
     rates_1024 = _rejection_rates(
         gen_uncalibrated, 1, 1024, 77, 200,
@@ -461,6 +466,7 @@ def test_criterion_07_power_and_block_size_ordering():
             ),
         },
     )
+    record_property("power at n=1024 (at least 0.95)", _rates(rates_1024))
     assert rates_1024["sqrt-block"] >= 0.95
     assert rates_1024["bootstrap"] >= 0.95
 
@@ -473,8 +479,10 @@ def test_criterion_07_power_and_block_size_ordering():
         "sqrt-block": lambda data, r: test_asymptotic_sqrt_block(spec, data),
     }
     rates_256 = _rejection_rates(gen_uncalibrated, 1, 256, 77, 500, ordering_runners)
+    record_property("power at n=256 (block-2 at most sqrt-block)", _rates(rates_256))
     assert rates_256["block-2"] <= rates_256["sqrt-block"], rates_256
     rates_16 = _rejection_rates(gen_uncalibrated, 1, 16, 77, 500, ordering_runners)
+    record_property("power at n=16 (block-2 below sqrt-block)", _rates(rates_16))
     assert rates_16["block-2"] < rates_16["sqrt-block"], rates_16
 
 
@@ -506,7 +514,7 @@ def test_criterion_08_cme_level_and_slow_convergence():
 # test even though its quantile curve looks nearly calibrated.
 
 
-def test_criterion_09_ols_scenario_rejected_but_quantile_calibrated():
+def test_criterion_09_ols_scenario_rejected_but_quantile_calibrated(record_property):
     spec = default_kernel_spec()
     p_values, deviations = [], []
     for s in range(100):
@@ -515,6 +523,11 @@ def test_criterion_09_ols_scenario_rejected_but_quantile_calibrated():
         p_values.append(report.p_value)
         deviations.append(quantile_curve(scenario.validation).mean_diagonal_deviation())
     p_values = np.array(p_values)
+    record_property(
+        "bootstrap p-values",
+        f"median {np.median(p_values):.4f} (below 0.05), share below {ALPHA} {np.mean(p_values < ALPHA):.2f} "
+        f"(at least 0.5); mean quantile deviation {np.mean(deviations):.4f} (below 0.15)",
+    )
     assert np.median(p_values) < 0.05
     assert np.mean(p_values < ALPHA) >= 0.5
     assert np.mean(deviations) < 0.15

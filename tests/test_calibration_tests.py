@@ -45,11 +45,10 @@ from kcalib import (
     wasserstein2,
 )
 from kcalib import kernels
-from kcalib.calibration_tests import _chi2_sf
+from kcalib.calibration_tests import _chi2_sf, _resample_counts
 from kcalib.estimators import h_matrix
 from kcalib.exceptions import ConfigurationError, DimensionError, FamilyError, KcalibError, ParameterError
 from kcalib.kernels import eval_prediction_kernel, prediction_distance
-from kcalib.rng import substream
 from kcalib.synthetic import gen_calibrated, gen_uncalibrated
 
 
@@ -129,7 +128,7 @@ def test_bootstrap_statistic_is_scaled_ustat():
 
 
 def test_bootstrap_null_draws_match_manual_resampling():
-    # [DERIVED] replay the resampling with the same substream and recompute
+    # [DERIVED] replay the resampling with the library's count stream and recompute
     # each draw directly from the doubly centered kernel matrix
     spec = default_kernel_spec()
     data = _calibrated(12, seed=6)
@@ -137,8 +136,7 @@ def test_bootstrap_null_draws_match_manual_resampling():
     report = test_bootstrap_ustat(spec, data, num_bootstrap=150, seed=3)
     h = h_matrix(spec, data)
     hc = h - h.mean(axis=1, keepdims=True) - h.mean(axis=0, keepdims=True) + h.mean()
-    rng = substream(3, "bootstrap-ustat")
-    counts = rng.multinomial(n, np.full(n, 1.0 / n), size=150)
+    counts = _resample_counts(3, n, 150).astype(np.int64)
     for m in range(150):
         # n * U-statistic of the resample under the centered kernel,
         # expanded as an explicit double loop over multiplicities
@@ -193,9 +191,9 @@ def test_bootstrap_is_deterministic_in_seed():
 
 def _dense_bootstrap(spec, data, num_bootstrap, seed):
     """Statistic, null draws and p-value of the bootstrap from the full h matrix
-    and one multinomial draw of all resamples."""
+    and the library's counts of all resamples."""
     n, h = len(data), h_matrix(spec, data)
-    counts = substream(seed, "bootstrap-ustat").multinomial(n, np.full(n, 1.0 / n), size=num_bootstrap)
+    counts = _resample_counts(seed, n, num_bootstrap).astype(np.int64)
     hc = h - h.mean(axis=1, keepdims=True) - h.mean(axis=0, keepdims=True) + h.mean()
     draws = (np.sum((counts @ hc) * counts, axis=1) - counts @ np.diag(hc)) / n
     statistic = (h.sum() - np.trace(h)) / (n - 1)
@@ -217,8 +215,8 @@ def test_bootstrap_ragged_tiles_match_dense_reference(tile, monkeypatch):
 
 
 @pytest.mark.parametrize("rows", [1, 7, 150])
-def test_bootstrap_counts_drawn_in_chunks_equal_one_draw(rows, monkeypatch):
-    # TILE_BYTES // (8 n) resamples are drawn at a time; 150 is not a multiple of 7
+def test_bootstrap_draws_do_not_depend_on_tile_bytes(rows, monkeypatch):
+    # TILE_BYTES sets the tile side and the rows of the centring GEMVs, not the count stream
     n, num_bootstrap = 16, 150
     monkeypatch.setattr(kernels, "TILE_BYTES", 8 * n * rows + 8 * n - 1)
     spec, data = default_kernel_spec(), _calibrated(n, seed=13)
@@ -233,11 +231,7 @@ def _float64_count_bootstrap(spec, data, num_bootstrap, seed):
     draws and tile pass, each tile reading its count columns as slices, and each centring term one
     GEMV over all resamples."""
     n = len(data)
-    rng, chunk = substream(seed, "bootstrap-ustat"), max(1, kernels.TILE_BYTES // (8 * n))
-    counts = np.concatenate([
-        rng.multinomial(n, np.full(n, 1.0 / n), size=min(chunk, num_bootstrap - lo))
-        for lo in range(0, num_bootstrap, chunk)
-    ]).astype(float)
+    counts = _resample_counts(seed, n, num_bootstrap).astype(float)
     row_sums, diag, quad = np.zeros(n), np.zeros(n), np.zeros(num_bootstrap)
     for _, rows, cols, h, _ in kernels.h_tiles(spec, data.columns, n, pairs=np.less_equal):
         h, weight = h[0], 2.0
@@ -253,6 +247,26 @@ def _float64_count_bootstrap(spec, data, num_bootstrap, seed):
     draws = (quad - counts @ diag - 2.0 * (n - 1) / n * (counts @ row_sums) + total * (n - 1) / n) / n
     statistic = (total - diag.sum()) / (n - 1)
     return statistic, draws, (1.0 + np.count_nonzero(draws >= statistic)) / (num_bootstrap + 1.0)
+
+
+@pytest.mark.parametrize(
+    "n, num_bootstrap",
+    [(2, 40_000), (7, 20_000), (64, 2_000), (1000, 200), (70_000, 3)],
+)
+def test_resample_counts_are_tallies_of_uniform_indices(n, num_bootstrap):
+    # 2**16 // n rows per draw call: 200 is not a multiple of 65 at n = 1000, and n > 2**16 draws one
+    # row per call. Each count is Binomial(n, 1 / n); the pooled histogram's tail bins with an
+    # expected count below 5 are merged into one.
+    counts = _resample_counts(11, n, num_bootstrap)
+    assert counts.dtype == np.min_scalar_type(n) and counts.shape == (num_bootstrap, n)
+    assert np.array_equal(counts.sum(axis=1, dtype=np.int64), np.full(num_bootstrap, n))
+    assert np.array_equal(_resample_counts(11, n, num_bootstrap), counts)
+    observed = np.bincount(counts.ravel(), minlength=n + 1).astype(float)
+    expected = counts.size * stats.binom.pmf(np.arange(n + 1), n, 1.0 / n)
+    last = max(1, int(np.nonzero(expected >= 5)[0][-1]))
+    observed = np.append(observed[:last], observed[last:].sum())
+    expected = np.append(expected[:last], expected[last:].sum())
+    assert stats.chisquare(observed, expected).pvalue > 1e-3, (observed, expected)
 
 
 def test_bootstrap_small_integer_counts_match_float64_counts_bit_for_bit(monkeypatch):
@@ -271,12 +285,12 @@ def test_bootstrap_small_integer_counts_match_float64_counts_bit_for_bit(monkeyp
 
     def spy(shape, *args, **kwargs):
         array = empty(shape, *args, **kwargs)
-        dtypes[array.shape] = array.dtype
+        dtypes.setdefault(array.shape, array.dtype)  # the first of a shape: the counts, not the draws
         return array
 
     monkeypatch.setattr(np, "empty", spy)
     spec = default_kernel_spec()
-    # at n = 600 resamples are drawn 218 at a time, not a multiple of 16
+    # at n = 600 resamples are drawn 109 at a time, not a multiple of 16
     for n, dtype in [(7, np.uint8), (255, np.uint8), (256, np.uint16), (600, np.uint16), (1024, np.uint16)]:
         data = gen_uncalibrated(1, n, seed=14, replicate=n)
         report = test_bootstrap_ustat(spec, data, num_bootstrap=500, seed=n)

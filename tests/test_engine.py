@@ -44,7 +44,7 @@ from kcalib import (
     test_bootstrap_ustat,
 )
 from kcalib import distributions, kernels
-from kcalib.calibration_tests import default_cme_locations, test_asymptotic_block, test_cme
+from kcalib.calibration_tests import _resample_counts, default_cme_locations, test_asymptotic_block, test_cme
 from kcalib.estimators import cme_feature_matrix, h_matrix
 from kcalib.exceptions import ConfigurationError
 from kcalib.kernels import eval_prediction_kernel, eval_target_kernel, expect_target_kernel
@@ -191,7 +191,7 @@ def test_reductions_match_brute_force(case, n, monkeypatch):
 
     report = test_bootstrap_ustat(spec, data, NUM_BOOTSTRAP, seed=4)
     hc = h - h.mean(axis=1, keepdims=True) - h.mean(axis=0, keepdims=True) + h.mean()
-    counts = substream(4, "bootstrap-ustat").multinomial(n, np.full(n, 1.0 / n), size=NUM_BOOTSTRAP)
+    counts = _resample_counts(4, n, NUM_BOOTSTRAP).astype(np.int64)
     want = (np.einsum("ra,ab,rb->r", counts, hc, counts) - counts @ np.diag(hc)) / n
     np.testing.assert_allclose(report.diagnostics["null_draws"], want, rtol=1e-12, atol=1e-12)
     assert report.diagnostics["skce_ustat"] == pytest.approx(ustat, rel=1e-12, abs=1e-12)
@@ -387,6 +387,23 @@ def test_h_matrix_is_refused_above_physical_memory(monkeypatch):
     plug_in = skce_plug_in(spec, data).diagnostics["raw_value"]
     monkeypatch.setattr(distributions, "PHYSICAL_MEMORY", 8_192)
     assert plug_in == pytest.approx(float(np.sum(h_matrix(spec, data))) / 32**2, rel=1e-14)
+
+
+def test_bootstrap_is_refused_when_its_tile_pass_exceeds_physical_memory(monkeypatch):
+    # n = 200, R = 2,000: 400,000 bytes of uint8 counts, and 4 (R, n) float64 temporaries of the
+    # tile pass, 12,800,000 bytes, that the counts alone do not cover
+    data, spec = make_scenario_dataset("uncalibrated", 1, 200, seed=4), default_kernel_spec()
+    monkeypatch.setattr(distributions, "PHYSICAL_MEMORY", 400_000)
+    with pytest.raises(ConfigurationError, match="13,200,000 bytes"):
+        test_bootstrap_ustat(spec, data, 2000)
+    monkeypatch.setattr(distributions, "PHYSICAL_MEMORY", 13_200_000)
+    tracemalloc.start()
+    try:
+        test_bootstrap_ustat(spec, data, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13_200_000, peak
 
 
 def test_monte_carlo_h_is_symmetric():

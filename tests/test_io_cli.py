@@ -744,23 +744,24 @@ def test_zero_dimensional_records_are_rejected_with_line_number(tmp_path):
 
 
 def test_oversized_arrays_are_refused_before_allocation(sample_file, monkeypatch, capsys):
-    # the limit is lowered, so that the refused arrays are small: the 32-pair sample file
-    # needs 100 * 32 = 3,200 bytes of uint8 bootstrap counts and 8 * 3 * 10 * 32 = 7,680 bytes of draws
+    # the limit is lowered, so that the refused arrays are small: the 32-pair sample file needs
+    # 100 * 32 = 3,200 bytes of uint8 bootstrap counts and 4 * 8 * 100 * 32 = 102,400 bytes of (R, T)
+    # float64 tile temporaries, 105,600 in all, and 8 * 3 * 10 * 32 = 7,680 bytes of draws
     monkeypatch.setattr(distributions, "PHYSICAL_MEMORY", 3_000)
     data = parse_dataset(sample_file)
-    with pytest.raises(ConfigurationError, match="3,200 bytes"):
+    with pytest.raises(ConfigurationError, match="105,600 bytes"):
         kcalib.test_bootstrap_ustat(kcalib.default_kernel_spec(), data, 100)
     with pytest.raises(ConfigurationError, match="7,680 bytes"):
         kcalib.skce_ustat(kcalib.KernelSpec(expectation=kcalib.MonteCarlo(10)), data)
     commands = [
-        (["test", "--method", "bootstrap", "--bootstrap", "100"], "3,200 bytes"),
+        (["test", "--method", "bootstrap", "--bootstrap", "100"], "105,600 bytes"),
         (["estimate", "--expectation", "monte-carlo", "--mc-samples", "10"], "7,680 bytes"),
     ]
     for command, size in commands:
         assert cli.main([*command, "--data", sample_file]) == 2
         err = capsys.readouterr().err
         assert size in err and "3,000 bytes" in err
-    monkeypatch.setattr(distributions, "PHYSICAL_MEMORY", 3_200)
+    monkeypatch.setattr(distributions, "PHYSICAL_MEMORY", 105_600)
     assert cli.main(["test", "--method", "bootstrap", "--bootstrap", "100", "--data", sample_file]) == 0
 
 
