@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .distributions import check_allocation, checked_int
 from .estimators import (
     Dataset,
@@ -23,7 +22,7 @@ from .estimators import (
     skce_block,
 )
 from .exceptions import ParameterError
-from .kernels import Columns, KernelSpec, h_tiles, tiling
+from .kernels import Columns, KernelSpec, h_tiles, route, tiling
 from .rng import substream
 
 
@@ -126,19 +125,24 @@ def test_bootstrap_ustat(
         raise ParameterError("the bootstrap test needs at least 2 pairs")
     if num_bootstrap < 100:
         raise ParameterError("need at least 100 bootstrap resamples for stable tail quantiles")
-    # the counts, and the tile pass's 4 (R, T) float64 temporaries: converted slices, a @ h and its product with b
-    nbytes, tiles = np.min_scalar_type(n).itemsize * num_bootstrap * n, tiling(spec, data.columns)
-    check_allocation(nbytes + 32 * num_bootstrap * min(n, tiles["tile"]), f"{num_bootstrap} bootstrap resamples of {n} pairs")
+    # the counts, a draw call's int64 indices and tally, the tile (the floats per pair that its route counts) and
+    # the tile pass's 4 (R, T) float64 temporaries: shifted count slices, a @ h and its product with b
+    tiles = tiling(spec, data.columns)
+    side, nbytes = min(n, tiles["tile"]), np.min_scalar_type(n).itemsize * num_bootstrap * n + 16 * max(n, 2**16)
+    check_allocation(nbytes + 8 * side * (route(spec, data.columns)[1] * side + 4 * num_bootstrap),
+                     f"{num_bootstrap} bootstrap resamples of {n} pairs")
     counts = _resample_counts(seed, n, num_bootstrap)
-    # One pass over the upper tiles of the symmetric h collects its row sums,
-    # its diagonal and the quadratic forms c^T h c of every resample c.
-    row_sums, diag, quad = np.zeros(n), np.zeros(n), np.zeros(num_bootstrap)
+    # A draw is [c^T h_c c - c . diag(h_c)] / n for a resample c and the doubly centered kernel h_c = h - rowmean_a
+    # - rowmean_b + mean. With sum(c) = n and s = (n - 1) / n it is [(c - s)^T h (c - s) - c . diag(h) + sum(h) s / n] / n,
+    # which never forms h_c nor cancels: one pass over the upper tiles of h sums its rows, diagonal and first two terms.
+    shift, row_sums, diag, quad = (n - 1) / n, np.zeros(n), np.zeros(n), np.zeros(num_bootstrap)
     for _, rows, cols, h, _ in h_tiles(spec, data.columns, n, pairs=np.less_equal):
-        h, b = h[0], counts[:, cols[0] : cols[-1] + 1].astype(float)  # tiles are ranges; float64 for the GEMM
-        if rows[0] == cols[0]:  # diagonal tile, the first of its tile row: the lower triangle mirrors the upper
+        h, b = h[0], counts[:, cols] - shift  # float64 for the GEMM
+        if rows == cols:  # diagonal tile, the first of its tile row: the lower triangle mirrors the upper
             h = np.triu(h) + np.triu(h, 1).T
             diag[rows] = np.diagonal(h)
-            weight, a = 1.0, b  # the row slice, converted once per tile row
+            quad -= counts[:, rows] @ diag[rows]
+            weight, a = 1.0, b  # the row slice, shifted once per tile row
         else:
             row_sums[cols] += h.sum(axis=0)
             weight = 2.0
@@ -146,16 +150,7 @@ def test_bootstrap_ustat(
         quad += weight * np.sum((a @ h) * b, axis=1)
     total = float(row_sums.sum())
     statistic = (total - diag.sum()) / (n - 1)  # n * U-statistic
-    # Each resample's statistic under the doubly centered kernel
-    # h_c = h - rowmean_a - rowmean_b + mean, expanded so h_c is never formed:
-    # c^T h_c c - c . diag(h_c) with sum(c) = n.
-    # The GEMVs take float64 chunks of a multiple of 16 rows: OpenBLAS on one thread sums those rows
-    # as one GEMV over all R rows does, and remainder rows in another kernel.
-    centring, step = np.empty((2, num_bootstrap)), 16 * max(1, kernels.TILE_BYTES // (128 * n))
-    for lo in range(0, num_bootstrap, step):
-        c = counts[lo : lo + step].astype(float)
-        centring[:, lo : lo + step] = c @ diag, c @ row_sums
-    draws = (quad - centring[0] - 2.0 * (n - 1) / n * centring[1] + total * (n - 1) / n) / n
+    draws = (quad + total * shift / n) / n
     # a NaN statistic (h overflowed) is compared with no draw: its p-value is NaN, not 1 / (R + 1)
     p_value = math.nan if math.isnan(statistic) else (1.0 + np.count_nonzero(draws >= statistic)) / (num_bootstrap + 1.0)
     return TestReport(

@@ -135,7 +135,7 @@ def h_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
     check_allocation(8 * n * n, f"the {n} x {n} matrix of h")
     h = np.empty((n, n))
     for _, rows, cols, tile, _ in h_tiles(spec, data.columns, n, pairs=None):
-        h[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1] = tile[0]
+        h[rows, cols] = tile[0]
     return h
 
 

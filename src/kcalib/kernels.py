@@ -910,21 +910,21 @@ def h_tiles(spec: KernelSpec, columns: Columns, block_size: int, num_blocks: int
     ``num_blocks`` blocks of ``block_size`` rows of ``columns``, one square tile at a time, those on
     or above a block's diagonal for ``np.less`` or ``np.less_equal`` and every tile for None.
 
-    Yields the first block of a tile, its ``rows`` and ``cols`` within a block, h and the mask of
-    the pairs counted (True, all, for None), the last two (blocks, rows, cols): blocks smaller than
-    a tile are evaluated several at a time, stacked along the leading axis.
+    Yields the first block of a tile, its ``rows`` and ``cols`` within a block as slices, h and the
+    mask of the pairs counted (True, all, for None), the last two (blocks, rows, cols): blocks smaller
+    than a tile are evaluated several at a time, stacked along the leading axis.
     """
     columns = prepare(spec, columns)
     size = tile_size(columns)
     side = min(block_size, size)
     group = max(1, size**2 // side**2)
     for lo in range(0, block_size, side):
-        rows = np.arange(lo, min(lo + side, block_size))
+        rows = slice(lo, min(lo + side, block_size))
         for hi in range(0 if pairs is None else lo, block_size, side):
-            cols = np.arange(hi, min(hi + side, block_size))
+            cols = slice(hi, min(hi + side, block_size))
             for first in range(0, num_blocks, group):
                 offsets = np.arange(first, min(first + group, num_blocks))[:, None, None] * block_size
-                i, j = offsets + rows[:, None], offsets + cols[None, :]
+                i, j = offsets + np.arange(lo, rows.stop)[:, None], offsets + np.arange(hi, cols.stop)
                 counted = True if pairs is None else pairs(i, j)
                 yield first, rows, cols, h_values(spec, columns, i, j, counted), counted
 

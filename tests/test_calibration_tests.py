@@ -1,10 +1,7 @@
 """Tests for the calibration hypothesis tests."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -216,7 +213,7 @@ def test_bootstrap_ragged_tiles_match_dense_reference(tile, monkeypatch):
 
 @pytest.mark.parametrize("rows", [1, 7, 150])
 def test_bootstrap_draws_do_not_depend_on_tile_bytes(rows, monkeypatch):
-    # TILE_BYTES sets the tile side and the rows of the centring GEMVs, not the count stream
+    # TILE_BYTES sets the tile side, and with it the count slices of each tile, not the count stream
     n, num_bootstrap = 16, 150
     monkeypatch.setattr(kernels, "TILE_BYTES", 8 * n * rows + 8 * n - 1)
     spec, data = default_kernel_spec(), _calibrated(n, seed=13)
@@ -226,25 +223,41 @@ def test_bootstrap_draws_do_not_depend_on_tile_bytes(rows, monkeypatch):
     assert report.p_value == p_value
 
 
+def test_bootstrap_null_draws_match_an_extended_precision_oracle():
+    # The doubly centered form c^T h_c c - c . diag(h_c), formed densely in long double (in exact
+    # fractions, at a smaller n, where long double has no more digits than double) from the h that
+    # the tile pass sums: the upper triangle of h_matrix, mirrored.
+    exact = np.finfo(np.longdouble).nmant < 63
+    n, num_bootstrap = (60, 100) if exact else (600, 500)
+    spec, data = default_kernel_spec(), gen_uncalibrated(1, n, seed=15)
+    draws = test_bootstrap_ustat(spec, data, num_bootstrap=num_bootstrap, seed=n).diagnostics["null_draws"]
+    h, counts = h_matrix(spec, data), _resample_counts(n, n, num_bootstrap)
+    oracle_type = np.vectorize(Fraction, otypes=[object]) if exact else lambda x: x.astype(np.longdouble)
+    h, counts, draws = oracle_type(np.triu(h) + np.triu(h, 1).T), oracle_type(counts), oracle_type(draws)
+    hc = h - h.sum(axis=1, keepdims=True) / n - h.sum(axis=0, keepdims=True) / n + h.sum() / n**2
+    oracle = (np.sum((counts @ hc) * counts, axis=1) - counts @ np.diagonal(hc)) / n
+    error = np.max(np.abs(draws - oracle)) / np.max(np.abs(oracle))
+    assert error <= 1e-14, float(error)
+
+
 def _float64_count_bootstrap(spec, data, num_bootstrap, seed):
     """Statistic, null draws and p-value of the bootstrap with its counts held as float64: the same
-    draws and tile pass, each tile reading its count columns as slices, and each centring term one
-    GEMV over all resamples."""
+    draws and shifted tile pass, each tile reading its count columns as slices."""
     n = len(data)
-    counts = _resample_counts(seed, n, num_bootstrap).astype(float)
+    shift, counts = (n - 1) / n, _resample_counts(seed, n, num_bootstrap).astype(float)
     row_sums, diag, quad = np.zeros(n), np.zeros(n), np.zeros(num_bootstrap)
     for _, rows, cols, h, _ in kernels.h_tiles(spec, data.columns, n, pairs=np.less_equal):
         h, weight = h[0], 2.0
-        if rows[0] == cols[0]:
+        if rows == cols:
             h, weight = np.triu(h) + np.triu(h, 1).T, 1.0
             diag[rows] = np.diagonal(h)
+            quad -= counts[:, rows] @ diag[rows]
         else:
             row_sums[cols] += h.sum(axis=0)
         row_sums[rows] += h.sum(axis=1)
-        a, b = counts[:, rows[0] : rows[-1] + 1], counts[:, cols[0] : cols[-1] + 1]
-        quad += weight * np.sum((a @ h) * b, axis=1)
+        quad += weight * np.sum(((counts[:, rows] - shift) @ h) * (counts[:, cols] - shift), axis=1)
     total = row_sums.sum()
-    draws = (quad - counts @ diag - 2.0 * (n - 1) / n * (counts @ row_sums) + total * (n - 1) / n) / n
+    draws = (quad + total * shift / n) / n
     statistic = (total - diag.sum()) / (n - 1)
     return statistic, draws, (1.0 + np.count_nonzero(draws >= statistic)) / (num_bootstrap + 1.0)
 
@@ -270,17 +283,8 @@ def test_resample_counts_are_tallies_of_uniform_indices(n, num_bootstrap):
 
 
 def test_bootstrap_small_integer_counts_match_float64_counts_bit_for_bit(monkeypatch):
-    # The counts are held as uint8 up to n = 255 and uint16 from 256, and each GEMV takes them in
-    # float64 chunks of a multiple of 16 rows. A multithreaded BLAS splits one GEMV over all rows
-    # by its thread count, so the comparison runs with BLAS on one thread.
-    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(kernels.__file__).parents[1]), env.get("PYTHONPATH")]))
-        node = f"{__file__}::test_bootstrap_small_integer_counts_match_float64_counts_bit_for_bit"
-        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
-                             capture_output=True, text=True, env=env)
-        assert run.returncode == 0, run.stdout + run.stderr
-        return
+    # The counts are held as uint8 up to n = 255 and uint16 from 256. Both sides make the same BLAS
+    # calls on the same float64 values, so they agree at any BLAS thread count.
     empty, dtypes = np.empty, {}
 
     def spy(shape, *args, **kwargs):
@@ -290,7 +294,7 @@ def test_bootstrap_small_integer_counts_match_float64_counts_bit_for_bit(monkeyp
 
     monkeypatch.setattr(np, "empty", spy)
     spec = default_kernel_spec()
-    # at n = 600 resamples are drawn 109 at a time, not a multiple of 16
+    # at n = 600 resamples are drawn 109 at a time
     for n, dtype in [(7, np.uint8), (255, np.uint8), (256, np.uint16), (600, np.uint16), (1024, np.uint16)]:
         data = gen_uncalibrated(1, n, seed=14, replicate=n)
         report = test_bootstrap_ustat(spec, data, num_bootstrap=500, seed=n)
