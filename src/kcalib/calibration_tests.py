@@ -25,6 +25,8 @@ from .exceptions import ParameterError
 from .kernels import Columns, KernelSpec, h_tiles, route, tiling
 from .rng import substream
 
+_DRAW_INDICES = 2**16  # int64 indices a call of _resample_counts draws and tallies (one row of n when n is larger)
+
 
 @dataclass
 class TestReport:
@@ -97,10 +99,9 @@ def test_asymptotic_sqrt_block(spec: KernelSpec, data: Dataset) -> TestReport:
 
 
 def _resample_counts(seed: int, n: int, num_bootstrap: int) -> np.ndarray:
-    """Multiplicity counts of ``num_bootstrap`` resamples of n pairs with replacement, one per row, as exact
-    ``np.min_scalar_type(n)`` integers. A row tallies n uniform indices, i.e. is multinomial(n, 1/n); a call
-    draws 2**16 indices (one row when n > 2**16), so the stream depends on (seed, n, num_bootstrap) only."""
-    rng, rows = substream(seed, "bootstrap-ustat"), max(1, 2**16 // n)
+    """Multiplicity counts of ``num_bootstrap`` resamples of n pairs, one per row, as exact ``np.min_scalar_type(n)``
+    integers: a row tallies n uniform indices (multinomial(n, 1/n)); the stream depends on (seed, n, R) only."""
+    rng, rows = substream(seed, "bootstrap-ustat"), max(1, _DRAW_INDICES // n)
     counts = np.empty((num_bootstrap, n), np.min_scalar_type(n))
     for lo in range(0, num_bootstrap, rows):
         size = min(rows, num_bootstrap - lo)
@@ -127,17 +128,16 @@ def test_bootstrap_ustat(
         raise ParameterError("need at least 100 bootstrap resamples for stable tail quantiles")
     # the counts, a draw call's int64 indices and tally, the tile (the floats per pair that its route counts) and
     # the tile pass's 4 (R, T) float64 temporaries: shifted count slices, a @ h and its product with b
-    tiles = tiling(spec, data.columns)
-    side, nbytes = min(n, tiles["tile"]), np.min_scalar_type(n).itemsize * num_bootstrap * n + 16 * max(n, 2**16)
+    tiles, drawn = tiling(spec, data.columns), n * min(num_bootstrap, max(1, _DRAW_INDICES // n))
+    side, nbytes = min(n, tiles["tile"]), np.min_scalar_type(n).itemsize * num_bootstrap * n + 16 * drawn
     check_allocation(nbytes + 8 * side * (route(spec, data.columns)[1] * side + 4 * num_bootstrap),
                      f"{num_bootstrap} bootstrap resamples of {n} pairs")
     counts = _resample_counts(seed, n, num_bootstrap)
-    # A draw is [c^T h_c c - c . diag(h_c)] / n for a resample c and the doubly centered kernel h_c = h - rowmean_a
-    # - rowmean_b + mean. With sum(c) = n and s = (n - 1) / n it is [(c - s)^T h (c - s) - c . diag(h) + sum(h) s / n] / n,
-    # which never forms h_c nor cancels: one pass over the upper tiles of h sums its rows, diagonal and first two terms.
+    # With sum(c) = n and s = (n - 1) / n, a draw [c^T h_c c - c . diag(h_c)] / n under the centered kernel h_c above
+    # is [(c - s)^T h (c - s) - c . diag(h) + sum(h) s / n] / n: one pass over h's upper tiles, no h_c, no cancellation.
     shift, row_sums, diag, quad = (n - 1) / n, np.zeros(n), np.zeros(n), np.zeros(num_bootstrap)
     for _, rows, cols, h, _ in h_tiles(spec, data.columns, n, pairs=np.less_equal):
-        h, b = h[0], counts[:, cols] - shift  # float64 for the GEMM
+        h, b = h[0], np.subtract(counts[:, cols], shift, dtype=float)  # float64 under any numpy's casting rules
         if rows == cols:  # diagonal tile, the first of its tile row: the lower triangle mirrors the upper
             h = np.triu(h) + np.triu(h, 1).T
             diag[rows] = np.diagonal(h)

@@ -392,25 +392,25 @@ def test_h_matrix_is_refused_above_physical_memory(monkeypatch):
 def test_bootstrap_is_refused_when_its_tile_pass_exceeds_physical_memory(monkeypatch):
     # n = 200, R = 2,000: 400,000 bytes of uint8 counts, and 4 (R, n) float64 temporaries of the
     # tile pass, 12,800,000 bytes, that the counts alone do not cover; with the tile's 3 n x n floats,
-    # 960,000 bytes, and a draw call's indices and tally, 1,048,576, 15,208,576 in all
+    # 960,000 bytes, and a draw call's 327 rows of int64 indices and their tally, 1,046,400, 15,206,400 in all
     data, spec = make_scenario_dataset("uncalibrated", 1, 200, seed=4), default_kernel_spec()
     monkeypatch.setattr(distributions, "PHYSICAL_MEMORY", 400_000)
-    with pytest.raises(ConfigurationError, match="15,208,576 bytes"):
+    with pytest.raises(ConfigurationError, match="15,206,400 bytes"):
         test_bootstrap_ustat(spec, data, 2000)
-    monkeypatch.setattr(distributions, "PHYSICAL_MEMORY", 15_208_576)
+    monkeypatch.setattr(distributions, "PHYSICAL_MEMORY", 15_206_400)
     tracemalloc.start()
     try:
         test_bootstrap_ustat(spec, data, 2000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 15_208_576, peak
+    assert peak < 15_206_400, peak
 
 
 def test_bootstrap_refusal_counts_the_bytes_that_do_not_grow_with_resamples(monkeypatch):
     # n = 1,024, R = 100: 204,800 bytes of uint16 counts and 668,800 of the tile pass's 4 (R, T)
     # float64 temporaries (T = 209), 873,600 bytes, are less than the terms that do not grow with R:
-    # a draw call's 2**16 int64 indices and their tally, 1,048,576 bytes, and the tile's 3 T x T
+    # a draw call's 64 rows of int64 indices and their tally, 1,048,576 bytes, and the tile's 3 T x T
     # floats, 1,048,344 bytes. Under a limit between the two sums the bootstrap is refused.
     data, spec = make_scenario_dataset("uncalibrated", 1, 1024, seed=5), default_kernel_spec()
     monkeypatch.setattr(distributions, "PHYSICAL_MEMORY", 2_000_000)

@@ -746,24 +746,24 @@ def test_zero_dimensional_records_are_rejected_with_line_number(tmp_path):
 def test_oversized_arrays_are_refused_before_allocation(sample_file, monkeypatch, capsys):
     # the limit is lowered, so that the refused arrays are small: the 32-pair sample file needs
     # 100 * 32 = 3,200 bytes of uint8 bootstrap counts, 4 * 8 * 100 * 32 = 102,400 bytes of (R, T)
-    # float64 tile temporaries, 8 * 3 * 32 * 32 = 24,576 bytes of the tile itself and 16 * 2**16 =
-    # 1,048,576 bytes of a draw call's indices and tally, 1,178,752 in all, and 8 * 3 * 10 * 32 =
-    # 7,680 bytes of draws
+    # float64 tile temporaries, 8 * 3 * 32 * 32 = 24,576 bytes of the tile itself and 16 * 100 * 32 =
+    # 51,200 bytes of the one draw call's int64 indices and tally, 181,376 in all, and 8 * 3 * 10 * 32
+    # = 7,680 bytes of draws
     monkeypatch.setattr(distributions, "PHYSICAL_MEMORY", 3_000)
     data = parse_dataset(sample_file)
-    with pytest.raises(ConfigurationError, match="1,178,752 bytes"):
+    with pytest.raises(ConfigurationError, match="181,376 bytes"):
         kcalib.test_bootstrap_ustat(kcalib.default_kernel_spec(), data, 100)
     with pytest.raises(ConfigurationError, match="7,680 bytes"):
         kcalib.skce_ustat(kcalib.KernelSpec(expectation=kcalib.MonteCarlo(10)), data)
     commands = [
-        (["test", "--method", "bootstrap", "--bootstrap", "100"], "1,178,752 bytes"),
+        (["test", "--method", "bootstrap", "--bootstrap", "100"], "181,376 bytes"),
         (["estimate", "--expectation", "monte-carlo", "--mc-samples", "10"], "7,680 bytes"),
     ]
     for command, size in commands:
         assert cli.main([*command, "--data", sample_file]) == 2
         err = capsys.readouterr().err
         assert size in err and "3,000 bytes" in err
-    monkeypatch.setattr(distributions, "PHYSICAL_MEMORY", 1_178_752)
+    monkeypatch.setattr(distributions, "PHYSICAL_MEMORY", 181_376)
     assert cli.main(["test", "--method", "bootstrap", "--bootstrap", "100", "--data", sample_file]) == 0
 
 
