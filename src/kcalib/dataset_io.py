@@ -13,8 +13,8 @@ field of all records into one array and checks those with the families'
 own rules (``distributions``) at once, so it builds no per-record objects.
 Records whose fields do not stack into arrays (vectors of several lengths,
 mixtures of several sizes or with zero weights) are built one at a time by
-the constructors and checked as ``Dataset(predictions, targets)`` checks
-them.
+the constructors and checked as a batch where they become columns
+(``Columns.of``), as ``Dataset(predictions, targets)`` checks them.
 The writer builds none either: it formats each column once, every number by
 the ``repr`` that ``json.dumps`` calls, and fills one line template per
 family, so it writes the bytes that one ``json.dumps`` per record would.
@@ -41,7 +41,6 @@ from .distributions import (
     _index_rules,
     _mixture_rules,
     _reals_rules,
-    _target_size,
     check_rows,
     discrete_mixture,
     pair_rules,
@@ -265,28 +264,30 @@ def _built(label: str, build, *args):
 
 
 def _checked_columns(family, records: list, dimension) -> Columns:
-    """The columns of all ``records``, checked as arrays or, where they do not stack, one record at a
-    time as ``Dataset(predictions, targets)`` checks them; the first bad record's error carries its
-    index in ``row``."""
+    """The columns of all ``records``, checked as arrays or, where they do not stack, built one record
+    at a time up to the first that a constructor refuses and checked as a batch (``Columns.of``);
+    the first bad record's error carries its index in ``row``."""
     try:
         return _columns(family, records, dimension)
     except _Ragged:
         pass
-    predictions, targets = [], []
-    for row, (prediction, target) in enumerate(records):
+    predictions, targets, failure = [], [], None
+    for prediction, target in records:
         try:
-            p = _built(_PREDICTION, _prediction, prediction)
             kind, field = TARGETS[target["type"]]
-            y = _built(_TARGET, kind, target[field])
-            dimension = p.dim if dimension is None else dimension  # the first record fixes it
-            check_rows([_dimension_check(p.dim, dimension)]
-                       + pair_rules(p.law.removeprefix("mixture of "), p.dim, [kind], [_target_size(y)]))
-        except KcalibError as exc:
-            exc.row = row
-            raise
+            p, y = _built(_PREDICTION, _prediction, prediction), _built(_TARGET, kind, target[field])
+        except KcalibError as exc:  # reported unless an earlier record fails the batch check
+            failure = exc
+            break
         predictions.append(p)
         targets.append(y)
-    return Columns.of(predictions, targets)
+    if predictions:
+        check_rows([_dimension_check(predictions[0].dim, dimension)])
+        columns = Columns.of(predictions, targets)
+    if failure is not None:
+        failure.row = len(predictions)
+        raise failure
+    return columns
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,31 @@ def pair_rules(family: str, dim: int, types: list, sizes: list) -> list:
     return checks
 
 
+def check_batch(predictions: list, targets: list | None = None) -> str:
+    """Check a batch of prediction objects, and their pairs with ``targets`` if given, where they
+    become columns (``kernels.Columns.of``); return their law (``Prediction.law``).
+
+    Every prediction must be of a known family, not a mixture of discrete laws, and of the first
+    one's law and dimension; the pairs must pass ``pair_rules``. The first bad row's error carries
+    it in ``row``. A mixture checks its components with it as it is built.
+    """
+    rows = [(p.law, p.dim) if isinstance(p, Prediction) else None for p in predictions]
+    law, dim = rows[0] or (None, 0)
+    family, pairs = law and law.removeprefix("mixture of "), targets is not None
+    check_rows([  # a row of an unknown type or another law fails the second check, before the dimension check
+        (pairs and len(targets) != len(predictions), ParameterError, "predictions and targets must have equal length"),
+        ([row is None or row[0] != law for row in rows], FamilyError, lambda r: (
+            f"mixed prediction families: {law!r} vs {rows[r][0]!r}" if rows[r]
+            else f"unknown prediction type {type(predictions[r]).__name__}")),
+        (family != law and family in DISCRETE, FamilyError, lambda r: discrete_mixture(family)),
+        ([row != rows[0] for row in rows], DimensionError,
+         lambda r: f"mixed prediction dimensions: {dim} vs {rows[r][1]}"),
+        *(pair_rules(family, dim, [type(y) for y in targets], [_target_size(y) for y in targets])
+          if pairs and law else ()),
+    ])
+    return law
+
+
 # Families whose mixtures no prediction metric compares: W2 and MW take normal or Laplace
 # components, and ParamEuclidean embeds no mixture.
 DISCRETE = ("categorical", "truncated_countable")
@@ -371,8 +396,6 @@ class Prediction:
 
     def log_density(self, target: Target) -> float:
         """Log density, or log mass for a discrete law, at ``target`` (``Columns.log_density``)."""
-        family = self.law.removeprefix("mixture of ")
-        check_rows(pair_rules(family, self.dim, [type(target)], [_target_size(target)]))
         return float(_column(self, [target]).log_density()[0])
 
 
@@ -433,21 +456,14 @@ class Mixture(Prediction):
         components = tuple(components)
         checks, normalized = _mixture_rules(_real(weights, "mixture weights")[None], len(components))
         check_rows(checks)
+        check_batch(components)
+        if isinstance(components[0], Mixture):  # then all are: they share one law
+            raise FamilyError("mixtures of mixtures are not supported")
         weights = normalized()[0]
         keep = weights > 0
-        if not np.all(keep):  # the kept weights, normalized again
+        if not np.all(keep):  # the kept components, and their weights normalized again
+            components = tuple(c for c, k in zip(components, keep.tolist()) if k)
             weights = _simplex_rules(weights[keep][None], "mixture weights")[1]()[0]
-        components = tuple(c for c, k in zip(components, keep) if k)
-        first = components[0]
-        if isinstance(first, Mixture):
-            raise FamilyError("mixtures of mixtures are not supported")
-        if getattr(first, "family", None) not in FAMILIES:
-            raise FamilyError(f"unknown prediction type {type(first).__name__}")
-        for c in components:
-            if not isinstance(c, type(first)):
-                raise FamilyError("mixture components must share one family")
-            if c.dim != first.dim:
-                raise DimensionError("mixture components must share one dimension")
         self.weights = _frozen(weights)
         self.components = components
 

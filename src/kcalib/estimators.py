@@ -7,17 +7,8 @@ from operator import is_
 
 import numpy as np
 
-from .distributions import (
-    DISCRETE,
-    _target_size,
-    check_allocation,
-    check_rows,
-    checked_index,
-    checked_int,
-    discrete_mixture,
-    pair_rules,
-)
-from .exceptions import DimensionError, FamilyError, ParameterError
+from .distributions import DISCRETE, check_allocation, checked_index, checked_int, discrete_mixture
+from .exceptions import FamilyError, ParameterError
 from .kernels import Columns, KernelSpec, cme_values, h_tiles, tiling
 
 
@@ -29,42 +20,22 @@ class Dataset:
     """Homogeneous sequence of (prediction, target) pairs.
 
     Its ``columns`` are the source of truth. ``Dataset(predictions, targets)``
-    checks the pairs; ``Dataset(columns=...)`` takes columns that have been
-    checked already (by the parser or a generator), and builds the
-    ``predictions`` and ``targets`` lists only when they are first read.
+    builds them at once, checking the pairs (``Columns.of``);
+    ``Dataset(columns=...)`` takes columns that have been checked already (by
+    the parser or a generator), and builds the ``predictions`` and ``targets``
+    lists only when they are first read.
     """
 
     def __init__(self, predictions=(), targets=(), *, columns: Columns | None = None):
         self._lists = self._items = None
-        if columns is not None:
-            if len(columns) == 0:
-                raise ParameterError("datasets must contain at least one pair")
-            if columns.weights is not None and columns.family in DISCRETE:
-                raise FamilyError(discrete_mixture(columns.family))
-            self._columns = columns
-            return
-        predictions = list(predictions)
-        targets = list(targets)
-        if len(predictions) != len(targets):
-            raise ParameterError("predictions and targets must have equal length")
-        if len(predictions) == 0:
+        if columns is None:
+            self._lists = (list(predictions), list(targets))
+            columns = self.columns
+        elif columns.weights is not None and columns.family in DISCRETE:
+            raise FamilyError(discrete_mixture(columns.family))
+        if len(columns) == 0:
             raise ParameterError("datasets must contain at least one pair")
-        laws = [getattr(p, "law", None) for p in predictions]
-        if None in laws:
-            raise FamilyError(f"unknown prediction type {type(predictions[laws.index(None)]).__name__}")
-        family, dim = laws[0], predictions[0].dim
-        components = family.removeprefix("mixture of ")
-        if components != family and components in DISCRETE:
-            raise FamilyError(discrete_mixture(components))
-        check_rows([
-            ([law != family for law in laws], FamilyError,
-             lambda r: f"mixed prediction families: {family!r} vs {laws[r]!r}"),
-            ([p.dim != dim for p in predictions], DimensionError,
-             lambda r: f"mixed prediction dimensions: {dim} vs {predictions[r].dim}"),
-            *pair_rules(components, dim, [type(y) for y in targets], [_target_size(y) for y in targets]),
-        ])
-        self._lists = (predictions, targets)
-        self._columns = None
+        self._columns = columns
 
     def _pairs(self) -> tuple:
         if self._lists is None:
@@ -92,8 +63,8 @@ class Dataset:
         if lists is not None and (
             self._items is None or not all(map(_same_items, self._items, lists))
         ):
-            self._items = tuple(map(list, lists))
-            self._columns = Columns.of(*self._items)
+            items = tuple(map(list, lists))
+            self._columns, self._items = Columns.of(*items), items
         return self._columns
 
     @property

@@ -30,6 +30,7 @@ from .distributions import (
     _solve_transport,
     _unchecked,
     check_allocation,
+    check_batch,
     check_rows,
     checked_index,
     checked_int,
@@ -261,14 +262,15 @@ def _normal_expect_tile(mean, var, y, gamma):
 def _laplace_expect(loc, scale, y, gamma):
     """E exp(-gamma |Z - y|) for Z ~ Laplace(loc, scale).
 
-    With g = gamma |loc - y|, t = scale * gamma and u = g (t - 1) / t this is
+    With g = gamma |loc - y|, t = scale * gamma, r = |loc - y| / scale and u = g - r this is
     exp(-g) (1 + g expm1(u) / u) / (t + 1), with no pole at t = 1. The factor
-    exp(-g) expm1(u) / u is taken as exp(max(u, 0) - g) exprel(-|u|): no overflow.
+    exp(-g) expm1(u) / u is taken as exp(-min(g, r)) exprel(-|u|): no overflow, and u is
+    formed without the cancellation of g (t - 1) / t.
     """
-    g = gamma * np.abs(loc - y)
-    t = scale * gamma
-    u = g * (t - 1.0) / t
-    return (np.exp(-g) + g * np.exp(np.maximum(u, 0.0) - g) * _exprel(-np.abs(u))) / (t + 1.0)
+    m = np.abs(loc - y)
+    g, r = gamma * m, m / scale
+    u = g - r
+    return (np.exp(-g) + g * np.exp(-np.minimum(g, r)) * _exprel(-np.abs(u))) / (scale * gamma + 1.0)
 
 
 def _exp_dd(y1, y2):
@@ -382,23 +384,18 @@ class Columns:
 
     @classmethod
     def of(cls, predictions, targets=None) -> "Columns":
+        """Columns of prediction objects and of their ``targets`` if given, checked as a batch
+        (``distributions.check_batch``) as they become columns."""
         if len(predictions) == 0:
             raise ParameterError("a batch needs at least one prediction")
-        p0 = predictions[0]
-        family = getattr(p0, "family", None)
-        if family != "mixture" and family not in FAMILIES:
-            raise FamilyError(f"unknown prediction type {type(p0).__name__}")
-        if any(type(p) is not type(p0) for p in predictions):  # also the components of mixtures
-            raise FamilyError("the predictions of one batch must share one family")
-        try:
-            y = None if targets is None else _stack([_target_coords(t) for t in targets])
-            if family == "mixture":
-                parts = cls.of([c for p in predictions for c in p.components])
-                return cls.mixtures(parts.family, parts.canonical(), [p.weights for p in predictions], y)
-            canonical = tuple(_stack([getattr(p, name) for p in predictions]) for name, _ in FAMILIES[family][1])
-        except ValueError as exc:  # ragged rows
-            raise DimensionError("predictions and targets of one batch must share one dimension") from exc
-        return cls.build(family, canonical, y)
+        law = check_batch(predictions, targets)
+        family = law.removeprefix("mixture of ")
+        parts = predictions if family == law else [c for p in predictions for c in p.components]
+        canonical = tuple(_stack([getattr(p, name) for p in parts]) for name, _ in FAMILIES[family][1])
+        y = None if targets is None else _stack([target_value(t) for t in targets])
+        if family == law:
+            return cls.build(family, canonical, y)
+        return cls.mixtures(family, canonical, [p.weights for p in predictions], y)
 
     @classmethod
     def mixtures(cls, family: str, canonical: tuple, weights: list, y=None) -> "Columns":
@@ -810,11 +807,8 @@ def _draws(mode: MonteCarlo, columns: Columns, labels) -> tuple:
 
 def expect_target_kernel(spec: KernelSpec, p: Prediction, y: Target) -> float:
     """E_{Z ~ p} k_Y(Z, y)."""
-    x, coords = _with_expectations(spec, Columns.of([p]), ("single",)), _target_coords(y)
-    real = isinstance(y, RealVector) or x.family in DISCRETE
-    if not real or coords.shape != (_target_dim(x.family, x.params),):
-        raise DimensionError("target must be a real vector matching the prediction dimension")
-    return float(_expect(spec.target_kernel, x, coords[:, None])[0])
+    x = _with_expectations(spec, Columns.of([p], [y]), ("single",))
+    return float(_expect(spec.target_kernel, x, x.y)[0])
 
 
 def double_expect_target_kernel(spec: KernelSpec, p: Prediction, q: Prediction) -> float:

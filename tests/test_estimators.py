@@ -1,5 +1,6 @@
 """Tests for SKCE and UCME estimators against brute-force oracles."""
 
+import json
 import math
 
 import numpy as np
@@ -27,9 +28,10 @@ from kcalib import (
 from kcalib import kernels
 from kcalib.calibration_tests import default_cme_locations, test_asymptotic_block, test_bootstrap_ustat
 from kcalib.classical import binned_confidence_ece, pinball_loss, quantile_curve
+from kcalib.dataset_io import parse_dataset
 from kcalib.distributions import temperature_scale
 from kcalib.estimators import cme_feature_matrix
-from kcalib.exceptions import DimensionError, FamilyError, KcalibError, ParameterError
+from kcalib.exceptions import DatasetFormatError, DimensionError, FamilyError, KcalibError, ParameterError
 from kcalib.kernels import (
     KernelSpec,
     pairwise_h,
@@ -132,6 +134,84 @@ def test_dataset_rejects_mixtures_of_discrete_laws():
     as_mixtures = kernels.Columns.mixtures("categorical", columns.canonical(), [np.ones(1)], columns.y)
     with pytest.raises(FamilyError, match="mixtures of categorical"):
         Dataset(columns=as_mixtures)
+
+
+_CATEGORICAL_SPEC = KernelSpec(PredictionKernel(metric=ParamEuclidean()), KroneckerDelta())
+
+
+def _edited(data, row, target, spec):
+    """The pairs of ``data`` with ``targets[row]`` replaced by ``target``, and the U-statistic on them."""
+    data.targets[row] = target
+    return data.predictions, data.targets, lambda: skce_ustat(spec, data), None
+
+
+def _ragged_file(tmp_path, records):
+    """Pairs of the records (each a mixture's component means, its weights and its target values) that
+    construct, and the parse of a file of all records: mixtures of 1 to 3 components, ragged as arrays."""
+    path = tmp_path / "ragged.jsonl"
+    lines = [json.dumps({"schema": 1, "family": "mixture"})] + [json.dumps({
+        "prediction": {"family": "mixture", "weights": w,
+                       "components": [{"family": "diag_normal", "mean": m, "var": [1.0] * len(m)} for m in means]},
+        "target": {"type": "reals", "values": y},
+    }) for means, w, y in records]
+    path.write_text("\n".join(lines) + "\n")
+    pairs = []
+    for means, w, y in records:
+        try:
+            pairs.append((Mixture(w, [DiagNormal(m, [1.0] * len(m)) for m in means]), RealVector(y)))
+        except KcalibError:
+            break
+    return [p for p, _ in pairs], [y for _, y in pairs], lambda: parse_dataset(str(path)), 3
+
+
+_BYPASSES = {
+    "class-label-edited-into-normals": lambda _: _edited(_normal_data(6), 1, ClassLabel(2), default_kernel_spec()),
+    "real-vector-edited-into-categoricals": lambda _: _edited(
+        Dataset([Categorical([0.2, 0.5, 0.3])] * 4, [ClassLabel(k % 3) for k in range(4)]), 2, RealVector([0.0]),
+        _CATEGORICAL_SPEC),
+    "huge-count-edited-into-counts": lambda _: _edited(
+        Dataset([TruncatedCountable([0.5, 0.5])] * 3, [Count(1)] * 3), 0, Count(10**400), _CATEGORICAL_SPEC),
+    "expectation-at-a-real-vector": lambda _: (
+        [Categorical([0.2, 0.5, 0.3])], [RealVector([1.0])],
+        lambda: expect_target_kernel(_CATEGORICAL_SPEC, Categorical([0.2, 0.5, 0.3]), RealVector([1.0])), None),
+    "expectation-at-a-class-out-of-range": lambda _: (
+        [Categorical([0.2, 0.5, 0.3])], [ClassLabel(7)],
+        lambda: expect_target_kernel(_CATEGORICAL_SPEC, Categorical([0.2, 0.5, 0.3]), ClassLabel(7)), None),
+    "expectation-at-a-huge-count": lambda _: (
+        [TruncatedCountable([0.5, 0.5])], [Count(10**400)],
+        lambda: expect_target_kernel(_CATEGORICAL_SPEC, TruncatedCountable([0.5, 0.5]), Count(10**400)), None),
+    "h-at-a-class-out-of-range": lambda _: (
+        [Categorical([0.2, 0.5, 0.3])] * 2, [ClassLabel(1), ClassLabel(7)],
+        lambda: eval_h(_CATEGORICAL_SPEC, Categorical([0.2, 0.5, 0.3]), ClassLabel(1),
+                       Categorical([0.2, 0.5, 0.3]), ClassLabel(7)), None),
+    "log-density-at-a-real-vector": lambda _: (
+        [Categorical([0.2, 0.8])], [RealVector([1.0])],
+        lambda: Categorical([0.2, 0.8]).log_density(RealVector([1.0])), None),
+    # line 3 a prediction of another dimension, line 4 a target its constructor refuses
+    "file-bad-prediction-before-bad-target": lambda tmp_path: _ragged_file(tmp_path, [
+        ([[0.0]], [1.0], [0.5]), ([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5], [0.5, 0.5]),
+        ([[0.0], [1.0], [2.0]], [0.2, 0.3, 0.5], ["x"]),
+    ]),
+    # line 3 a target of another dimension, line 4 a prediction its constructor refuses
+    "file-bad-target-before-bad-prediction": lambda tmp_path: _ragged_file(tmp_path, [
+        ([[0.0], [1.0]], [0.5, 0.5], [0.5]), ([[0.0]], [1.0], [0.5, 0.5]), ([[0.0], [1.0], [2.0]], [0.2, 0.3, 0.6], [0.5]),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BYPASSES))
+def test_every_batch_is_checked_as_dataset_construction_checks_it(case, tmp_path):
+    # edited lists, the scalar functions and the parser's per-record path meet the one batch check
+    predictions, targets, call, line = _BYPASSES[case](tmp_path)
+    with pytest.raises(KcalibError) as built:
+        Dataset(predictions, targets)
+    with pytest.raises(KcalibError) as raised:
+        call()
+    error = raised.value
+    if line is not None:  # the earlier of two bad lines is reported, with the batch check's error
+        assert isinstance(error, DatasetFormatError) and error.line == line
+        error = error.__cause__
+    assert type(error) is type(built.value), (error, built.value)
 
 
 @pytest.mark.parametrize(

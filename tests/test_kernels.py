@@ -296,6 +296,23 @@ def test_laplace_expectation_near_pole_matches_mpmath(log_offset, side, gamma, l
         assert abs(got - oracle) <= 1e-12 * oracle
 
 
+@pytest.mark.parametrize("gamma", [1.0, 1e8, 1e30])
+def test_laplace_expectation_keeps_its_digits_at_large_gamma(gamma):
+    # the exponent of the far side, g - |loc - y| / scale, must not be formed as g (t - 1) / t,
+    # which cancels when gamma is large; the oracle is the closed form at 80 digits
+    import mpmath
+
+    rng = np.random.default_rng(2000)
+    loc, scale, y = rng.normal(size=2000), np.exp(rng.normal(size=2000)), rng.normal(scale=2.0, size=2000)
+    got = kernels._laplace_expect(loc, scale, y, gamma)
+    with mpmath.workdps(80):
+        g = mpmath.mpf(gamma)
+        for value, b, m in zip(got.tolist(), scale.tolist(), np.abs(loc - y).tolist()):
+            b, m = mpmath.mpf(b), mpmath.mpf(m)
+            oracle = (b * g * mpmath.exp(-m / b) - mpmath.exp(-g * m)) / ((b * g) ** 2 - 1)
+            assert abs(value - oracle) <= 1e-13 * oracle, (value, oracle)
+
+
 @given(
     log_offset=st.floats(-10, -4), side=st.sampled_from([-1.0, 1.0]),
     near=st.sampled_from(["equal", "pole-first", "pole-second", "pole-both"]),
